@@ -256,13 +256,22 @@ class DividedExpRow:
 
 
 def _basis_for(weight, min_n):
+    """Cached basis of size max(min_n, _MIN_BASIS); a failed build is cached
+    as its HankelNotPD message and raised afresh on every later hit."""
     n = max(min_n, _MIN_BASIS)
     key = (weight.key(), n)
     with _LOCK:
         hit = _BASIS_CACHE.get(key)
+    if isinstance(hit, str):
+        raise HankelNotPD(hit)
     if hit is not None:
         return hit
-    basis = orthonormal_basis(weight, n, max_n=max(16, n))
+    try:
+        basis = orthonormal_basis(weight, n, max_n=max(16, n))
+    except HankelNotPD as exc:
+        with _LOCK:
+            _BASIS_CACHE[key] = str(exc)
+        raise
     with _LOCK:
         _BASIS_CACHE[key] = basis
     return basis

@@ -9,10 +9,13 @@ point comes from a per-kind tail bound (Mills ratio for the Gaussian, a
 geometric Gamma-tail bound for Laguerre-type decay, a leading-term bound for
 exp-polynomial weights); the tolerance budget is split between tail and panel
 error.  Panels never straddle a deformation endpoint, so the integrand is
-analytic on every panel.
+analytic on every panel.  The integrand is called once per refinement step:
+the 20- and 40-point nodes of all initial panels go in one call, and each
+split measures both halves in one call.
 """
 
 import math
+import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -389,14 +392,7 @@ class _EvalCounter:
         self.n = 0
 
 
-def _panel_values(f, lo, hi, order):
-    x0, w0 = _leggauss(order)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = mid + half * x0
-    vals = np.asarray(f(x))
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return half * (w0[:, None] * vals).sum(axis=0)
+_COARSE, _FINE = 20, 40  # Gauss-Legendre orders; their difference is the error
 
 
 def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, counter=None):
@@ -407,33 +403,39 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
     result carries one value and error estimate per component.  Convergence:
     per-component error below max(abs_tol, rel_tol * |I_comp|, small fraction
     of the largest component).
+
+    f is called once per refinement step: once on the coarse and fine nodes
+    of every initial piece, then once per split on the nodes of both halves.
     """
-    panels = []  # (lo, hi, mult, coarse, fine)
-    for lo, hi, mult in pieces:
-        if mult == 0.0 or hi <= lo:
-            continue
-        panels.append((lo, hi, mult))
-    if not panels:
+    live = [(lo, hi, mult) for lo, hi, mult in pieces if mult != 0.0 and hi > lo]
+    if not live:
         return QuadResult(np.zeros(1), np.zeros(1))
 
-    def measure(lo, hi, mult):
-        c = _panel_values(f, lo, hi, 20) * mult
-        v = _panel_values(f, lo, hi, 40) * mult
-        if counter is not None:
-            counter.n += 60
-        return v, np.abs(v - c)
+    rules = [_leggauss(_COARSE), _leggauss(_FINE)]
 
-    vals, errs, live = [], [], []
-    for lo, hi, mult in panels:
-        v, e = measure(lo, hi, mult)
-        vals.append(v)
-        errs.append(e)
-        live.append((lo, hi, mult))
+    def measure(panels):
+        """Fine values and |fine - coarse| errors, one row per panel, from a
+        single call of f on the coarse then the fine nodes of every panel."""
+        lo, hi, mult = (np.array(col, dtype=float)[:, None] for col in zip(*panels))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = np.concatenate([(mid + half * x0).ravel() for x0, _ in rules])
+        vals = np.asarray(f(x))
+        if vals.ndim == 1:
+            vals = vals[:, None]
+        if counter is not None:
+            counter.n += (_COARSE + _FINE) * len(panels)
+        split = len(panels) * _COARSE
+        coarse, fine = [
+            half * (w0[:, None] * part.reshape(len(panels), len(w0), -1)).sum(axis=1) * mult
+            for (_, w0), part in zip(rules, (vals[:split], vals[split:]))]
+        return fine, np.abs(fine - coarse)
+
+    vals, errs = measure(live)  # one row per live panel
 
     for _ in range(max_panels):
-        total = np.sum(vals, axis=0)
-        toterr = np.sum(errs, axis=0)
-        mass = np.sum(np.abs(vals), axis=0)  # L1 of panel sums: rounding floor
+        total = vals.sum(axis=0)
+        toterr = errs.sum(axis=0)
+        mass = np.abs(vals).sum(axis=0)  # L1 of panel sums: rounding floor
         scale = np.max(np.abs(total)) if len(total) else 0.0
         thresh = np.maximum(abs_tol, np.maximum(rel_tol * np.abs(total), 1e-3 * rel_tol * scale))
         thresh = np.maximum(thresh, np.maximum(1e-3 * rel_tol * mass, 1e-15 * mass))
@@ -441,23 +443,19 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
         if not bad.any():
             return QuadResult(total, toterr)
         # split the panel contributing most to the failing components
-        contrib = [float(np.max(e[bad])) for e in errs]
-        i = int(np.argmax(contrib))
+        i = int(np.argmax(errs[:, bad].max(axis=1)))
         lo, hi, mult = live[i]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # cannot split further in float
-        vL, eL = measure(lo, mid, mult)
-        vR, eR = measure(mid, hi, mult)
-        live[i] = (lo, mid, mult)
-        vals[i], errs[i] = vL, eL
-        live.append((mid, hi, mult))
-        vals.append(vR)
-        errs.append(eR)
-    total = np.sum(vals, axis=0)
-    toterr = np.sum(errs, axis=0)
+        halves = [(lo, mid, mult), (mid, hi, mult)]
+        v2, e2 = measure(halves)
+        live[i] = halves[0]
+        live.append(halves[1])
+        vals[i], errs[i] = v2[0], e2[0]
+        vals, errs = np.vstack([vals, v2[1:]]), np.vstack([errs, e2[1:]])
     raise QuadratureError(
-        f"no convergence after {len(live)} panels; err={np.max(toterr):.3e}")
+        f"no convergence after {len(live)} panels; err={np.max(errs.sum(axis=0)):.3e}")
 
 
 def _log_integrand_peak_and_cutoff(W, tilt, deg, side, drop=140.0):
@@ -677,6 +675,9 @@ class OrthoBasis:
         return np.array(self.coeffs[j, : j + 1])
 
 
+_MP_LOCK = threading.Lock()
+
+
 def orthonormal_basis(W, n, dps=60, max_n=16):
     """First n orthonormal polynomials of W via extended-precision Hankel
     Cholesky; raises HankelNotPD for degenerate (e.g. fully removed) weights.
@@ -689,7 +690,8 @@ def orthonormal_basis(W, n, dps=60, max_n=16):
     if n > max_n:
         raise ValueError(f"n={n} beyond the default cap {max_n}; pass a larger "
                          "max_n (and more dps) explicitly")
-    with mp.workdps(dps):
+    # mp.workdps sets mpmath's process-wide precision: one build at a time
+    with _MP_LOCK, mp.workdps(dps):
         mom = [W._mp_moment(j) for j in range(2 * n - 1)]
         H = mp.matrix(n, n)
         for i in range(n):

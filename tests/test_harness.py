@@ -170,6 +170,37 @@ def test_records_carry_rerun_inputs(tmp_path):
             assert {"weight", "d", "m", "sources", "E", "s", "tol"} <= rec.keys()
 
 
+def test_threaded_run_keeps_mpmath_precision_and_bytes(tmp_path):
+    import mpmath
+    from extsource import matrix_model as mm
+    mm.clear_caches()
+    run(load_config("quick"), tmp_path / "w1", workers=1)
+    mm.clear_caches()  # the threaded run builds its bases concurrently
+    run(load_config("quick"), tmp_path / "w2", workers=2)
+    assert mpmath.mp.dps == 15
+    assert (tmp_path / "w1" / "results.ndjson").read_bytes() == \
+        (tmp_path / "w2" / "results.ndjson").read_bytes()
+
+
+def test_mc_records_sample_on_one_thread(tmp_path, monkeypatch):
+    from extsource import harness
+    seen = []
+    real = harness.mc_mod.cross_check
+
+    def spy(d, a, E, s, N, seed, workers=1, quad=None):
+        seen.append(workers)
+        return real(d, a, E, s, N, seed, workers=workers, quad=quad)
+
+    monkeypatch.setattr(harness.mc_mod, "cross_check", spy)
+    raw = yaml.safe_load(MINI)
+    raw["suites"] = {"mc": {"weights": ["gaussian"], "d": [2], "m": [1, 2],
+                            "sources": [0.5, 1.1], "intervals": [[[1, "inf"]]],
+                            "s": [1.0], "n": 2000, "zmax": 6.0}}
+    code, _ = run(RunConfig(raw), tmp_path, workers=2)
+    assert code == 0
+    assert seen == [1, 1, 1]
+
+
 def test_list_suites_complete():
     assert set(list_suites()) == set(SUITES)
 

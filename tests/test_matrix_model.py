@@ -309,3 +309,31 @@ def test_expectation_against_mpmath_double_integral():
         den = mp.quad(lambda x: mp.quad(lambda y: dens(x, y), [-L, c, L]), [-L, c, L])
         ref = float(num / den)
     assert abs(got - ref) < 1e-9 * abs(ref)
+
+
+def test_failed_basis_build_is_cached(monkeypatch):
+    from extsource import matrix_model as mm
+    from extsource.weights import DeformedWeight, HankelNotPD, deform_weight
+    mm.clear_caches()
+    builds = []
+    real = mm.orthonormal_basis
+
+    def counting(W, n, *args, **kwargs):
+        builds.append(W.key())
+        try:
+            return real(W, n, *args, **kwargs)
+        except HankelNotPD:
+            builds[-1] = ("failed", W.key())
+            raise
+
+    monkeypatch.setattr(mm, "orthonormal_basis", counting)
+    W = deform_weight(GAUSS, RIGHT1, 1.5)  # moment matrix not PD at n = 12
+    first = mm._column_basis(W, 3)
+    second = mm._column_basis(W, 3)
+    assert first is second and not isinstance(first.weight, DeformedWeight)
+    assert builds.count(("failed", W.key())) == 1
+    assert builds.count(GAUSS.key()) == 1
+    with pytest.raises(HankelNotPD, match="not PD"):
+        mm._basis_for(W, 4)
+    assert len(builds) == 2
+    mm.clear_caches()

@@ -233,3 +233,29 @@ def test_deformed_basis_exists():
     res = integrate_pieces(fv, domain_pieces(W, 0.0, 18), rel_tol=1e-13, abs_tol=1e-13)
     G = res.value.reshape(9, 9)
     assert np.max(np.abs(G - np.eye(9))) < 1e-9
+
+
+def test_concurrent_basis_builds_keep_mpmath_precision():
+    # each build raises mpmath's process-wide precision for its duration;
+    # overlapping builds must neither compute at the wrong precision nor
+    # leave the raised precision behind
+    import sys
+    import threading
+    import mpmath
+    W = deform_weight(GAUSS, IntervalSet([[1, "inf"]]), 0.5)
+    want = orthonormal_basis(W, 8).coeffs
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(orthonormal_basis(W, 8).coeffs))
+               for _ in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(np.array_equal(c, want) for c in got)
+    assert mpmath.mp.dps == 15
