@@ -17,11 +17,14 @@ import io
 import itertools
 import json
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -39,61 +42,109 @@ class ConfigError(ValueError):
     """Configuration rejected; message carries the offending field path."""
 
 
-SUITES = {
-    "identity": "rank-reduction identity for normalized gap expectations",
-    "z-ratio": "determinant reduction of multi-source partition-function ratios",
-    "fay": "three-term shift identity of the series ladder (exact)",
-    "fay-det": "determinant generalization of the shift identity (exact)",
-    "hirota": "bilinear residue identity across ladder indices (exact)",
-    "vertex-ladder": "vertex pairing maps each series to the next (exact)",
-    "mc": "Monte Carlo spiked-ensemble cross-check of the expectations",
-}
-
 MUTATE_MOMENT = 4  # moment corrupted by the bilinear/ladder sensitivity checks
 # the shift-identity residual gains one weight unit from the leading symbol,
 # so a corruption must sit low enough to survive truncation at small caps
 FAY_MUTATE_MOMENT = 2
 
 
-def _field(cfg, path, default=None, required=False, kind=None):
-    cur = cfg
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if required:
-                raise ConfigError(f"missing required field {path!r}")
-            return default
-        cur = cur[part]
-    if kind is not None and not isinstance(cur, kind):
-        raise ConfigError(f"field {path!r} must be {kind.__name__}, got {type(cur).__name__}")
-    return cur
+# ---------------------------------------------------------------------------
+# typed field parsers: parse(value, path) returns the value the suites use or
+# raises a ConfigError that names the field path
+
+_REQUIRED = object()
+# PyYAML (YAML 1.1) reads an exponent without a decimal point, or without a
+# sign, as a string: 1e-9 and 1.0e9 are strings, 1.0e-9 is a float
+_EXPONENT_TEXT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
-def _num_list(val, path, allow_zero=True):
-    if not isinstance(val, list) or not val:
-        raise ConfigError(f"{path} must be a nonempty list")
-    out = []
-    for i, v in enumerate(val):
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}[{i}] must be a number")
-        if not allow_zero and float(v) == 0.0:
-            raise ConfigError(f"{path}[{i}] must be nonzero")
-        out.append(float(v))
-    return out
+def _get(body, key, parse, default=_REQUIRED, prefix=""):
+    if key not in body:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required field {prefix}{key}")
+        return default
+    return parse(body[key], prefix + key)
 
 
-def _fraction(v, path):
-    try:
-        return Fraction(str(v))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"{path} is not a rational number: {v!r}") from None
+def _typed(kind, what):
+    def parse(v, path):
+        if not isinstance(v, kind):
+            raise ConfigError(f"{path} must be {what}, got {v!r}")
+        return v
+    return parse
 
 
-def _intervals(body, path):
-    raw = body.get("intervals", [])
-    try:
-        return [IntervalSet.from_spec(e) for e in raw]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}.intervals: {exc}") from None
+def _integer(lo=None):
+    def parse(v, path):
+        if type(v) is not int:  # bool is an int subclass
+            raise ConfigError(f"{path} must be an integer, got {v!r}")
+        if lo is not None and v < lo:
+            raise ConfigError(f"{path} must be >= {lo}, got {v}")
+        return v
+    return parse
+
+
+def _number(v, path):
+    if isinstance(v, str) and _EXPONENT_TEXT.fullmatch(v):
+        raise ConfigError(f"{path}: YAML reads {v} as a string; write it with a "
+                          "decimal point and a signed exponent, e.g. 1.0e-9")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{path} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _positive(v, path):
+    x = _number(v, path)
+    if x <= 0:
+        raise ConfigError(f"{path} must be > 0, got {v!r}")
+    return x
+
+
+def _nonzero(v, path):
+    x = _number(v, path)
+    if x == 0:
+        raise ConfigError(f"{path} must be nonzero")
+    return x
+
+
+def _built(build, *errors):
+    def parse(v, path):
+        try:
+            return build(v)
+        except errors as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    return parse
+
+
+def _nonempty_list(item, distinct=False):
+    def parse(v, path):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{path} must be a nonempty list")
+        out = [item(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        if distinct and len(set(out)) != len(out):
+            raise ConfigError(f"{path} entries must be distinct")
+        return out
+    return parse
+
+
+@dataclass(frozen=True)
+class Suite:
+    """Everything the harness knows about one suite.
+
+    `fields` maps each body key besides `weights` to (parse, default or
+    _REQUIRED).  `jobs(cfg, body, W, mutate)` yields (params, thunk) per record
+    of one weight in a fixed order; params may set `suite` to another record
+    suite, explained by `more_explain`.  `weight_issue(W)` and `check(body)`
+    return what makes a weight or a whole body unusable, or None.
+    """
+
+    summary: str
+    explain: str
+    fields: dict
+    jobs: Callable
+    weight_issue: Callable = None
+    check: Callable = None
+    more_explain: dict = field(default_factory=dict)
 
 
 class RunConfig:
@@ -102,117 +153,43 @@ class RunConfig:
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
-        schema = _field(raw, "schema", required=True)
+        schema = _get(raw, "schema", _integer())
         if schema != 1:
             raise ConfigError(f"unsupported schema {schema!r} (expected 1)")
-        self.seed = _field(raw, "seed", default=0, kind=int)
-        self.workers = _field(raw, "workers", default=1, kind=int)
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        self.out_dir = _field(raw, "out_dir", default=None)
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ConfigError("out_dir must be a string path")
-        self.weights = {}
-        wspecs = _field(raw, "weights", required=True, kind=dict)
-        for name, spec in wspecs.items():
-            try:
-                self.weights[name] = weight_from_spec(spec)
-            except (KeyError, ValueError) as exc:
-                raise ConfigError(f"weights.{name}: {exc}") from None
-        suites = _field(raw, "suites", required=True, kind=dict)
+        self.seed = _get(raw, "seed", _integer(), 0)
+        self.workers = _get(raw, "workers", _integer(1), 1)
+        self.out_dir = _get(raw, "out_dir", _typed(str, "a string path"), None)
+        mapping = _typed(dict, "a mapping")
+        weight = _built(weight_from_spec, KeyError, ValueError)
+        self.weights = {name: weight(mapping(spec, f"weights.{name}"), f"weights.{name}")
+                        for name, spec in _get(raw, "weights", mapping).items()}
         self.suites = {}
-        for name, body in suites.items():
+        for name, body in _get(raw, "suites", mapping).items():
             if name not in SUITES:
                 raise ConfigError(
                     f"suites.{name}: unknown suite (choose from {sorted(SUITES)})")
-            self.suites[name] = self._validate_suite(name, body or {})
-
-    def _weight_names(self, body, path, exact_needed=False):
-        names = body.get("weights")
-        if not isinstance(names, list) or not names:
-            raise ConfigError(f"{path}.weights must be a nonempty list")
-        for n in names:
-            if n not in self.weights:
-                raise ConfigError(f"{path}.weights: unknown weight {n!r}")
-            if exact_needed and not self.weights[n].exact_moments:
-                raise ConfigError(
-                    f"{path}.weights: {n!r} has no exact moments; "
-                    "this suite is exact-rational only")
-        return list(names)
+            self.suites[name] = self._validate_suite(name, mapping(body, f"suites.{name}"))
 
     def _validate_suite(self, name, body):
-        p = f"suites.{name}"
-        out = {}
-        if name in ("identity", "z-ratio", "mc"):
-            out["d"] = [int(v) for v in body.get("d", [])]
-            if not out["d"] or any(v < 1 for v in out["d"]):
-                raise ConfigError(f"{p}.d must list dimensions >= 1")
-            out["m"] = [int(v) for v in body.get("m", [])]
-            if not out["m"] or any(v < 1 for v in out["m"]):
-                raise ConfigError(f"{p}.m must list ranks >= 1")
-            out["sources"] = _num_list(body.get("sources"), f"{p}.sources", allow_zero=False)
-            if len(set(out["sources"])) != len(out["sources"]):
-                raise ConfigError(f"{p}.sources must be distinct")
-        if name == "identity":
-            out["weights"] = self._weight_names(body, p)
-            out["intervals"] = _intervals(body, p)
-            if not out["intervals"]:
-                raise ConfigError(f"{p}.intervals must be a nonempty list")
-            out["s"] = _num_list(body.get("s"), f"{p}.s")
-            out["exploratory_s"] = _num_list(body.get("exploratory_s", [0.0]), f"{p}.exploratory_s") \
-                if body.get("exploratory_s") else []
-            out["rel_tol"] = float(body.get("rel_tol", 1e-8))
-        elif name == "z-ratio":
-            out["weights"] = self._weight_names(body, p)
-            out["rel_tol"] = float(body.get("rel_tol", 1e-8))
-        elif name == "mc":
-            for n in self._weight_names(body, p):
-                if self.weights[n].kind != "gaussian":
-                    raise ConfigError(f"{p}.weights: the sampler is exact only "
-                                      f"for the gaussian weight, got {n!r}")
-            out["weights"] = body["weights"]
-            out["intervals"] = _intervals(body, p)
-            if not out["intervals"]:
-                raise ConfigError(f"{p}.intervals must be a nonempty list")
-            out["s"] = _num_list(body.get("s"), f"{p}.s")
-            out["n"] = int(body.get("n", 100000))
-            if out["n"] < 1000:
-                raise ConfigError(f"{p}.n must be >= 1000")
-            out["zmax"] = float(body.get("zmax", 3.0))
-        elif name in ("fay", "fay-det", "hirota", "vertex-ladder"):
-            out["weights"] = self._weight_names(body, p, exact_needed=True)
-            out["cap"] = int(body.get("cap", 4))
-            if out["cap"] < 1:
-                raise ConfigError(f"{p}.cap must be >= 1")
-            if name == "fay":
-                out["d"] = [int(v) for v in body.get("d", [1])]
-                if any(v < 1 for v in out["d"]):
-                    raise ConfigError(f"{p}.d must list degrees >= 1")
-                pts = body.get("points")
-                if not isinstance(pts, list) or len(pts) != 2:
-                    raise ConfigError(f"{p}.points must be two rationals")
-                out["points"] = [_fraction(v, f"{p}.points") for v in pts]
-                if out["points"][0] == out["points"][1]:
-                    raise ConfigError(f"{p}.points must be distinct")
-            elif name == "fay-det":
-                out["d"] = [int(v) for v in body.get("d", [2])]
-                out["m"] = [int(v) for v in body.get("m", [2])]
-                if any(v < 1 for v in out["d"] + out["m"]):
-                    raise ConfigError(f"{p}: d and m entries must be >= 1")
-                pts = body.get("points", [])
-                out["points"] = [_fraction(v, f"{p}.points") for v in pts]
-                if len(set(out["points"])) != len(out["points"]):
-                    raise ConfigError(f"{p}.points must be distinct")
-                if len(out["points"]) < max(out["m"]):
-                    raise ConfigError(f"{p}.points must cover the largest m")
-            elif name == "hirota":
-                out["max_d"] = int(body.get("max_d", 3))
-                if out["max_d"] < 1:
-                    raise ConfigError(f"{p}.max_d must be >= 1")
-            else:  # vertex-ladder
-                out["max_d"] = int(body.get("max_d", 3))
-                if out["max_d"] < 0:
-                    raise ConfigError(f"{p}.max_d must be >= 0")
+        suite = SUITES[name]
+        p = f"suites.{name}."
+        known = ["weights", *suite.fields]
+        for key in body:
+            if key not in known:
+                raise ConfigError(f"{p}{key}: unknown field (expected one of {known})")
+        out = {"weights": _get(body, "weights",
+                               _nonempty_list(_typed(str, "a weight name")), prefix=p)}
+        for i, n in enumerate(out["weights"]):
+            if n not in self.weights:
+                raise ConfigError(f"{p}weights[{i}]: unknown weight {n!r}")
+            issue = suite.weight_issue and suite.weight_issue(self.weights[n])
+            if issue:
+                raise ConfigError(f"{p}weights[{i}]: {n!r} {issue}")
+        for key, (parse, default) in suite.fields.items():
+            out[key] = _get(body, key, parse, default, prefix=p)
+        problem = suite.check and suite.check(out)
+        if problem:
+            raise ConfigError(p + problem)
         return out
 
 
@@ -237,236 +214,175 @@ def load_config(spec):
 # job construction
 
 
-def _source_tuples(sources, m):
-    return list(itertools.combinations(sources, m))
-
-
 def build_jobs(cfg, mutate=False):
     """Deterministically ordered list of (record_skeleton, thunk)."""
     jobs = []
-
-    def add(suite, params, thunk):
-        rec = {"suite": suite, **params}
-        jobs.append((rec, thunk))
-
+    seq = {}
     for name in sorted(cfg.suites):
         body = cfg.suites[name]
-        if name == "identity":
-            for wname in body["weights"]:
-                W = cfg.weights[wname]
-                svals = [(s, False) for s in body["s"]]
-                svals += [(s, True) for s in body["exploratory_s"]]
-                for E in body["intervals"]:
-                    for s, exploratory in svals:
-                        for d in body["d"]:
-                            for m in body["m"]:
-                                if m > d:
-                                    continue
-                                for tup in _source_tuples(body["sources"], m):
-                                    add("identity",
-                                        {"weight": wname, "E": E.to_spec(), "s": s,
-                                         "d": d, "m": m, "sources": list(tup),
-                                         "tol": body["rel_tol"],
-                                         "exploratory": exploratory},
-                                        _identity_thunk(W, E, s, d, tup,
-                                                        body["rel_tol"], mutate))
-        elif name == "z-ratio":
-            for wname in body["weights"]:
-                W = cfg.weights[wname]
-                for d in body["d"]:
-                    for m in body["m"]:
-                        if m > d:
-                            continue
-                        for tup in _source_tuples(body["sources"], m):
-                            add("z-ratio",
-                                {"weight": wname, "d": d, "m": m,
-                                 "sources": list(tup), "tol": body["rel_tol"]},
-                                _zratio_thunk(W, d, tup, body["rel_tol"], mutate))
-        elif name == "vertex-ladder":
-            for wname in body["weights"]:
-                W = cfg.weights[wname]
-                cap = body["cap"]
-                for d in range(body["max_d"] + 1):
-                    add("vertex-ladder",
-                        {"weight": wname, "d": d, "cap": cap},
-                        _ladder_thunk(W, d, cap, body["max_d"] + 1, mutate))
-        elif name == "hirota":
-            for wname in body["weights"]:
-                W = cfg.weights[wname]
-                cap = body["cap"]
-                for d1 in range(1, body["max_d"] + 1):
-                    for d2 in range(d1):
-                        add("hirota",
-                            {"weight": wname, "d1": d1, "d2": d2, "cap": cap},
-                            _hirota_thunk(W, d1, d2, cap, body["max_d"] + 1, mutate))
-                add("hirota-sensitivity",
-                    {"weight": wname, "d1": 1, "d2": 0, "cap": cap,
-                     "corrupt_moment": MUTATE_MOMENT},
-                    _hirota_sensitivity_thunk(W, cap, body["max_d"] + 1))
-        elif name == "fay":
-            a, b = None, None
-            for wname in body["weights"]:
-                W = cfg.weights[wname]
-                a, b = body["points"]
-                for d in body["d"]:
-                    add("fay",
-                        {"weight": wname, "d": d, "cap": body["cap"],
-                         "points": [str(a), str(b)]},
-                        _fay_thunk(W, d, a, b, body["cap"], max(body["d"]), mutate))
-        elif name == "fay-det":
-            for wname in body["weights"]:
-                W = cfg.weights[wname]
-                for d in body["d"]:
-                    for m in body["m"]:
-                        if m > d:
-                            continue
-                        pts = body["points"][:m]
-                        add("fay-det",
-                            {"weight": wname, "d": d, "m": m, "cap": body["cap"],
-                             "points": [str(x) for x in pts]},
-                            _fay_det_thunk(W, d, m, pts, body["cap"],
-                                           max(body["d"]), mutate))
-        elif name == "mc":
-            for wname in body["weights"]:
-                for E in body["intervals"]:
-                    for s in body["s"]:
-                        for d in body["d"]:
-                            for m in body["m"]:
-                                if m > d:
-                                    continue
-                                for tup in _source_tuples(body["sources"], m):
-                                    add("mc",
-                                        {"weight": wname, "E": E.to_spec(), "s": s,
-                                         "d": d, "m": m, "sources": list(tup),
-                                         "n": body["n"], "zmax": body["zmax"]},
-                                        _mc_thunk(d, tup, E, s, body["n"],
-                                                  cfg.seed, body["zmax"], mutate))
-    seq = {}
-    for rec, _ in jobs:
-        i = seq.get(rec["suite"], 0)
-        rec["id"] = f"{rec['suite']}-{i:04d}"
-        seq[rec["suite"]] = i + 1
+        for wname in body["weights"]:
+            for params, thunk in SUITES[name].jobs(cfg, body, cfg.weights[wname], mutate):
+                rec = {"suite": name, "weight": wname, **params}
+                i = seq.get(rec["suite"], 0)
+                seq[rec["suite"]] = i + 1
+                rec["id"] = f"{rec['suite']}-{i:04d}"
+                jobs.append((rec, thunk))
     return jobs
+
+
+def _rank_grid(body):
+    """(d, m, sources) for every m <= d and every m-subset of the sources."""
+    for d in body["d"]:
+        for m in body["m"]:
+            if m <= d:
+                for tup in itertools.combinations(body["sources"], m):
+                    yield d, m, tup
+
+
+def _identity_jobs(cfg, body, W, mutate):
+    tol = body["rel_tol"]
+    svals = [(s, False) for s in body["s"]] + [(s, True) for s in body["exploratory_s"]]
+    for E in body["intervals"]:
+        for s, exploratory in svals:
+            for d, m, tup in _rank_grid(body):
+                yield ({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup),
+                        "tol": tol, "exploratory": exploratory},
+                       _float_thunk(W, tup, tol, mutate, _identity_report, W, E, s, d, tup))
+
+
+def _zratio_jobs(cfg, body, W, mutate):
+    tol = body["rel_tol"]
+    for d, m, tup in _rank_grid(body):
+        yield ({"d": d, "m": m, "sources": list(tup), "tol": tol},
+               _float_thunk(W, tup, tol, mutate, mm.z_ratio_det_check, W, d, list(tup)))
+
+
+def _ladder_jobs(cfg, body, W, mutate):
+    cap, dmax = body["cap"], body["max_d"] + 1
+    for d in range(dmax):
+        yield ({"d": d, "cap": cap},
+               _exact_thunk(W, cap, dmax, MUTATE_MOMENT, mutate, _ladder_residual, d))
+
+
+def _hirota_jobs(cfg, body, W, mutate):
+    cap, dmax = body["cap"], body["max_d"] + 1
+    for d1 in range(1, dmax):
+        for d2 in range(d1):
+            yield ({"d1": d1, "d2": d2, "cap": cap},
+                   _exact_thunk(W, cap, dmax, MUTATE_MOMENT, mutate, _hirota_residual, d1, d2))
+    yield ({"suite": "hirota-sensitivity", "d1": 1, "d2": 0, "cap": cap,
+            "corrupt_moment": MUTATE_MOMENT},
+           _sensitivity_thunk(W, cap, dmax))
+
+
+def _fay_jobs(cfg, body, W, mutate):
+    cap, dmax = body["cap"], max(body["d"])
+    a, b = body["points"]
+    for d in body["d"]:
+        yield ({"d": d, "cap": cap, "points": [str(a), str(b)]},
+               _exact_thunk(W, cap, dmax, FAY_MUTATE_MOMENT, mutate, _fay_residual, d, a, b))
+
+
+def _fay_det_jobs(cfg, body, W, mutate):
+    cap, dmax = body["cap"], max(body["d"])
+    for d in body["d"]:
+        for m in body["m"]:
+            if m <= d:
+                pts = body["points"][:m]
+                yield ({"d": d, "m": m, "cap": cap, "points": [str(x) for x in pts]},
+                       _exact_thunk(W, cap, dmax, FAY_MUTATE_MOMENT, mutate,
+                                    _fay_det_residual, d, m, pts))
+
+
+def _mc_jobs(cfg, body, W, mutate):
+    n, zmax = body["n"], body["zmax"]
+    for E in body["intervals"]:
+        for s in body["s"]:
+            for d, m, tup in _rank_grid(body):
+                yield ({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup),
+                        "n": n, "zmax": zmax},
+                       _mc_thunk(d, tup, E, s, n, cfg.seed, zmax, mutate))
 
 
 # thunks return dict fragments merged into the record
 
 
-def _feasible(W, sources):
-    bad = [a for a in sources if a >= W.max_tilt()]
-    if bad:
-        return (f"source {bad[0]} is not integrable against the "
-                f"{W.undeformed().kind} weight (tilt bound {W.max_tilt()})")
-    return None
-
-
-def _identity_thunk(W, E, s, d, sources, tol, mutate):
+def _float_thunk(W, sources, tol, mutate, report, *args):
+    """Skip infeasible sources, else judge report(*args) at relative tol."""
     def thunk():
-        reason = _feasible(W, sources)
-        if reason:
-            return {"status": "skipped", "reason": reason}
-        q = mm.ExpectationQuery(
-            mm.SourceModel(d, [(a, 1) for a in sources], W), E, s)
-        rep = mm.verify_main_identity(q)
+        bad = [a for a in sources if a >= W.max_tilt()]
+        if bad:
+            return {"status": "skipped",
+                    "reason": f"source {bad[0]} is not integrable against the "
+                              f"{W.undeformed().kind} weight (tilt bound {W.max_tilt()})"}
+        rep = report(*args)
         if mutate:
-            rep = mm.IdentityReport(rep.lhs * (1 + 1e-4), rep.rhs,
-                                    abs(rep.lhs * (1 + 1e-4) - rep.rhs),
-                                    abs(rep.lhs * (1 + 1e-4) - rep.rhs)
-                                    / max(abs(rep.lhs), abs(rep.rhs), 1e-300),
+            lhs = rep.lhs * (1 + 1e-4)
+            abs_err = abs(lhs - rep.rhs)
+            rep = mm.IdentityReport(lhs, rep.rhs, abs_err,
+                                    abs_err / max(abs(rep.lhs), abs(rep.rhs), 1e-300),
                                     rep.diag)
-        return _report_fields(rep, tol)
+        return {
+            "status": mm.classify(rep, rel_tol=tol),
+            "lhs": rep.lhs,
+            "rhs": rep.rhs,
+            "abs_err": rep.abs_err,
+            "rel_err": rep.rel_err,
+            "diag": {k: (v if math.isfinite(v) else str(v)) for k, v in rep.diag.items()},
+        }
     return thunk
 
 
-def _zratio_thunk(W, d, sources, tol, mutate):
-    def thunk():
-        reason = _feasible(W, sources)
-        if reason:
-            return {"status": "skipped", "reason": reason}
-        rep = mm.z_ratio_det_check(W, d, list(sources))
-        if mutate:
-            rep = mm.IdentityReport(rep.lhs * (1 + 1e-4), rep.rhs,
-                                    abs(rep.lhs * (1 + 1e-4) - rep.rhs),
-                                    abs(rep.lhs * (1 + 1e-4) - rep.rhs)
-                                    / max(abs(rep.lhs), abs(rep.rhs), 1e-300),
-                                    rep.diag)
-        return _report_fields(rep, tol)
-    return thunk
+def _identity_report(W, E, s, d, sources):
+    return mm.verify_main_identity(
+        mm.ExpectationQuery(mm.SourceModel(d, [(a, 1) for a in sources], W), E, s))
 
 
-def _report_fields(rep, tol):
-    status = mm.classify(rep, rel_tol=tol)
-    return {
-        "status": status,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "abs_err": rep.abs_err,
-        "rel_err": rep.rel_err,
-        "diag": {k: (v if math.isfinite(v) else str(v)) for k, v in rep.diag.items()},
-    }
-
-
-def _ladder_thunk(W, d, cap, dmax, mutate):
-    def thunk():
-        cfg = TauConfig(W, cap, max(dmax, d + 1))
-        rung_cfg = cfg.with_moment(MUTATE_MOMENT, cfg.moment(MUTATE_MOMENT) + 1) \
-            if mutate else cfg
-        got = tau_ladder_step(rung_cfg, d)
-        want = zhat_series(cfg, d + 1)
-        diff = got - want
-        return _residual_fields(diff.terms)
-    return thunk
-
-
-def _hirota_thunk(W, d1, d2, cap, dmax, mutate):
-    def thunk():
-        cfg = TauConfig(W, cap, max(dmax, d1, d2 + 1))
-        corrupt = (MUTATE_MOMENT, cfg.moment(MUTATE_MOMENT) + 1) if mutate else None
-        bad = hirota_residual(cfg, d1, d2, corrupt_first=corrupt)
-        return _residual_fields(dict(bad))
-    return thunk
-
-
-def _hirota_sensitivity_thunk(W, cap, dmax):
-    # the checker must detect a one-sided corruption; pass = violations found
+def _exact_thunk(W, cap, dmax, moment, mutate, residual, *args):
+    """Record the violations residual(cfg, corrupt, *args) returns; under
+    mutate, `corrupt` raises one moment by one on one side of the identity."""
     def thunk():
         cfg = TauConfig(W, cap, dmax)
-        bad = hirota_residual(cfg, 1, 0,
-                              corrupt_first=(MUTATE_MOMENT,
-                                             cfg.moment(MUTATE_MOMENT) + 1))
-        fields = _residual_fields(dict(bad))
-        fields["status"] = "pass" if bad else "fail"
-        if not bad:
-            fields["reason"] = "corrupted moment produced no violations"
+        corrupt = (moment, cfg.moment(moment) + 1) if mutate else None
+        terms = residual(cfg, corrupt, *args)
+        viol = {str(k): str(v) for k, v in sorted(terms.items())}
+        return {
+            "status": "pass" if not viol else "fail",
+            "violations": len(viol),
+            "violating_monomials": viol,
+        }
+    return thunk
+
+
+def _ladder_residual(cfg, corrupt, d):
+    rung_cfg = cfg if corrupt is None else cfg.with_moment(*corrupt)
+    return (tau_ladder_step(rung_cfg, d) - zhat_series(cfg, d + 1)).terms
+
+
+def _hirota_residual(cfg, corrupt, d1, d2):
+    return dict(hirota_residual(cfg, d1, d2, corrupt_first=corrupt))
+
+
+def _fay_residual(cfg, corrupt, d, a, b):
+    return fay_residual(cfg, d, a, b, corrupt_first=corrupt).terms
+
+
+def _fay_det_residual(cfg, corrupt, d, m, pts):
+    return fay_det_residual(cfg, d, m, pts, corrupt_lead=corrupt).terms
+
+
+def _sensitivity_thunk(W, cap, dmax):
+    # the checker must detect a one-sided corruption; pass = violations found
+    corrupted = _exact_thunk(W, cap, dmax, MUTATE_MOMENT, True, _hirota_residual, 1, 0)
+
+    def thunk():
+        fields = corrupted()
+        if fields["violations"]:
+            fields["status"] = "pass"
+        else:
+            fields.update(status="fail", reason="corrupted moment produced no violations")
         return fields
     return thunk
-
-
-def _fay_thunk(W, d, a, b, cap, dmax, mutate):
-    def thunk():
-        cfg = TauConfig(W, cap, max(dmax, d))
-        corrupt = (FAY_MUTATE_MOMENT, cfg.moment(FAY_MUTATE_MOMENT) + 1) if mutate else None
-        res = fay_residual(cfg, d, a, b, corrupt_first=corrupt)
-        return _residual_fields(res.terms)
-    return thunk
-
-
-def _fay_det_thunk(W, d, m, pts, cap, dmax, mutate):
-    def thunk():
-        cfg = TauConfig(W, cap, max(dmax, d))
-        corrupt = (FAY_MUTATE_MOMENT, cfg.moment(FAY_MUTATE_MOMENT) + 1) if mutate else None
-        res = fay_det_residual(cfg, d, m, pts, corrupt_lead=corrupt)
-        return _residual_fields(res.terms)
-    return thunk
-
-
-def _residual_fields(terms):
-    viol = {str(k): str(v) for k, v in sorted(terms.items())}
-    return {
-        "status": "pass" if not viol else "fail",
-        "violations": len(viol),
-        "violating_monomials": viol,
-    }
 
 
 def _mc_thunk(d, sources, E, s, n, seed, zmax, mutate):
@@ -489,6 +405,98 @@ def _mc_thunk(d, sources, E, s, n, seed, zmax, mutate):
             "z": chk.z if math.isfinite(chk.z) else str(chk.z),
         }
     return thunk
+
+
+# ---------------------------------------------------------------------------
+# the suite table: a new suite is one entry here
+
+
+def _needs_exact_moments(W):
+    return None if W.exact_moments else "has no exact moments; this suite is exact-rational only"
+
+
+_COUNTS = _nonempty_list(_integer(1))
+_INTERVALS = _nonempty_list(_built(IntervalSet.from_spec, ValueError, TypeError))
+_RATIONALS = _nonempty_list(_built(lambda v: Fraction(str(v)), ValueError, ZeroDivisionError),
+                            distinct=True)
+_RANK_FIELDS = {"d": (_COUNTS, _REQUIRED), "m": (_COUNTS, _REQUIRED),
+                "sources": (_nonempty_list(_nonzero, distinct=True), _REQUIRED)}
+_GAP_FIELDS = {**_RANK_FIELDS, "intervals": (_INTERVALS, _REQUIRED),
+               "s": (_nonempty_list(_number), _REQUIRED)}
+_CAP = (_integer(1), 4)
+
+SUITES = {
+    "identity": Suite(
+        summary="rank-reduction identity for normalized gap expectations",
+        explain=(
+            "Rank-reduction identity: the normalized expectation of\n"
+            "prod_j (1 - s chi_E(lambda_j)) under the d-dimensional source model\n"
+            "equals det[G_{d-j}(a_k) Ebar_{d-j+1}(a_k)] / det[G_{d-j}(a_k)],\n"
+            "j,k = 1..m, where G_q(a) integrates the q-th orthonormal polynomial\n"
+            "against e^{a x} W(x) dx and every Ebar on the right is a rank-one\n"
+            "normalized expectation at the reduced dimension."),
+        fields={**_GAP_FIELDS, "exploratory_s": (_nonempty_list(_number), []),
+                "rel_tol": (_positive, 1e-8)},
+        jobs=_identity_jobs),
+    "z-ratio": Suite(
+        summary="determinant reduction of multi-source partition-function ratios",
+        explain=(
+            "Determinant reduction of partition-function ratios:\n"
+            "Z_d(a_1..a_m)/Z_d = det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}] /\n"
+            "prod_{j<k}(a_j - a_k), valid for any weight."),
+        fields={**_RANK_FIELDS, "rel_tol": (_positive, 1e-8)},
+        jobs=_zratio_jobs),
+    "fay": Suite(
+        summary="three-term shift identity of the series ladder (exact)",
+        explain=(
+            "Three-term shift identity:\n"
+            "a Z_d(t+[a]) Z_{d-1}(t+[b]) - b Z_d(t+[b]) Z_{d-1}(t+[a])\n"
+            "= (a-b) Z_d(t+[a]+[b]) Z_{d-1}(t), exact per monomial at every\n"
+            "truncation weight."),
+        fields={"cap": _CAP, "d": (_COUNTS, [1]), "points": (_RATIONALS, _REQUIRED)},
+        jobs=_fay_jobs, weight_issue=_needs_exact_moments,
+        check=lambda body: None if len(body["points"]) == 2 else "points must be two rationals"),
+    "fay-det": Suite(
+        summary="determinant generalization of the shift identity (exact)",
+        explain=(
+            "Determinant generalization of the shift identity (denominators\n"
+            "cleared): det[a_k^{m-j} Z_{d+1-j}(t+[a_k])] =\n"
+            "Delta_m(a) Z_d(t+[a_1]+..+[a_m]) prod_{j=2..m} Z_{d+1-j}(t)."),
+        fields={"cap": _CAP, "d": (_COUNTS, [2]), "m": (_COUNTS, [2]),
+                "points": (_RATIONALS, _REQUIRED)},
+        jobs=_fay_det_jobs, weight_issue=_needs_exact_moments,
+        check=lambda body: None if len(body["points"]) >= max(body["m"]) else
+        f"points must cover the largest m ({max(body['m'])})"),
+    "hirota": Suite(
+        summary="bilinear residue identity across ladder indices (exact)",
+        explain=(
+            "Bilinear residue identity: the z^-1 coefficient of\n"
+            "Z_{d1}(t~ - [1/z]) Z_{d2+1}(t + [1/z]) e^{sum (t~_j - t_j) z^j}\n"
+            "z^{d1-d2-1} vanishes identically for d1 > d2 >= 0."),
+        fields={"cap": _CAP, "max_d": (_integer(1), 3)},
+        jobs=_hirota_jobs, weight_issue=_needs_exact_moments,
+        more_explain={"hirota-sensitivity": (
+            "Checker self-test: corrupting one moment on one side of the\n"
+            "bilinear identity must produce violations (a consistent change\n"
+            "everywhere would just give another valid sequence).")}),
+    "vertex-ladder": Suite(
+        summary="vertex pairing maps each series to the next (exact)",
+        explain=(
+            "Vertex pairing: integrating X(t,z) Z_d(t) against the index-d\n"
+            "measure (formal z^-1 coefficient) reproduces Z_{d+1}(t) with exact\n"
+            "rational coefficients."),
+        fields={"cap": _CAP, "max_d": (_integer(0), 3)},
+        jobs=_ladder_jobs, weight_issue=_needs_exact_moments),
+    "mc": Suite(
+        summary="Monte Carlo spiked-ensemble cross-check of the expectations",
+        explain=(
+            "Monte Carlo cross-check: the sampled mean of\n"
+            "prod_j (1 - s chi_E(lambda_j)) over spiked Gaussian draws must sit\n"
+            "within zmax standard errors of the determinant-pipeline value."),
+        fields={**_GAP_FIELDS, "n": (_integer(1000), 100000), "zmax": (_positive, 3.0)},
+        jobs=_mc_jobs, weight_issue=lambda W: None if W.kind == "gaussian" else
+        "is not gaussian; the sampler is exact only for the gaussian weight"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -598,46 +606,6 @@ def _summarize(records, elapsed, evals, mutate):
 # explain
 
 
-_EXPLAIN = {
-    "identity": (
-        "Rank-reduction identity: the normalized expectation of\n"
-        "prod_j (1 - s chi_E(lambda_j)) under the d-dimensional source model\n"
-        "equals det[G_{d-j}(a_k) Ebar_{d-j+1}(a_k)] / det[G_{d-j}(a_k)],\n"
-        "j,k = 1..m, where G_q(a) integrates the q-th orthonormal polynomial\n"
-        "against e^{a x} W(x) dx and every Ebar on the right is a rank-one\n"
-        "normalized expectation at the reduced dimension."),
-    "z-ratio": (
-        "Determinant reduction of partition-function ratios:\n"
-        "Z_d(a_1..a_m)/Z_d = det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}] /\n"
-        "prod_{j<k}(a_j - a_k), valid for any weight."),
-    "fay": (
-        "Three-term shift identity:\n"
-        "a Z_d(t+[a]) Z_{d-1}(t+[b]) - b Z_d(t+[b]) Z_{d-1}(t+[a])\n"
-        "= (a-b) Z_d(t+[a]+[b]) Z_{d-1}(t), exact per monomial at every\n"
-        "truncation weight."),
-    "fay-det": (
-        "Determinant generalization of the shift identity (denominators\n"
-        "cleared): det[a_k^{m-j} Z_{d+1-j}(t+[a_k])] =\n"
-        "Delta_m(a) Z_d(t+[a_1]+..+[a_m]) prod_{j=2..m} Z_{d+1-j}(t)."),
-    "hirota": (
-        "Bilinear residue identity: the z^-1 coefficient of\n"
-        "Z_{d1}(t~ - [1/z]) Z_{d2+1}(t + [1/z]) e^{sum (t~_j - t_j) z^j}\n"
-        "z^{d1-d2-1} vanishes identically for d1 > d2 >= 0."),
-    "hirota-sensitivity": (
-        "Checker self-test: corrupting one moment on one side of the\n"
-        "bilinear identity must produce violations (a consistent change\n"
-        "everywhere would just give another valid sequence)."),
-    "vertex-ladder": (
-        "Vertex pairing: integrating X(t,z) Z_d(t) against the index-d\n"
-        "measure (formal z^-1 coefficient) reproduces Z_{d+1}(t) with exact\n"
-        "rational coefficients."),
-    "mc": (
-        "Monte Carlo cross-check: the sampled mean of\n"
-        "prod_j (1 - s chi_E(lambda_j)) over spiked Gaussian draws must sit\n"
-        "within zmax standard errors of the determinant-pipeline value."),
-}
-
-
 def explain(results_path, check_id):
     """Human-readable account of one recorded check."""
     path = Path(results_path)
@@ -656,7 +624,7 @@ def explain(results_path, check_id):
     rec = records[check_id]
     buf = io.StringIO()
     buf.write(f"check {rec['id']} [{rec['status']}]\n\n")
-    buf.write(_EXPLAIN.get(rec["suite"], "(no description)") + "\n\n")
+    buf.write(_explain_text(rec["suite"]) + "\n\n")
     skip = {"id", "suite", "status", "diag", "violating_monomials"}
     buf.write("inputs and outcomes:\n")
     for k in sorted(rec):
@@ -674,5 +642,13 @@ def explain(results_path, check_id):
     return buf.getvalue()
 
 
+def _explain_text(suite):
+    for name, entry in SUITES.items():
+        text = entry.explain if name == suite else entry.more_explain.get(suite)
+        if text:
+            return text
+    return "(no description)"
+
+
 def list_suites():
-    return dict(SUITES)
+    return {name: entry.summary for name, entry in SUITES.items()}

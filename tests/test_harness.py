@@ -1,4 +1,6 @@
+import copy
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -38,10 +40,20 @@ def mini_cfg():
     return RunConfig(yaml.safe_load(MINI))
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
 def test_bundled_configs_load():
     for name in ("quick", "full"):
         cfg = load_config(name)
         assert cfg.seed > 0 and cfg.suites
+    workloads = sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))
+    assert len(workloads) == 3
+    for path in workloads:
+        assert load_config(str(path)).suites
+    readme = (REPO / "README.md").read_text().split("### Config format", 1)[1]
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert set(RunConfig(yaml.safe_load(example)).suites) == set(SUITES)
 
 
 def test_unknown_bundled_name():
@@ -202,7 +214,7 @@ def test_mc_records_sample_on_one_thread(tmp_path, monkeypatch):
 
 
 def test_list_suites_complete():
-    assert set(list_suites()) == set(SUITES)
+    assert list_suites() == {name: suite.summary for name, suite in SUITES.items()}
 
 
 def test_cli_exit_codes(tmp_path):
@@ -211,3 +223,114 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert main(["list-suites"]) == 0
     assert main(["explain", "xx", "--results", str(tmp_path / "missing.ndjson")]) == 2
+
+
+# every suite on a grid small enough that a case wrongly accepted still
+# finishes in seconds
+VALID = yaml.safe_load("""
+schema: 1
+seed: 7
+weights:
+  gaussian: {kind: gaussian}
+suites:
+  identity: {weights: [gaussian], d: [2], m: [1], sources: [0.5],
+             intervals: [[[1, inf]]], s: [1.0]}
+  z-ratio: {weights: [gaussian], d: [2], m: [1], sources: [0.5]}
+  fay: {weights: [gaussian], cap: 2, d: [1], points: ["1/2", "1/3"]}
+  fay-det: {weights: [gaussian], cap: 2, d: [2], m: [2], points: ["1/2", "1/3"]}
+  hirota: {weights: [gaussian], cap: 2, max_d: 1}
+  vertex-ladder: {weights: [gaussian], cap: 2, max_d: 1}
+  mc: {weights: [gaussian], d: [2], m: [1], sources: [0.5],
+       intervals: [[[1, inf]]], s: [1.0], n: 1000, zmax: 6.0}
+""")
+
+
+def test_valid_base_config_loads():
+    assert set(RunConfig(copy.deepcopy(VALID)).suites) == set(SUITES)
+
+
+# (suite, or None for the top level; field; the bad value as YAML text;
+# the field path the error must name)
+BAD_FIELDS = [
+    ("z-ratio", "d", '["x"]', "suites.z-ratio.d[0]"),
+    ("z-ratio", "d", "[2.7]", "suites.z-ratio.d[0]"),
+    ("identity", "d", "[true]", "suites.identity.d[0]"),
+    ("identity", "s", "[true]", "suites.identity.s[0]"),
+    ("identity", "rel_tol", "abc", "suites.identity.rel_tol"),
+    ("identity", "rel_tol", "1e-9", "suites.identity.rel_tol"),
+    ("identity", "rel_tol", "-1", "suites.identity.rel_tol"),
+    ("identity", "rel_tol", "0", "suites.identity.rel_tol"),
+    ("z-ratio", "rel_tol", "-1.0e-8", "suites.z-ratio.rel_tol"),
+    ("z-ratio", "rel_tol", ".nan", "suites.z-ratio.rel_tol"),
+    ("fay", "cap", "abc", "suites.fay.cap"),
+    ("mc", "zmax", "abc", "suites.mc.zmax"),
+    ("mc", "zmax", "0", "suites.mc.zmax"),
+    ("mc", "zmax", ".inf", "suites.mc.zmax"),
+    ("mc", "n", "1.5e3", "suites.mc.n"),
+    ("hirota", "max_d", "2.5", "suites.hirota.max_d"),
+    (None, "workers", "true", "workers"),
+    ("identity", "rel_tl", "1.0e-12", "suites.identity.rel_tl"),
+    ("vertex-ladder", "maxd", "2", "suites.vertex-ladder.maxd"),
+    ("fay-det", "m", "[]", "suites.fay-det.m"),
+    ("fay", "d", "[]", "suites.fay.d"),
+    ("identity", "s", "[]", "suites.identity.s"),
+    ("mc", "sources", "[]", "suites.mc.sources"),
+    ("z-ratio", "weights", "[]", "suites.z-ratio.weights"),
+    ("fay", "points", '["1/2", "1/3", "1/5"]', "suites.fay.points"),
+    ("fay-det", "m", "[3]", "suites.fay-det.points"),
+]
+
+
+@pytest.mark.parametrize("suite,field,text,path", BAD_FIELDS)
+def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, suite, field, text, path):
+    raw = copy.deepcopy(VALID)
+    (raw if suite is None else raw["suites"][suite])[field] = yaml.safe_load(text)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_exponent_without_point_gets_spelling_hint(tmp_path, capsys):
+    # YAML 1.1 reads 1e-9 as a string; it used to be float()ed silently
+    raw = copy.deepcopy(VALID)
+    raw["suites"]["z-ratio"]["rel_tol"] = "1e-9"
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert yaml.safe_load(cfg.read_text())["suites"]["z-ratio"]["rel_tol"] == "1e-9"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "1.0e-9" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def quick_mutated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("quick-mutate")
+    code, _ = run(load_config("quick"), out, mutate=True)
+    path = out / "results.ndjson"
+    return code, path, [json.loads(x) for x in path.read_text().splitlines()]
+
+
+def test_every_mutation_hook_fails_its_check(quick_mutated):
+    code, _, recs = quick_mutated
+    assert code == 1
+    assert {r["suite"] for r in recs} == set(SUITES) | {"hirota-sensitivity"}
+    for r in recs:
+        if r["status"] != "skipped":
+            # the self-test corrupts a moment in every run: it passes when
+            # the checker reports the corruption
+            want = "pass" if r["suite"] == "hirota-sensitivity" else "fail"
+            assert r["status"] == want, r["id"]
+
+
+def test_explain_describes_every_record_suite(quick_mutated):
+    _, path, recs = quick_mutated
+    first = {}
+    for r in recs:
+        first.setdefault(r["suite"], r["id"])
+    descriptions = {suite: explain(path, check_id).split("\n\n")[1]
+                    for suite, check_id in first.items()}
+    assert "(no description)" not in descriptions.values()
+    assert len(set(descriptions.values())) == len(descriptions) == len(SUITES) + 1
+
