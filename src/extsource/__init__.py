@@ -6,11 +6,11 @@ together."""
 
 from .series import (
     TruncatedSeries, LaurentSlice, FieldMismatch, WindowError,
-    series_mul, series_exp, miwa_eval, laurent_residue, laurent_mul,
+    series_exp, miwa_eval, laurent_residue, laurent_mul,
 )
 from .schur import (
     Partition, NearConfluent, partitions_iter, elementary_schur, h_series,
-    h_shift_down, h_shift_up, schur_series, schur_poly,
+    schur_series, schur_poly,
     hciz_expansion_residual, dodgson_residual,
 )
 from .weights import (

@@ -34,6 +34,7 @@ class TauConfig:
         self.cap = cap
         self.dmax = dmax
         self.chat_ratio = chat_ratio  # d -> Chat_d / Chat_{d+1}
+        self._coeffs = {}  # _coeff memo, (kappa parts, d) -> value
         jmax = 2 * dmax + cap + 2
         if moments is None:
             self._moments = [Fraction(weight.moment_exact(j)) for j in range(jmax + 1)]
@@ -69,14 +70,19 @@ class TauConfig:
 
 
 def _coeff(cfg, kappa, d):
-    """det[M_{kappa_p + d - p + q - 1}] / prod_q (kappa_q + d - q)!  (exact)."""
+    """det[M_{kappa_p + d - p + q - 1}] / prod_q (kappa_q + d - q)!  (exact),
+    memoised on cfg (a with_moment copy starts with an empty memo)."""
+    key = (kappa.parts, d)
+    if key in cfg._coeffs:
+        return cfg._coeffs[key]
     M = [[cfg.moment(kappa.part(p) + d - p + q - 1) for q in range(1, d + 1)]
          for p in range(1, d + 1)]
     det = _det_numeric(M)
     denom = 1
     for q in range(1, d + 1):
         denom *= math.factorial(kappa.part(q) + d - q)
-    return Fraction(det, denom)
+    out = cfg._coeffs[key] = Fraction(det, denom)
+    return out
 
 
 def _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks):
@@ -196,31 +202,11 @@ def _zhat_up_shifted_slice(cfg, d, min_power, nblocks=1, tblock=0):
                                   for i in range(a, -1, -1)]  # powers -a..0
                         row.append(LaurentSlice(-a, coeffs))
                 rows.append(row)
-            term = _det_laurent(rows).scaled(c)
+            term = det_series(rows).scaled(c)
         if term.lo < min_power:
             term = LaurentSlice(min_power, term.coeffs[min_power - term.lo:])
         total = term if total is None else total + term
     return total
-
-
-def _det_laurent(rows):
-    n = len(rows)
-
-    def expand(row, cols):
-        if len(cols) == 1:
-            return rows[row][cols[0]]
-        acc = None
-        sign = 1
-        for idx, c in enumerate(cols):
-            sub = expand(row + 1, cols[:idx] + cols[idx + 1:])
-            term = laurent_mul(rows[row][c], sub)
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign = -sign
-        return acc
-
-    return expand(0, tuple(range(n)))
 
 
 class NuMeasure:

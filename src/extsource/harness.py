@@ -34,7 +34,7 @@ from .dkp import (
     TauConfig, zhat_series, tau_ladder_step, hirota_residual, fay_residual,
     fay_det_residual,
 )
-from .weights import IntervalSet, weight_from_spec, QuadratureError
+from .weights import IntervalSet, UnknownField, weight_from_spec, QuadratureError
 from .schur import NearConfluent
 
 
@@ -111,6 +111,8 @@ def _built(build, *errors):
     def parse(v, path):
         try:
             return build(v)
+        except UnknownField as exc:
+            raise ConfigError(f"{path}.{exc.key}: {exc}") from None
         except errors as exc:
             raise ConfigError(f"{path}: {exc}") from None
     return parse
@@ -147,12 +149,18 @@ class Suite:
     more_explain: dict = field(default_factory=dict)
 
 
+TOP_LEVEL_FIELDS = ["schema", "seed", "workers", "out_dir", "weights", "suites"]
+
+
 class RunConfig:
     """Validated run description."""
 
     def __init__(self, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a mapping")
+        for key in raw:
+            if key not in TOP_LEVEL_FIELDS:
+                raise ConfigError(f"{key}: unknown field (expected one of {TOP_LEVEL_FIELDS})")
         schema = _get(raw, "schema", _integer())
         if schema != 1:
             raise ConfigError(f"unsupported schema {schema!r} (expected 1)")

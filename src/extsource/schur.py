@@ -1,9 +1,10 @@
 """Partitions, elementary Schur polynomials, Schur evaluation and determinant utilities."""
 
+import functools
 import math
 from fractions import Fraction
 
-from .series import TruncatedSeries, LaurentSlice
+from .series import TruncatedSeries
 
 
 class NearConfluent(ValueError):
@@ -75,19 +76,6 @@ def partitions_iter(max_len, max_weight):
             yield Partition(parts)
 
 
-def partition_count_dp(max_len, max_weight):
-    """Count of partitions with <= max_len parts per weight, by the standard
-    bounded-parts dynamic program (independent of the iterator above)."""
-    # c[w] = number of partitions of w into at most max_len parts
-    c = [[0] * (max_weight + 1) for _ in range(max_len + 1)]
-    for k in range(max_len + 1):
-        c[k][0] = 1
-    for k in range(1, max_len + 1):
-        for w in range(1, max_weight + 1):
-            c[k][w] = c[k - 1][w] + (c[k][w - k] if w >= k else 0)
-    return c[max_len]
-
-
 def h_series(j, cap, nblocks=1, block=0):
     """h_j truncated at the cap; identically zero for j < 0 and for j > cap
     (the least monomial weight of h_j is j)."""
@@ -96,8 +84,13 @@ def h_series(j, cap, nblocks=1, block=0):
     return elementary_schur(j, cap, nblocks, block)
 
 
+# a run asks for a few dozen distinct (j, cap, nblocks, block); the bound only
+# keeps a long-lived process from growing the memo without limit
+@functools.lru_cache(maxsize=256)
 def elementary_schur(j, cap, nblocks=1, block=0):
-    """h_j(t): coefficient of w^j in exp(sum_k t_k w^k); zero for j < 0."""
+    """h_j(t): coefficient of w^j in exp(sum_k t_k w^k); zero for j < 0.
+
+    Memoised: callers share the returned series, which is immutable."""
     if j > cap:
         raise ValueError(f"h_{j} needs cap >= {j}, got {cap}")
     if j < 0:
@@ -117,30 +110,10 @@ def elementary_schur(j, cap, nblocks=1, block=0):
     return TruncatedSeries(cap, terms, nblocks)
 
 
-def h_shift_down(j, cap, nblocks=1, block=0):
-    """h_j(t - [z^-1]) as the window h_j(t) - z^-1 h_{j-1}(t)."""
-    if j > cap:
-        raise ValueError(f"h_{j} needs cap >= {j}")
-    return LaurentSlice(-1, [-elementary_schur(j - 1, cap, nblocks, block),
-                             elementary_schur(j, cap, nblocks, block)])
-
-
-def h_shift_up(j, c, cap, nblocks=1, block=0):
-    """h_j(t + [c]) = sum_{i=0..j} h_{j-i}(t) c^i for a scalar shift c."""
-    if j > cap:
-        raise ValueError(f"h_{j} needs cap >= {j}")
-    if j < 0:
-        return TruncatedSeries.zero(cap, nblocks)
-    out = TruncatedSeries.zero(cap, nblocks)
-    ci = 1
-    for i in range(j + 1):
-        out = out + elementary_schur(j - i, cap, nblocks, block) * ci
-        ci = ci * c
-    return out
-
-
 def det_series(rows):
-    """Determinant of a small matrix of TruncatedSeries (cofactor expansion)."""
+    """Determinant of a small matrix by cofactor expansion along the rows,
+    with each minor computed once.  The entries may be TruncatedSeries or
+    LaurentSlices (whose product is the full-support laurent_mul)."""
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")

@@ -5,22 +5,34 @@ t_j carries weight j and a series is truncated at a fixed weighted degree cap.
 Extra blocks serve two purposes: a second full Miwa alphabet (bilinear
 identities in two sets of times) and single "point symbols" of weight one
 (shift parameters that must participate in the grading).  Coefficients are
-exact rationals by default; a float backend exists for cross-checks only.
+exact rationals (int or Fraction); a float is rejected, never coerced.
+
+The ring operations work on a graded view of each series: its terms grouped
+by monomial weight, in increasing weight, computed once per series.  A
+product visits only the bucket pairs whose weights sum to at most the cap,
+and its result carries its own graded view, so no monomial weight is
+recomputed per pair.  Results are built by a trusted constructor that skips
+validation.  Series are immutable after construction (memoised builders
+share them), so nothing may write to `terms` once a series exists.
 """
 
 from fractions import Fraction
+from operator import add, mul
 
 
 class FieldMismatch(TypeError):
-    """Raised when exact and float coefficient fields are mixed."""
+    """Raised when a non-rational (e.g. float) value meets an exact series."""
 
 
 class WindowError(ValueError):
     """Raised when a Laurent window cannot support the requested operation."""
 
 
-def _is_floatlike(x):
-    return isinstance(x, float) or (hasattr(x, "dtype") and not isinstance(x, (int, Fraction)))
+def _exact(c):
+    """c itself if it is an exact rational scalar, else FieldMismatch."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise FieldMismatch(f"series coefficients must be int or Fraction, got {type(c).__name__}")
 
 
 def _strip(exps):
@@ -32,26 +44,26 @@ def _strip(exps):
 
 
 def _block_weight(exps):
-    return sum((i + 1) * e for i, e in enumerate(exps))
+    return sum(map(mul, range(1, len(exps) + 1), exps))
 
 
 def _mono_weight(mono):
-    return sum(_block_weight(b) for b in mono)
+    return sum(map(_block_weight, mono))
+
+
+def _block_mul(b1, b2):
+    # exponents are non-negative, so the sum of two stripped blocks is stripped
+    if not b1:
+        return b2
+    if not b2:
+        return b1
+    if len(b1) < len(b2):
+        b1, b2 = b2, b1
+    return tuple(map(add, b1, b2)) + b1[len(b2):]
 
 
 def _mono_mul(m1, m2):
-    out = []
-    for b1, b2 in zip(m1, m2):
-        if not b1:
-            out.append(b2)
-        elif not b2:
-            out.append(b1)
-        else:
-            n = max(len(b1), len(b2))
-            b1 = b1 + (0,) * (n - len(b1))
-            b2 = b2 + (0,) * (n - len(b2))
-            out.append(tuple(x + y for x, y in zip(b1, b2)))
-    return tuple(out)
+    return tuple(map(_block_mul, m1, m2))
 
 
 class TruncatedSeries:
@@ -59,22 +71,22 @@ class TruncatedSeries:
 
     terms maps a monomial to its coefficient; a monomial is a tuple with one
     exponent tuple per block, trailing zeros stripped.  No stored coefficient
-    is zero and no stored monomial exceeds the cap, so equality of exact
-    series is structural equality.
+    is zero and no stored monomial exceeds the cap, so equality of series is
+    structural equality.
     """
 
-    __slots__ = ("cap", "nblocks", "field", "terms")
+    __slots__ = ("cap", "nblocks", "terms", "_graded")
 
-    def __init__(self, cap, terms=None, nblocks=1, field="exact"):
+    def __init__(self, cap, terms=None, nblocks=1):
         if cap < 0:
             raise ValueError("cap must be >= 0")
         self.cap = cap
         self.nblocks = nblocks
-        self.field = field
         self.terms = {}
+        self._graded = None
         if terms:
             for mono, c in terms.items():
-                if c == 0:
+                if _exact(c) == 0:
                     continue
                 mono = tuple(_strip(b) for b in mono)
                 if len(mono) != nblocks:
@@ -85,61 +97,87 @@ class TruncatedSeries:
             for mono in [m for m, c in self.terms.items() if c == 0]:
                 del self.terms[mono]
 
+    @classmethod
+    def _trusted(cls, cap, terms, nblocks, graded=None):
+        """Wrap terms that already hold the invariants (stripped monomials,
+        no zero coefficient, no weight above cap) without checking them;
+        graded, if given, is the matching graded view."""
+        s = object.__new__(cls)
+        s.cap = cap
+        s.nblocks = nblocks
+        s.terms = terms
+        s._graded = graded
+        return s
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, cap, nblocks=1, field="exact"):
-        return cls(cap, {}, nblocks, field)
+    def zero(cls, cap, nblocks=1):
+        return cls(cap, {}, nblocks)
 
     @classmethod
-    def const(cls, value, cap, nblocks=1, field=None):
-        if field is None:
-            field = "float" if _is_floatlike(value) else "exact"
-        mono = ((),) * nblocks
-        return cls(cap, {mono: value}, nblocks, field)
+    def const(cls, value, cap, nblocks=1):
+        return cls(cap, {((),) * nblocks: value}, nblocks)
 
     @classmethod
-    def one(cls, cap, nblocks=1, field="exact"):
-        return cls.const(1 if field == "exact" else 1.0, cap, nblocks, field)
+    def one(cls, cap, nblocks=1):
+        return cls.const(1, cap, nblocks)
 
     @classmethod
-    def variable(cls, j, cap, block=0, nblocks=1, field="exact"):
+    def variable(cls, j, cap, block=0, nblocks=1):
         """The variable t_j (weight j) of the given block."""
         if j < 1:
             raise ValueError("variable index must be >= 1")
         if j > cap:
-            return cls.zero(cap, nblocks, field)
+            return cls.zero(cap, nblocks)
         mono = tuple(((0,) * (j - 1) + (1,)) if b == block else () for b in range(nblocks))
-        return cls(cap, {mono: 1 if field == "exact" else 1.0}, nblocks, field)
+        return cls(cap, {mono: 1}, nblocks)
 
     # -- plumbing ----------------------------------------------------------
 
-    def _check_compatible(self, other):
-        if self.field != other.field:
-            raise FieldMismatch(f"cannot mix {self.field} and {other.field} series")
+    def _grades(self):
+        """[(weight, [(mono, coeff), ...]), ...] in increasing weight."""
+        g = self._graded
+        if g is None:
+            buckets = {}
+            for mono, c in self.terms.items():
+                buckets.setdefault(_mono_weight(mono), []).append((mono, c))
+            g = self._graded = sorted(buckets.items())
+        return g
+
+    def _at_cap(self, cap):
+        """This series truncated at cap <= self.cap."""
+        if cap >= self.cap:
+            return self
+        graded = [(w, items) for w, items in self._grades() if w <= cap]
+        terms = {m: c for _, items in graded for m, c in items}
+        return TruncatedSeries._trusted(cap, terms, self.nblocks, graded)
+
+    def _operand(self, other):
+        """other as a series of the same block count: a scalar becomes a
+        constant series at this cap."""
+        if not isinstance(other, TruncatedSeries):
+            c = _exact(other)
+            return TruncatedSeries._trusted(
+                self.cap, {((),) * self.nblocks: c} if c else {}, self.nblocks)
         if self.nblocks != other.nblocks:
             raise ValueError("block count mismatch")
-
-    def _coerce_scalar(self, c):
-        if self.field == "exact":
-            if _is_floatlike(c):
-                raise FieldMismatch("float scalar into exact series")
-            return c
-        return float(c)
+        return other
 
     def is_zero(self):
         return not self.terms
 
     def constant_term(self):
-        return self.terms.get(((),) * self.nblocks, 0 if self.field == "exact" else 0.0)
+        return self.terms.get(((),) * self.nblocks, 0)
 
     def coeff(self, mono):
         mono = tuple(_strip(b) for b in mono)
-        return self.terms.get(mono, 0 if self.field == "exact" else 0.0)
+        return self.terms.get(mono, 0)
 
     def weight(self):
         """Largest stored monomial weight (0 for the zero series)."""
-        return max((_mono_weight(m) for m in self.terms), default=0)
+        g = self._grades()
+        return g[-1][0] if g else 0
 
     def max_abs_coeff(self):
         return max((abs(c) for c in self.terms.values()), default=0)
@@ -151,8 +189,6 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.field == "float" or other.field == "float":
-            raise FieldMismatch("float series must be compared with an explicit tolerance")
         return self.terms == other.terms
 
     def __hash__(self):
@@ -160,61 +196,85 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.const(self._coerce_scalar(other), self.cap, self.nblocks, self.field)
-        self._check_compatible(other)
+    def _combine(self, other, sign):
+        other = self._operand(other)
         cap = min(self.cap, other.cap)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, 0) + c
-        return TruncatedSeries(cap, out, self.nblocks, self.field)
+        a, b = self._at_cap(cap), other._at_cap(cap)
+        out = dict(a.terms)
+        for mono, c in b.terms.items():
+            v = out.get(mono)
+            if v is None:
+                out[mono] = c if sign > 0 else -c
+            else:
+                v = v + c if sign > 0 else v - c
+                if v:
+                    out[mono] = v
+                else:
+                    del out[mono]
+        return TruncatedSeries._trusted(cap, out, self.nblocks)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries(self.cap, {m: -c for m, c in self.terms.items()}, self.nblocks, self.field)
-
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        return self + (-self._coerce_scalar(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def __neg__(self):
+        return TruncatedSeries._trusted(
+            self.cap, {m: -c for m, c in self.terms.items()}, self.nblocks)
+
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = self._coerce_scalar(other)
+            c = _exact(other)
             if c == 0:
-                return TruncatedSeries.zero(self.cap, self.nblocks, self.field)
-            return TruncatedSeries(self.cap, {m: v * c for m, v in self.terms.items()},
-                                   self.nblocks, self.field)
-        self._check_compatible(other)
+                return TruncatedSeries._trusted(self.cap, {}, self.nblocks)
+            return TruncatedSeries._trusted(
+                self.cap, {m: v * c for m, v in self.terms.items()}, self.nblocks)
+        other = self._operand(other)
         cap = min(self.cap, other.cap)
-        out = {}
-        for m1, c1 in self.terms.items():
-            w1 = _mono_weight(m1)
-            for m2, c2 in other.terms.items():
-                if w1 + _mono_weight(m2) > cap:
-                    continue
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return TruncatedSeries(cap, out, self.nblocks, self.field)
+        mono_mul = _mono_mul
+        right = other._grades()
+        byweight = {}
+        for w1, left_items in self._grades():
+            if w1 > cap:
+                break
+            for w2, right_items in right:
+                w = w1 + w2
+                if w > cap:
+                    break
+                acc = byweight.get(w)
+                if acc is None:
+                    acc = byweight[w] = {}
+                for m1, c1 in left_items:
+                    for m2, c2 in right_items:
+                        m = mono_mul(m1, m2)
+                        v = acc.get(m)
+                        acc[m] = c1 * c2 if v is None else v + c1 * c2
+        terms = {}
+        graded = []
+        for w in sorted(byweight):
+            items = [(m, c) for m, c in byweight[w].items() if c]
+            if items:
+                graded.append((w, items))
+                terms.update(items)
+        return TruncatedSeries._trusted(cap, terms, self.nblocks, graded)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, TruncatedSeries):
             raise TypeError("series division is not supported")
-        if self.field == "exact":
-            return self * Fraction(1, scalar)
-        return self * (1.0 / scalar)
+        return self * Fraction(1, _exact(scalar))
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative series power")
-        out = TruncatedSeries.one(self.cap, self.nblocks, self.field)
+        out = TruncatedSeries.one(self.cap, self.nblocks)
         for _ in range(n):
             out = out * self
         return out
@@ -225,7 +285,7 @@ class TruncatedSeries:
         for mono, c in self.terms.items():
             tot = sum(sum(b) for b in mono)
             out[mono] = -c if tot % 2 else c
-        return TruncatedSeries(self.cap, out, self.nblocks, self.field)
+        return TruncatedSeries._trusted(self.cap, out, self.nblocks)
 
     def substitute_point(self, block, value):
         """Evaluate a point-symbol block at a scalar, dropping that block.
@@ -242,19 +302,14 @@ class TruncatedSeries:
             e = b[0] if b else 0
             red = mono[:block] + mono[block + 1:]
             out[red] = out.get(red, 0) + c * value ** e
-        return TruncatedSeries(self.cap, out, self.nblocks - 1, self.field)
-
-
-def series_mul(f, g):
-    """Product truncated to min(cap_f, cap_g); exact over rationals."""
-    return f * g
+        return TruncatedSeries(self.cap, out, self.nblocks - 1)
 
 
 def series_exp(f):
     """exp(f) = sum f^k/k! truncated at cap; f must have zero constant term."""
     if f.constant_term() != 0:
         raise ValueError("series_exp requires a zero constant term")
-    out = TruncatedSeries.one(f.cap, f.nblocks, f.field)
+    out = TruncatedSeries.one(f.cap, f.nblocks)
     term = out
     for k in range(1, f.cap + 1):
         term = term * f / k
@@ -267,24 +322,20 @@ def series_exp(f):
 def miwa_eval(f, points, block=0):
     """Substitute t_j = sum_i sign_i * c_i^j / j in one block and sum.
 
-    points is a list of (c, sign) with sign = +1 or -1.  All other blocks
-    must be absent from f's monomials.
+    points is a list of (c, sign) with exact rational c and sign = +1 or -1.
+    All other blocks must be absent from f's monomials.
     """
-    field_float = f.field == "float"
     tj = {}
 
     def tval(j):
         if j not in tj:
-            acc = 0.0 if field_float else Fraction(0)
+            acc = Fraction(0)
             for c, sign in points:
-                if field_float:
-                    acc += sign * c ** j / j
-                else:
-                    acc += Fraction(sign) * Fraction(c) ** j / j
+                acc += Fraction(sign) * Fraction(_exact(c)) ** j / j
             tj[j] = acc
         return tj[j]
 
-    total = 0.0 if field_float else Fraction(0)
+    total = Fraction(0)
     for mono, coef in f.terms.items():
         val = coef
         for b, exps in enumerate(mono):
@@ -349,6 +400,12 @@ class LaurentSlice:
     def __sub__(self, other):
         return self + (-other)
 
+    def __mul__(self, other):
+        """Product over the full convolution support."""
+        if not isinstance(other, LaurentSlice):
+            return NotImplemented
+        return laurent_mul(self, other)
+
     def scaled(self, factor):
         """Multiply every coefficient by a scalar or series."""
         return LaurentSlice(self.lo, [factor * c for c in self.coeffs])
@@ -393,6 +450,6 @@ def laurent_mul(A, B, keep=None):
             acc = term if acc is None else acc + term
         if acc is None:
             acc = 0 if template is None else TruncatedSeries.zero(
-                template.cap, template.nblocks, template.field)
+                template.cap, template.nblocks)
         out.append(acc)
     return LaurentSlice(klo, out)

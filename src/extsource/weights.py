@@ -343,9 +343,22 @@ class DeformedWeight(Weight):
         return total
 
 
+class UnknownField(ValueError):
+    """A weight spec holds a key the builder does not read; .key names it."""
+
+    def __init__(self, key, known):
+        super().__init__(f"unknown field (expected one of {known})")
+        self.key = key
+
+
 def weight_from_spec(spec):
-    """Build a weight from {kind, parameters, E, s} (E/s optional)."""
+    """Build a weight from {kind, parameters, E, s} (E/s optional); the only
+    parameter is `coeffs`, for kind exppoly.  Any other key is rejected."""
     kind = spec.get("kind")
+    known = ["kind", "E", "s"] + (["coeffs"] if kind == "exppoly" else [])
+    for key in spec:
+        if key not in known:
+            raise UnknownField(key, known)
     if kind == "gaussian":
         base = GaussianWeight()
     elif kind == "laguerre":

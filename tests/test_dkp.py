@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from extsource.series import TruncatedSeries, LaurentSlice, WindowError, miwa_eval
-from extsource.schur import elementary_schur, h_series, det_series, partitions_iter
+from extsource.schur import Partition, elementary_schur, h_series, det_series, partitions_iter
 from extsource.weights import GaussianWeight, LaguerreWeight, ExpPolyWeight
 from extsource.dkp import (
     TauConfig, NuMeasure, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
@@ -259,3 +259,17 @@ def test_zhat_evaluation_approaches_closed_form():
     a = Fraction(1, 5)
     val = miwa_eval(zhat_series(cfg, 1), [(a, 1)])
     assert abs(float(val) - math.exp(float(a) ** 2 / 2)) < 1e-12
+
+
+def test_coeff_memo_is_per_config():
+    # kappa = (2), d = 2 reads M_0, M_1, M_3, M_4: the value is
+    # (M_3 M_1 - M_4 M_0) / (3! 0!)
+    cfg = gauss_cfg(cap=4, dmax=3)
+    kappa = Partition((2,))
+    clean = _coeff(cfg, kappa, 2)
+    assert clean == Fraction(-3, 6)
+    changed = cfg.with_moment(4, 5)
+    assert _coeff(changed, kappa, 2) == Fraction(-5, 6)
+    assert _coeff(cfg, kappa, 2) == clean
+    # a partition that does not reach M_4 keeps its value in the copy
+    assert _coeff(changed, Partition(()), 2) == _coeff(cfg, Partition(()), 2)

@@ -249,7 +249,8 @@ def test_valid_base_config_loads():
     assert set(RunConfig(copy.deepcopy(VALID)).suites) == set(SUITES)
 
 
-# (suite, or None for the top level; field; the bad value as YAML text;
+# (the mapping that gets the field: a suite name, "weights.<name>" for a
+# weight spec, or None for the top level; field; the bad value as YAML text;
 # the field path the error must name)
 BAD_FIELDS = [
     ("z-ratio", "d", '["x"]', "suites.z-ratio.d[0]"),
@@ -278,13 +279,26 @@ BAD_FIELDS = [
     ("z-ratio", "weights", "[]", "suites.z-ratio.weights"),
     ("fay", "points", '["1/2", "1/3", "1/5"]', "suites.fay.points"),
     ("fay-det", "m", "[3]", "suites.fay-det.points"),
+    (None, "seeed", "3", "seeed"),
+    (None, "out-dir", '"x"', "out-dir"),
+    ("weights.gaussian", "sigma", "2.0", "weights.gaussian.sigma"),
+    ("weights.gaussian", "coeffs", "[0, 0, 1]", "weights.gaussian.coeffs"),
+    ("weights.gaussian", "e", "[[1, 2]]", "weights.gaussian.e"),
 ]
+
+
+def _mapping(raw, where):
+    if where is None:
+        return raw
+    if where.startswith("weights."):
+        return raw["weights"][where.split(".", 1)[1]]
+    return raw["suites"][where]
 
 
 @pytest.mark.parametrize("suite,field,text,path", BAD_FIELDS)
 def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, suite, field, text, path):
     raw = copy.deepcopy(VALID)
-    (raw if suite is None else raw["suites"][suite])[field] = yaml.safe_load(text)
+    _mapping(raw, suite)[field] = yaml.safe_load(text)
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2

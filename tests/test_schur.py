@@ -6,10 +6,11 @@ import pytest
 
 from extsource.series import TruncatedSeries, miwa_eval
 from extsource.schur import (
-    Partition, partitions_iter, partition_count_dp, elementary_schur,
-    h_shift_down, h_shift_up, schur_series, schur_poly, complete_homogeneous,
-    hciz_expansion_residual, dodgson_residual, NearConfluent,
+    Partition, partitions_iter, elementary_schur, schur_series, schur_poly,
+    complete_homogeneous, hciz_expansion_residual, dodgson_residual,
+    NearConfluent,
 )
+from series_oracles import partition_count_dp, h_shift_down, h_shift_up
 
 
 def test_partition_invariants():
@@ -216,3 +217,18 @@ def test_dodgson_random_rational_exact():
 def test_dodgson_size_guard():
     with pytest.raises(ValueError):
         dodgson_residual([[1, 2], [3, 4]])
+
+
+def test_elementary_schur_memo_survives_ring_operations():
+    # memoised series are shared by every caller, so no operation may
+    # write into an operand's terms
+    h = elementary_schur(3, 6, 2, 1)
+    snapshot = dict(h.terms)
+    g = elementary_schur(2, 6, 2, 0)
+    results = [h * h, h * g, g * h, h + g, h - h, -h, h * 3, h / 5, 1 - h,
+               h.flip_signs(), h.substitute_point(0, Fraction(1, 2)), h ** 2,
+               schur_series(Partition((3, 1)), 6, 2, 1)]
+    assert all(r is not h for r in results)
+    assert elementary_schur(3, 6, 2, 1) is h
+    assert h.terms == snapshot
+    assert h.terms == elementary_schur.__wrapped__(3, 6, 2, 1).terms

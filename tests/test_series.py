@@ -5,8 +5,9 @@ import pytest
 
 from extsource.series import (
     TruncatedSeries, LaurentSlice, FieldMismatch, WindowError,
-    series_mul, series_exp, miwa_eval, laurent_residue, laurent_mul,
+    series_exp, miwa_eval, laurent_residue, laurent_mul,
 )
+from series_oracles import reference_add, reference_mul
 
 
 def t(j, cap, **kw):
@@ -35,24 +36,32 @@ def test_mul_difference_of_squares():
 def test_mul_identity_element():
     cap = 4
     f = t(2, cap) + t(1, cap) * 3 - 2
-    assert series_mul(f, TruncatedSeries.one(cap)) == f
+    assert f * TruncatedSeries.one(cap) == f
 
 
 def test_mul_truncation_by_weight():
     # t1 * t2 has weight 3 and must drop at cap 2
-    f = series_mul(t(1, 2), t(2, 2))
+    f = t(1, 2) * t(2, 2)
     assert f.is_zero()
 
 
 def test_field_mismatch_rejected():
+    # the kernel is exact-only: a float never becomes a coefficient
     f = t(1, 3)
-    g = TruncatedSeries.const(1.5, 3)
     with pytest.raises(FieldMismatch):
-        f * g
+        TruncatedSeries.const(1.5, 3)
+    with pytest.raises(FieldMismatch):
+        TruncatedSeries(3, {((1,),): 0.5})
     with pytest.raises(FieldMismatch):
         f + 0.5
     with pytest.raises(FieldMismatch):
-        f == g
+        f - 0.5
+    with pytest.raises(FieldMismatch):
+        f * 0.5
+    with pytest.raises(FieldMismatch):
+        f / 2.0
+    with pytest.raises(FieldMismatch):
+        miwa_eval(f, [(0.5, 1)])
 
 
 def test_exp_of_zero():
@@ -83,17 +92,6 @@ def test_exp_inverse_property():
     for _ in range(20):
         f = random_series(rng, 6)
         assert series_exp(f) * series_exp(-f) == TruncatedSeries.one(6)
-
-
-def test_float_backend_cross_check():
-    # float coefficients compare only through explicit tolerances
-    x = TruncatedSeries.variable(1, 5, field="float") * 0.7
-    prod = series_exp(x) * series_exp(-x)
-    diff = prod - TruncatedSeries.one(5, field="float")
-    assert diff.max_abs_coeff() < 1e-15
-    exact = series_exp(TruncatedSeries.variable(1, 5) * Fraction(7, 10))
-    for mono, c in exact.terms.items():
-        assert abs(series_exp(x).coeff(mono) - float(c)) < 1e-15
 
 
 def test_ring_axioms_randomized():
@@ -185,6 +183,22 @@ def test_laurent_mul_basic():
     assert [P.get(p) for p in range(-2, 3)] == [-1, 0, 0, 0, 1]
 
 
+def test_laurent_slice_product_and_determinant():
+    # LaurentSlice * LaurentSlice is the full-support laurent_mul, which lets
+    # schur.det_series expand determinants of Laurent windows
+    from extsource.schur import det_series
+    A = LaurentSlice(-1, [1, 2])
+    B = LaurentSlice(0, [3, 0, 1])
+    C = LaurentSlice(-2, [1, 0, 5])
+    D = LaurentSlice(0, [2])
+    prod = A * B
+    assert (prod.lo, prod.coeffs) == (-1, laurent_mul(A, B).coeffs)
+    det = det_series([[A, B], [C, D]])
+    want = laurent_mul(A, D) - laurent_mul(B, C)
+    assert (det.lo, det.hi) == (want.lo, want.hi)
+    assert det.coeffs == want.coeffs
+
+
 def test_laurent_mul_identity():
     A = LaurentSlice(-2, [3, 1, 4, 1])
     delta = LaurentSlice(0, [1])
@@ -208,3 +222,97 @@ def test_laurent_mul_series_coefficients():
     assert P.get(-1) == x
     assert P.get(0) == TruncatedSeries.one(cap) + x * x * 2
     assert P.get(1) == x * 2
+
+
+# -- the graded kernel against the per-pair reference ------------------------
+
+def random_multiblock(rng, cap, nblocks, max_terms=8):
+    """A random series built through the validating constructor: arbitrary
+    exponent tuples in every block, some above the cap (dropped), some with
+    trailing zeros (stripped), some repeated (summed)."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        mono = tuple(tuple(rng.randrange(3) for _ in range(rng.randrange(4)))
+                     for _ in range(nblocks))
+        terms[mono] = terms.get(mono, 0) + Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+    return TruncatedSeries(cap, terms, nblocks)
+
+
+def assert_kernel_invariants(f):
+    for mono, c in f.terms.items():
+        assert isinstance(c, (int, Fraction)) and c != 0
+        assert len(mono) == f.nblocks
+        assert all(not b or b[-1] != 0 for b in mono), mono
+        assert sum((i + 1) * e for b in mono for i, e in enumerate(b)) <= f.cap
+    # the cached graded view holds exactly the terms, at their true weights
+    seen = {}
+    for w, items in f._grades():
+        for mono, c in items:
+            assert sum((i + 1) * e for b in mono for i, e in enumerate(b)) == w
+            seen[mono] = c
+    assert seen == f.terms
+    assert [w for w, _ in f._grades()] == sorted({w for w, _ in f._grades()})
+
+
+def test_kernel_matches_reference_randomized():
+    rng = random.Random(2024)
+    for trial in range(150):
+        nblocks = rng.randrange(1, 4)
+        f = random_multiblock(rng, rng.randrange(0, 7), nblocks)
+        g = random_multiblock(rng, rng.randrange(0, 7), nblocks)
+        if trial % 3 == 0:
+            g = g + f * Fraction(rng.randrange(-2, 3))  # shared monomials
+        cases = [
+            (f * g, reference_mul(f, g)),
+            (g * f, reference_mul(g, f)),
+            (f + g, reference_add(f, g)),
+            (f - g, reference_add(f, g, -1)),
+            ((f * g) * f, reference_mul(reference_mul(f, g), f)),
+        ]
+        for got, want in cases:
+            assert got.terms == want.terms
+            assert got.cap == want.cap and got.nblocks == want.nblocks
+            assert_kernel_invariants(got)
+
+
+def test_kernel_cancellation_to_zero():
+    rng = random.Random(99)
+    for _ in range(40):
+        nblocks = rng.randrange(1, 4)
+        f = random_multiblock(rng, rng.randrange(1, 7), nblocks)
+        g = random_multiblock(rng, rng.randrange(1, 7), nblocks)
+        for zero in (f - f, f + (-f), f * g - g * f, f * (g - g), (-f) * g + f * g):
+            assert zero.is_zero() and zero.terms == {}
+            assert_kernel_invariants(zero)
+    # partial cancellation inside one weight bucket of a product
+    cap = 4
+    one = TruncatedSeries.one(cap)
+    p = (one + t(1, cap)) * (one - t(1, cap))
+    assert p.terms == reference_mul(one + t(1, cap), one - t(1, cap)).terms
+    assert p.terms == {((),): 1, ((2,),): -1}
+    assert_kernel_invariants(p)
+
+
+def test_kernel_unequal_caps_truncate_to_smaller():
+    big = TruncatedSeries.one(6) + t(3, 6) + t(1, 6) * t(1, 6) * t(1, 6) * t(1, 6)
+    small = TruncatedSeries.one(3) + t(2, 3)
+    for got in (big + small, small + big, big - small, big * small, small * big):
+        assert got.cap == 3
+        assert_kernel_invariants(got)
+    assert (big * small).terms == reference_mul(big, small).terms
+    assert (big + small).terms == reference_add(big, small).terms
+
+
+def test_kernel_scalar_ops_keep_invariants():
+    rng = random.Random(5)
+    for _ in range(30):
+        f = random_multiblock(rng, 5, rng.randrange(1, 4))
+        f._grades()  # scalar ops on a series with a cached graded view
+        for got, want in ((f * 3, reference_mul(f, TruncatedSeries.const(3, 5, f.nblocks))),
+                          (f / 2, reference_mul(f, TruncatedSeries.const(Fraction(1, 2), 5, f.nblocks))),
+                          (f * 0, TruncatedSeries.zero(5, f.nblocks)),
+                          (f + 1, reference_add(f, TruncatedSeries.one(5, f.nblocks))),
+                          (1 - f, reference_add(TruncatedSeries.one(5, f.nblocks), f, -1)),
+                          (-f, reference_add(TruncatedSeries.zero(5, f.nblocks), f, -1))):
+            assert got.terms == want.terms
+            assert_kernel_invariants(got)

@@ -259,3 +259,14 @@ def test_concurrent_basis_builds_keep_mpmath_precision():
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 4 and all(np.array_equal(c, want) for c in got)
     assert mpmath.mp.dps == 15
+
+
+def test_weight_spec_rejects_unknown_keys():
+    from extsource.weights import UnknownField, weight_from_spec
+    assert weight_from_spec({"kind": "exppoly", "coeffs": [0, 0, 1]}).kind == "exppoly"
+    for spec, key in (({"kind": "gaussian", "sigma": 2.0}, "sigma"),
+                      ({"kind": "laguerre", "coeffs": [1]}, "coeffs"),
+                      ({"kind": "exppoly", "coeffs": [0, 0, 1], "scale": 2}, "scale")):
+        with pytest.raises(UnknownField) as exc:
+            weight_from_spec(spec)
+        assert exc.value.key == key
