@@ -28,8 +28,7 @@ from .dkp import (
     hirota_residual, fay_residual, fay_det_residual,
 )
 from .mc import (
-    McEstimate, CrossCheck, sample_spiked_eigenvalues, estimate_expectation,
-    cross_check,
+    McEstimate, CrossCheck, estimate_expectation, cross_check,
 )
 
 __version__ = "0.1.0"

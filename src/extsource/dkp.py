@@ -10,6 +10,7 @@ Without that, truncation at a finite weight would contaminate low-order
 coefficients and the residuals would not vanish identically.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -85,8 +86,12 @@ def _coeff(cfg, kappa, d):
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks):
-    """h_a(t + [s_1] + ... + [s_k]) with the s_i as weight-one symbols."""
+    """h_a(t + [s_1] + ... + [s_k]) with the s_i as weight-one symbols.
+
+    shift_blocks is a tuple.  Memoised: callers share the returned series,
+    which is immutable."""
     if a < 0:
         return TruncatedSeries.zero(cap, nblocks)
     if not shift_blocks:
@@ -125,7 +130,7 @@ def zhat_series(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
             skappa = TruncatedSeries.one(cap, nblocks)
         else:
             rows = [[_h_shifted_entry(kappa.part(p) - p + q, cap, nblocks,
-                                      tblock, list(shift_blocks))
+                                      tblock, tuple(shift_blocks))
                      for q in range(1, ell + 1)] for p in range(1, ell + 1)]
             skappa = det_series(rows)
         out = out + skappa * c

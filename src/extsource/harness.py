@@ -394,11 +394,9 @@ def _sensitivity_thunk(W, cap, dmax):
 
 
 def _mc_thunk(d, sources, E, s, n, seed, zmax, mutate):
-    # the records already run on cfg.workers threads; a batch pool per record
-    # would nest pools, and the Philox substreams make the estimate the same
-    # however the batches are scheduled
+    # records run on cfg.workers threads; the sampler itself starts none
     def thunk():
-        chk = mc_mod.cross_check(d, list(sources), E, s, n, seed, workers=1)
+        chk = mc_mod.cross_check(d, list(sources), E, s, n, seed)
         if mutate:
             corrupted = chk.quad * 1.05
             z = abs(chk.mc.mean - corrupted) / chk.mc.stderr \

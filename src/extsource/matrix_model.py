@@ -103,9 +103,6 @@ class SourceModel:
             out.extend([a] * m)
         return tuple(out)
 
-    def with_weight(self, weight):
-        return SourceModel(self.d, self.sources, weight)
-
     def __repr__(self):
         return f"SourceModel(d={self.d}, sources={self.sources}, weight={self.weight.key()})"
 

@@ -179,9 +179,6 @@ class TruncatedSeries:
         g = self._grades()
         return g[-1][0] if g else 0
 
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     def __repr__(self):
         n = len(self.terms)
         return f"<TruncatedSeries cap={self.cap} blocks={self.nblocks} terms={n}>"

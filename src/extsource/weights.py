@@ -683,10 +683,6 @@ class OrthoBasis:
         vals = self.eval_all(x, m)
         return vals / self.lead[: vals.shape[-1]]
 
-    def poly_coeffs(self, j):
-        """Ascending monomial coefficients of p_j."""
-        return np.array(self.coeffs[j, : j + 1])
-
 
 _MP_LOCK = threading.Lock()
 

@@ -154,8 +154,7 @@ def test_criterion_6_monte_carlo():
             if m > d:
                 continue
             for tup in itertools.combinations(SOURCES, m):
-                chk = cross_check(d, list(tup), INTERVALS[0], 1.0,
-                                  100000, SEED, workers=4)
+                chk = cross_check(d, list(tup), INTERVALS[0], 1.0, 100000, SEED)
                 zworst = max(zworst, chk.z)
                 n += 1
     elapsed = time.monotonic() - t0

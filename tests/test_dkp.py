@@ -8,7 +8,7 @@ from extsource.schur import Partition, elementary_schur, h_series, det_series, p
 from extsource.weights import GaussianWeight, LaguerreWeight, ExpPolyWeight
 from extsource.dkp import (
     TauConfig, NuMeasure, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
-    hirota_residual, fay_residual, fay_det_residual, _coeff,
+    hirota_residual, fay_residual, fay_det_residual, _coeff, _h_shifted_entry,
 )
 
 GAUSS = GaussianWeight()
@@ -273,3 +273,14 @@ def test_coeff_memo_is_per_config():
     assert _coeff(cfg, kappa, 2) == clean
     # a partition that does not reach M_4 keeps its value in the copy
     assert _coeff(changed, Partition(()), 2) == _coeff(cfg, Partition(()), 2)
+
+
+def test_h_shifted_entry_memo_is_shared_and_intact():
+    # zhat_series shares memoised entries across its determinants, so an
+    # entry must still equal a fresh build after the series it fed
+    cfg = gauss_cfg(cap=6, dmax=3)
+    z = zhat_series(cfg, 3, 3, 0, [1, 2])
+    assert z == zhat_series(cfg, 3, 3, 0, (1, 2))
+    entry = _h_shifted_entry(2, 6, 3, 0, (1, 2))
+    assert _h_shifted_entry(2, 6, 3, 0, (1, 2)) is entry
+    assert entry == _h_shifted_entry.__wrapped__(2, 6, 3, 0, (1, 2))

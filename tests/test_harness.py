@@ -194,23 +194,23 @@ def test_threaded_run_keeps_mpmath_precision_and_bytes(tmp_path):
         (tmp_path / "w2" / "results.ndjson").read_bytes()
 
 
-def test_mc_records_sample_on_one_thread(tmp_path, monkeypatch):
-    from extsource import harness
-    seen = []
-    real = harness.mc_mod.cross_check
+def test_mc_suite_starts_no_thread(tmp_path, monkeypatch):
+    import threading
+    started = []
+    real_start = threading.Thread.start
 
-    def spy(d, a, E, s, N, seed, workers=1, quad=None):
-        seen.append(workers)
-        return real(d, a, E, s, N, seed, workers=workers, quad=quad)
+    def spy(self):
+        started.append(self.name)
+        return real_start(self)
 
-    monkeypatch.setattr(harness.mc_mod, "cross_check", spy)
+    monkeypatch.setattr(threading.Thread, "start", spy)
     raw = yaml.safe_load(MINI)
     raw["suites"] = {"mc": {"weights": ["gaussian"], "d": [2], "m": [1, 2],
                             "sources": [0.5, 1.1], "intervals": [[[1, "inf"]]],
                             "s": [1.0], "n": 2000, "zmax": 6.0}}
-    code, _ = run(RunConfig(raw), tmp_path, workers=2)
+    code, _ = run(RunConfig(raw), tmp_path, workers=1)
     assert code == 0
-    assert seen == [1, 1, 1]
+    assert started == []
 
 
 def test_list_suites_complete():

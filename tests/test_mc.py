@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from extsource import mc
 from extsource.weights import IntervalSet
-from extsource.mc import sample_spiked_eigenvalues, estimate_expectation, cross_check
+from extsource.mc import estimate_expectation, cross_check
+from mc_oracles import batch_values, reference_estimate, sample_spiked_eigenvalues
 
 RIGHT1 = IntervalSet([[1, "inf"]])
 FULL = IntervalSet([["-inf", "inf"]])
@@ -29,10 +32,8 @@ def test_d1_shift():
 def test_trace_second_moment():
     # E[sum lambda^2] = d^2 at this normalization
     d, n = 2, 4000
-    from extsource.mc import _rng_for_batch, _hermitian_batch
-    rng = _rng_for_batch(7, 0)
-    H = _hermitian_batch(rng, n, d)
-    lam = np.linalg.eigvalsh(H)
+    real, imag = mc._spiked_draws(mc._rng_for_batch(7, 0), n, d, np.zeros(d))
+    lam = np.linalg.eigvalsh((real + 1j * imag).transpose(2, 0, 1))
     tot = (lam ** 2).sum(axis=1)
     assert abs(tot.mean() - d * d) < 4 * tot.std() / math.sqrt(n)
 
@@ -53,8 +54,9 @@ def test_seed_determinism_bitwise():
     a = estimate_expectation(3, [0.5, 1.4], RIGHT1, 1.0, 30000, seed=42)
     b = estimate_expectation(3, [0.5, 1.4], RIGHT1, 1.0, 30000, seed=42)
     assert a == b
-    c = estimate_expectation(3, [0.5, 1.4], RIGHT1, 1.0, 30000, seed=42, workers=4)
-    assert c == a  # batch substreams make scheduling irrelevant
+    estimate_expectation(3, [0.5, 1.4], RIGHT1, 1.0, 30000, seed=43)
+    c = estimate_expectation(3, [0.5, 1.4], RIGHT1, 1.0, 30000, seed=42)
+    assert c == a  # no generator state outlives a call
 
 
 def test_stderr_scaling():
@@ -88,3 +90,48 @@ def test_cross_check_detects_corruption():
 def test_estimate_requires_minimum_samples():
     with pytest.raises(ValueError):
         estimate_expectation(2, [0.5], RIGHT1, 1.0, 10, seed=0)
+
+
+# the eigenvalue counter against the eigvalsh oracle: same draws, same
+# per-draw values to the last bit
+ORACLE_SETS = [
+    RIGHT1,
+    IntervalSet([[-0.5, 0.7], [2, "inf"]]),
+    IntervalSet([["-inf", 0.2]]),
+    IntervalSet([]),
+]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_inertia_count_matches_eigvalsh_per_draw(d):
+    A = np.array(([0.9, 0.3, 1.4] + [0.0] * d)[:d])
+    for E in ORACLE_SETS:
+        for s in (0.0, 0.6, 1.0):
+            got = mc._batch_values(d, A, E, s, 100 + d, 1, 5000)
+            want = batch_values(d, A, E, s, 100 + d, 1, 5000)
+            assert got.tobytes() == want.tobytes(), (E, s)
+
+
+def test_estimate_matches_reference_on_mc_sampler_grid():
+    # the grid of perfbench/workloads/mc-sampler.yaml
+    for d in (2, 4):
+        for m in range(1, min(d, 3) + 1):
+            for tup in itertools.combinations((0.3, 0.9, 1.4), m):
+                got = estimate_expectation(d, list(tup), RIGHT1, 1.0, 100000, 20260809)
+                want = reference_estimate(d, list(tup), RIGHT1, 1.0, 100000, 20260809)
+                assert got == want, (d, tup)
+
+
+def test_zero_pivot_is_recounted():
+    # a cut placed exactly on the eigenvalue of a 1 x 1 draw: the pivot is
+    # 0, which the inertia count alone would read as "not below"
+    rng = mc._rng_for_batch(5, 0)
+    c = float(rng.standard_normal((1, 1, 1))[0, 0, 0])
+    E = IntervalSet([["-inf", c]])
+    real, imag = mc._spiked_draws(mc._rng_for_batch(5, 0), 1000, 1, np.zeros(1))
+    below, bad = mc._count_below(real, imag, [c])
+    assert bad[0] and below[0, 0] == 0
+    got = mc._batch_values(1, np.zeros(1), E, 0.6, 5, 0, 1000)
+    want = batch_values(1, np.zeros(1), E, 0.6, 5, 0, 1000)
+    assert got[0] == 1.0 - 0.6
+    assert got.tobytes() == want.tobytes()
