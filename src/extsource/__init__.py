@@ -16,7 +16,7 @@ from .schur import (
 from .weights import (
     IntervalSet, GaussianWeight, LaguerreWeight, ExpPolyWeight, DeformedWeight,
     QuadratureError, HankelNotPD, QuadResult, weight_from_spec, deform_weight,
-    moment, MomentTable, integrate, orthonormal_basis, OrthoBasis, gamma_coeff,
+    moment, MomentTable, integrate, orthonormal_basis, OrthoBasis,
 )
 from .matrix_model import (
     SourceModel, ExpectationQuery, IdentityReport, partition_fn,

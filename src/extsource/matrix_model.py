@@ -18,6 +18,7 @@ A literal raw-form evaluation is kept as a cross-check for small dimensions.
 
 import math
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ ENTRY_REL_TOL = 1e-13
 SERIES_ZONE = 40.0  # |x| * max|node| below this: series evaluation
 _MIN_BASIS = 12
 # beyond this dimension double precision cannot reach the 1e-8 identity
-# tolerance; raise it (and the basis cap) explicitly to explore anyway
+# tolerance; raise it explicitly to explore anyway
 MAX_DIMENSION = 10
 
 _LOCK = threading.Lock()
@@ -48,6 +49,33 @@ def clear_caches():
         _BASIS_CACHE.clear()
         _ENTRY_CACHE.clear()
         _GAMMA_CACHE.clear()
+
+
+def _compute_once(cache, key, compute):
+    """cache[key], computed by the first caller while later callers wait.
+
+    A HankelNotPD is cached as its message and raised afresh on every hit;
+    any other error leaves the key uncached for the next caller.
+    """
+    with _LOCK:
+        slot = cache.get(key)
+        owner = slot is None
+        if owner:
+            slot = cache[key] = Future()
+    if owner:
+        try:
+            slot.set_result(compute())
+        except HankelNotPD as exc:
+            slot.set_result(str(exc))
+        except BaseException as exc:
+            with _LOCK:
+                del cache[key]
+            slot.set_exception(exc)
+            raise
+    value = slot.result()
+    if isinstance(value, str):
+        raise HankelNotPD(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +281,9 @@ class DividedExpRow:
 
 
 def _basis_for(weight, min_n):
-    """Cached basis of size max(min_n, _MIN_BASIS); a failed build is cached
-    as its HankelNotPD message and raised afresh on every later hit."""
+    """Cached basis of size max(min_n, _MIN_BASIS)."""
     n = max(min_n, _MIN_BASIS)
-    key = (weight.key(), n)
-    with _LOCK:
-        hit = _BASIS_CACHE.get(key)
-    if isinstance(hit, str):
-        raise HankelNotPD(hit)
-    if hit is not None:
-        return hit
-    try:
-        basis = orthonormal_basis(weight, n, max_n=max(16, n))
-    except HankelNotPD as exc:
-        with _LOCK:
-            _BASIS_CACHE[key] = str(exc)
-        raise
-    with _LOCK:
-        _BASIS_CACHE[key] = basis
-    return basis
+    return _compute_once(_BASIS_CACHE, (weight.key(), n), lambda: orthonormal_basis(weight, n))
 
 
 def _column_basis(weight, d):
@@ -288,27 +300,23 @@ def _column_basis(weight, d):
 
 def _entry_vector(weight, basis, prefix):
     """Integrals of psi_prefix(x) * monic_q(x) against the weight, q < basis.n."""
+    def compute():
+        row = DividedExpRow(prefix)
+        tilt = max([0.0] + [v for v in prefix])
+        deg = len(prefix) + basis.n + 4
+
+        def fv(x):
+            logw = np.asarray(weight.log_density(x), dtype=float)
+            base_vals = row.values_fused(x, logw)
+            monic = basis.eval_monic(x)
+            return base_vals[:, None] * monic
+
+        pieces = domain_pieces(weight, tilt, deg)
+        res = integrate_pieces(fv, pieces, rel_tol=ENTRY_REL_TOL, counter=EVALS)
+        return np.asarray(res.value)
+
     key = (weight.key(), basis.weight.key(), basis.n, prefix)
-    with _LOCK:
-        hit = _ENTRY_CACHE.get(key)
-    if hit is not None:
-        return hit
-    row = DividedExpRow(prefix)
-    tilt = max([0.0] + [v for v in prefix])
-    deg = len(prefix) + basis.n + 4
-
-    def fv(x):
-        logw = np.asarray(weight.log_density(x), dtype=float)
-        base_vals = row.values_fused(x, logw)
-        monic = basis.eval_monic(x)
-        return base_vals[:, None] * monic
-
-    pieces = domain_pieces(weight, tilt, deg)
-    res = integrate_pieces(fv, pieces, rel_tol=ENTRY_REL_TOL, counter=EVALS)
-    vec = np.asarray(res.value)
-    with _LOCK:
-        _ENTRY_CACHE[key] = vec
-    return vec
+    return _compute_once(_ENTRY_CACHE, key, compute)
 
 
 def _slogdet_with_cond(A):
@@ -414,25 +422,21 @@ def partition_fn_raw(model):
 def _gamma_vector(weight, a, n):
     """Gamma_j(a), j < n, from the orthonormal basis of the undeformed weight."""
     base = weight.undeformed()
-    key = (base.key(), float(a), n)
-    with _LOCK:
-        hit = _GAMMA_CACHE.get(key)
-    if hit is not None:
-        return hit
-    B = _basis_for(base, n)
     a = float(a)
-    if a >= base.max_tilt():
-        raise QuadratureError(f"tilt {a} diverges against {base.kind} weight")
 
-    def fv(x):
-        return B.eval_all(x, n - 1) * np.exp(a * x + np.asarray(base.log_density(x)))[:, None]
+    def compute():
+        B = _basis_for(base, n)
+        if a >= base.max_tilt():
+            raise QuadratureError(f"tilt {a} diverges against {base.kind} weight")
 
-    res = integrate_pieces(fv, domain_pieces(base, a, n + 2),
-                           rel_tol=ENTRY_REL_TOL, counter=EVALS)
-    vec = np.asarray(res.value)
-    with _LOCK:
-        _GAMMA_CACHE[key] = vec
-    return vec
+        def fv(x):
+            return B.eval_all(x, n - 1) * np.exp(a * x + np.asarray(base.log_density(x)))[:, None]
+
+        res = integrate_pieces(fv, domain_pieces(base, a, n + 2),
+                               rel_tol=ENTRY_REL_TOL, counter=EVALS)
+        return np.asarray(res.value)
+
+    return _compute_once(_GAMMA_CACHE, (base.key(), a, n), compute)
 
 
 def rank1_partition_fn(weight, l, a):

@@ -12,6 +12,10 @@ error.  Panels never straddle a deformation endpoint, so the integrand is
 analytic on every panel.  The integrand is called once per refinement step:
 the 20- and 40-point nodes of all initial panels go in one call, and each
 split measures both halves in one call.
+
+Orthonormal polynomials come from a discretized Stieltjes procedure on the
+same domain pieces, in double precision with exactly rounded sums; no
+moment matrix is formed.
 """
 
 import math
@@ -19,7 +23,6 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 
@@ -156,10 +159,6 @@ class Weight:
     def moment_exact(self, j):
         raise ValueError(f"{self.kind} weight has no exact moments")
 
-    def _mp_moment(self, j):
-        """Moment to mpmath working precision (basis construction only)."""
-        raise NotImplementedError
-
 
 class GaussianWeight(Weight):
     """e^{-x^2/2} / sqrt(2 pi) on the whole line; M_{2k} = (2k-1)!!."""
@@ -184,26 +183,6 @@ class GaussianWeight(Weight):
             out *= k
         return Fraction(out)
 
-    def _mp_moment(self, j):
-        return mp.mpf(int(self.moment_exact(j)))
-
-    def _mp_restricted_moment(self, j, lo, hi):
-        """integral of x^j density over [lo, hi] via incomplete gamma."""
-        def piece(c):  # integral over [0, c], c >= 0
-            if c == 0:
-                return mp.mpf(0)
-            z = mp.mpf(j + 1) / 2
-            b = mp.inf if c == INF else mp.mpf(c) ** 2 / 2
-            return mp.power(2, mp.mpf(j) / 2 - 1) / mp.sqrt(mp.pi) * mp.gammainc(z, 0, b)
-        lo, hi = mp.mpf(lo) if lo != -INF else -mp.inf, mp.mpf(hi) if hi != INF else mp.inf
-        sgn = (-1) ** j
-
-        def cum(c):  # integral over [0, c] for signed c
-            if c >= 0:
-                return piece(INF if c == mp.inf else float(c))
-            return -sgn * piece(INF if c == -mp.inf else float(-c))
-        return cum(hi) - cum(lo)
-
 
 class LaguerreWeight(Weight):
     """e^{-x} on [0, inf); M_j = j!."""
@@ -222,16 +201,6 @@ class LaguerreWeight(Weight):
 
     def moment_exact(self, j):
         return Fraction(math.factorial(j))
-
-    def _mp_moment(self, j):
-        return mp.mpf(math.factorial(j))
-
-    def _mp_restricted_moment(self, j, lo, hi):
-        lo = max(lo, 0.0)
-        if hi <= lo:
-            return mp.mpf(0)
-        b = mp.inf if hi == INF else mp.mpf(hi)
-        return mp.gammainc(j + 1, mp.mpf(lo), b)
 
 
 class ExpPolyWeight(Weight):
@@ -268,29 +237,6 @@ class ExpPolyWeight(Weight):
 
     def to_spec(self):
         return {"kind": self.kind, "coeffs": list(self.coeffs)}
-
-    def _mp_moment(self, j):
-        cs = [mp.mpf(c) for c in self.coeffs]
-
-        def f(x):
-            acc = mp.mpf(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return x ** j * mp.exp(-acc)
-        return mp.quad(f, [-mp.inf, 0, mp.inf])
-
-    def _mp_restricted_moment(self, j, lo, hi):
-        cs = [mp.mpf(c) for c in self.coeffs]
-
-        def f(x):
-            acc = mp.mpf(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return x ** j * mp.exp(-acc)
-        pts = [lo if lo != -INF else -mp.inf, hi if hi != INF else mp.inf]
-        if lo < 0 < hi:
-            pts = [pts[0], 0, pts[1]]
-        return mp.quad(f, pts)
 
 
 class DeformedWeight(Weight):
@@ -334,13 +280,6 @@ class DeformedWeight(Weight):
         spec["E"] = self.E.to_spec()
         spec["s"] = self.s
         return spec
-
-    def _mp_moment(self, j):
-        total = self.base._mp_moment(j)
-        s = mp.mpf(self.s)
-        for lo, hi in self.E.intervals:
-            total -= s * self.base._mp_restricted_moment(j, lo, hi)
-        return total
 
 
 class UnknownField(ValueError):
@@ -399,10 +338,17 @@ def _leggauss(n):
 
 
 class _EvalCounter:
-    __slots__ = ("n",)
+    """Running count of integrand evaluations, safe to share across threads."""
+
+    __slots__ = ("n", "_lock")
 
     def __init__(self):
         self.n = 0
+        self._lock = threading.Lock()
+
+    def add(self, k):
+        with self._lock:
+            self.n += k
 
 
 _COARSE, _FINE = 20, 40  # Gauss-Legendre orders; their difference is the error
@@ -436,7 +382,7 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
         if vals.ndim == 1:
             vals = vals[:, None]
         if counter is not None:
-            counter.n += (_COARSE + _FINE) * len(panels)
+            counter.add((_COARSE + _FINE) * len(panels))
         split = len(panels) * _COARSE
         coarse, fine = [
             half * (w0[:, None] * part.reshape(len(panels), len(w0), -1)).sum(axis=1) * mult
@@ -644,23 +590,20 @@ class MomentTable:
 
 
 class OrthoBasis:
-    """Orthonormal polynomials p_0..p_{n-1} for W(x) dx.
-
-    Built by Cholesky of the Hankel moment matrix in extended precision
-    (moment matrices are badly conditioned), then stored as float coefficient
-    table plus three-term recurrence x p_j = sqrt(b_{j+1}) p_{j+1} + a_j p_j
-    + sqrt(b_j) p_{j-1}.  Leading coefficients are positive.
+    """Orthonormal polynomials p_0..p_{n-1} for W(x) dx, held as their
+    three-term recurrence x p_j = sqrt(b_{j+1}) p_{j+1} + a_j p_j
+    + sqrt(b_j) p_{j-1}.  b_0 is the mass of W, so p_0 = 1/sqrt(b_0), and the
+    leading coefficients lead_j = 1/sqrt(b_0 b_1 ... b_j) are positive.
     """
 
-    __slots__ = ("weight", "n", "alpha", "beta", "coeffs", "lead")
+    __slots__ = ("weight", "n", "alpha", "beta", "lead")
 
-    def __init__(self, weight, n, alpha, beta, coeffs):
+    def __init__(self, weight, n, alpha, beta):
         self.weight = weight
         self.n = n
         self.alpha = alpha
         self.beta = beta
-        self.coeffs = coeffs
-        self.lead = np.array([coeffs[j, j] for j in range(n)])
+        self.lead = 1.0 / np.sqrt(np.cumprod(beta))
 
     def eval_all(self, x, m=None):
         """Values of p_0..p_m at x, shape (npts, m+1)."""
@@ -669,13 +612,13 @@ class OrthoBasis:
         if m >= self.n:
             raise ValueError("degree beyond basis size")
         x = np.asarray(x, dtype=float)
+        root = np.sqrt(self.beta)
         out = np.empty(x.shape + (m + 1,))
-        out[..., 0] = self.coeffs[0, 0]
-        if m >= 1:
-            out[..., 1] = (x - self.alpha[0]) * out[..., 0] / math.sqrt(self.beta[1])
-        for j in range(1, m):
-            out[..., j + 1] = ((x - self.alpha[j]) * out[..., j]
-                               - math.sqrt(self.beta[j]) * out[..., j - 1]) / math.sqrt(self.beta[j + 1])
+        out[..., 0] = self.lead[0]
+        prev = np.zeros(x.shape)
+        for j in range(m):
+            out[..., j + 1] = ((x - self.alpha[j]) * out[..., j] - root[j] * prev) / root[j + 1]
+            prev = out[..., j]
         return out
 
     def eval_monic(self, x, m=None):
@@ -684,72 +627,51 @@ class OrthoBasis:
         return vals / self.lead[: vals.shape[-1]]
 
 
-_MP_LOCK = threading.Lock()
+_STIELTJES_ORDER = 80  # Gauss-Legendre points per domain piece
 
 
-def orthonormal_basis(W, n, dps=60, max_n=16):
-    """First n orthonormal polynomials of W via extended-precision Hankel
-    Cholesky; raises HankelNotPD for degenerate (e.g. fully removed) weights.
+def _fsum(v):
+    """Exactly rounded sum of an array; nan if it is not finite."""
+    try:
+        return math.fsum(v.tolist())
+    except (OverflowError, ValueError):  # inf - inf, or an overflowing sum
+        return math.nan
 
-    Moment matrices are notoriously ill-conditioned, so n is capped (16 by
-    default); raise max_n together with dps to go beyond.
+
+def orthonormal_basis(W, n):
+    """First n orthonormal polynomials of W by the discretized Stieltjes
+    procedure (Gautschi 2004, sec. 2.2).
+
+    W is replaced by an 80-point Gauss-Legendre rule on every piece of its
+    integration domain.  The monic recurrence pi_{j+1} = (x - a_j) pi_j
+    - b_j pi_{j-1} runs on those nodes, with a_j and b_j taken from inner
+    products summed exactly rounded (math.fsum), so the basis does not depend
+    on summation order.  ||pi_j||^2 is the ratio of consecutive leading minors
+    of the moment matrix, so a norm that is not positive and finite raises
+    HankelNotPD: the weight is degenerate (e.g. fully removed) or changes sign.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > max_n:
-        raise ValueError(f"n={n} beyond the default cap {max_n}; pass a larger "
-                         "max_n (and more dps) explicitly")
-    # mp.workdps sets mpmath's process-wide precision: one build at a time
-    with _MP_LOCK, mp.workdps(dps):
-        mom = [W._mp_moment(j) for j in range(2 * n - 1)]
-        H = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                H[i, j] = mom[i + j]
-        try:
-            L = mp.cholesky(H)
-        except ValueError as exc:
-            raise HankelNotPD(f"moment matrix of {W.key()} not PD: {exc}") from None
-        # coefficient rows: p_j = sum_k (L^{-1})_{j,k} x^k (forward substitution)
-        C = mp.matrix(n, n)
-        for j in range(n):
-            for k in range(j + 1):
-                acc = mp.mpf(1) if j == k else mp.mpf(0)
-                for i in range(k, j):
-                    acc -= L[j, i] * C[i, k]
-                C[j, k] = acc / L[j, j]
-        coeffs = np.zeros((n, n))
-        for j in range(n):
-            for k in range(j + 1):
-                coeffs[j, k] = float(C[j, k])
-        # recurrence via exact bilinear sums in the moments
-        alpha = np.zeros(n)
-        beta = np.zeros(n)
-        mom_hi = mom + [W._mp_moment(2 * n - 1)]
-        for j in range(n):
-            acc = mp.mpf(0)
-            for r in range(j + 1):
-                for s2 in range(j + 1):
-                    acc += C[j, r] * C[j, s2] * mom_hi[r + s2 + 1]
-            alpha[j] = float(acc)
-        for j in range(1, n):
-            beta[j] = float((L[j, j] / L[j - 1, j - 1]) ** 2)
-    return OrthoBasis(W, n, alpha, beta, coeffs)
-
-
-def gamma_coeff(B, j, a, rel_tol=1e-13):
-    """Gamma_j(a) = integral of p_j(x) e^{a x} W(x) dx over the undeformed
-    weight of the basis, with the exponential folded into the density."""
-    if j >= B.n:
-        raise ValueError(f"basis holds degrees < {B.n}")
-    W = B.weight.undeformed()
-    a = float(a)
-    if a >= W.max_tilt():
-        raise QuadratureError(f"tilt {a} diverges against {W.kind} weight")
-
-    def fv(x):
-        return B.eval_all(x, j)[:, j] * np.exp(a * x + W.log_density(x))
-
-    pieces = domain_pieces(W, a, j)
-    res = integrate_pieces(fv, pieces, rel_tol=rel_tol)
-    return float(res.value[0])
+    live = [p for p in domain_pieces(W, 0.0, 2 * n) if p[2] != 0.0 and p[1] > p[0]]
+    if not live:
+        raise HankelNotPD(f"moment matrix of {W.key()} not PD: the weight vanishes")
+    x0, w0 = _leggauss(_STIELTJES_ORDER)
+    lo, hi, mult = (np.array(col, dtype=float)[:, None] for col in zip(*live))
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi) + half * x0).ravel()
+    w = (half * w0 * mult).ravel() * np.exp(W.log_density(x))
+    # fsum is exact in any order, but far faster on terms of falling size
+    order = np.argsort(-np.abs(w), kind="stable")
+    x, w = x[order], w[order]
+    alpha, beta = np.zeros(n), np.zeros(n)
+    prev, cur, prev_norm = np.zeros_like(x), np.ones_like(x), 1.0
+    for j in range(n):
+        wp = w * cur * cur
+        norm, first = _fsum(wp), _fsum(wp * x)
+        if not (norm > 0.0 and math.isfinite(norm) and math.isfinite(first)):
+            raise HankelNotPD(f"moment matrix of {W.key()} not PD: "
+                              f"monic degree-{j} norm^2 is {norm:.3e}")
+        alpha[j] = first / norm
+        beta[j] = norm / prev_norm
+        prev, cur, prev_norm = cur, (x - alpha[j]) * cur - beta[j] * prev, norm
+    return OrthoBasis(W, n, alpha, beta)

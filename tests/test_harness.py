@@ -194,6 +194,37 @@ def test_threaded_run_keeps_mpmath_precision_and_bytes(tmp_path):
         (tmp_path / "w2" / "results.ndjson").read_bytes()
 
 
+def test_threaded_run_counts_same_evaluations(tmp_path):
+    # each cache key is computed once, by one thread, so the integrand
+    # evaluation count does not depend on the worker count
+    from extsource import matrix_model as mm
+    counts = []
+    for i, workers in enumerate((1, 2, 2)):
+        mm.clear_caches()
+        before = mm.EVALS.n
+        run(load_config("quick"), tmp_path / str(i), workers=workers)
+        counts.append(mm.EVALS.n - before)
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+def test_run_does_not_import_mpmath(tmp_path):
+    import os
+    import subprocess
+    import sys
+    import extsource
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(extsource.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    script = ("import sys\n"
+              "from extsource.cli import main\n"
+              f"code = main(['run', '--config', 'quick', '--out-dir', {str(tmp_path)!r}])\n"
+              "print(code, 'mpmath' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
 def test_mc_suite_starts_no_thread(tmp_path, monkeypatch):
     import threading
     started = []

@@ -7,9 +7,10 @@ import pytest
 from extsource.weights import (
     IntervalSet, GaussianWeight, LaguerreWeight, ExpPolyWeight,
     deform_weight, weight_from_spec, moment, MomentTable, integrate,
-    orthonormal_basis, gamma_coeff, HankelNotPD, QuadratureError,
+    orthonormal_basis, HankelNotPD, QuadratureError,
     integrate_pieces, domain_pieces,
 )
+from extsource.matrix_model import _gamma_vector
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -111,18 +112,31 @@ def test_moment_table():
 
 def test_orthonormal_gaussian_low_degrees():
     B = orthonormal_basis(GAUSS, 4)
-    # p0 = 1, p1 = x, p2 = (x^2 - 1)/sqrt(2)
-    assert abs(B.coeffs[0, 0] - 1.0) < 1e-13
-    assert abs(B.coeffs[1, 1] - 1.0) < 1e-13 and abs(B.coeffs[1, 0]) < 1e-13
-    assert abs(B.coeffs[2, 2] - 1 / math.sqrt(2)) < 1e-13
-    assert abs(B.coeffs[2, 0] + 1 / math.sqrt(2)) < 1e-13
+    x = np.linspace(-3.0, 3.0, 13)
+    want = np.stack([np.ones_like(x), x, (x * x - 1) / math.sqrt(2),
+                     (x ** 3 - 3 * x) / math.sqrt(6)], axis=1)
+    assert np.max(np.abs(B.eval_all(x) - want)) < 1e-13
+    assert np.allclose(B.lead, [1.0, 1.0, 1 / math.sqrt(2), 1 / math.sqrt(6)], rtol=1e-14)
 
 
 def test_orthonormal_laguerre_p1():
     B = orthonormal_basis(LAG, 3)
     # Gram-Schmidt on {1, x}: p1 = x - 1 up to sign; leading coeff positive
-    assert abs(B.coeffs[1, 1] - 1.0) < 1e-12
-    assert abs(B.coeffs[1, 0] + 1.0) < 1e-12
+    x = np.linspace(0.0, 5.0, 11)
+    assert np.max(np.abs(B.eval_all(x, 1)[:, 1] - (x - 1))) < 1e-12
+    assert abs(B.alpha[0] - 1.0) < 1e-14 and abs(B.beta[1] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_closed_form_recurrences(n):
+    # Hermite: alpha_j = 0, beta_j = j; Laguerre: alpha_j = 2j + 1, beta_j = j^2;
+    # beta_0 is the mass, 1 for both
+    j = np.arange(n)
+    for W, alpha, beta in ((GAUSS, 0 * j, np.maximum(j, 1)),
+                           (LAG, 2 * j + 1, np.maximum(j * j, 1))):
+        B = orthonormal_basis(W, n)
+        assert np.max(np.abs(B.alpha - alpha) / np.maximum(alpha, 1)) < 1e-14
+        assert np.max(np.abs(B.beta / beta - 1)) < 1e-14
 
 
 def test_orthonormal_rejects_zero_weight():
@@ -131,7 +145,13 @@ def test_orthonormal_rejects_zero_weight():
         orthonormal_basis(dead, 3)
 
 
-@pytest.mark.parametrize("W", [GAUSS, LAG, QUARTIC], ids=["gaussian", "laguerre", "quartic"])
+GRAM_WEIGHTS = {"gaussian": GAUSS, "laguerre": LAG, "quartic": QUARTIC, **{
+    f"{base.kind}-{tag}-s{s}": deform_weight(base, IntervalSet(E), s)
+    for s in (0.5, 1.0) for base in (GAUSS, LAG)
+    for E, tag in (([[1, "inf"]], "right"), ([[-1, 1]], "mid"))}}
+
+
+@pytest.mark.parametrize("W", list(GRAM_WEIGHTS.values()), ids=list(GRAM_WEIGHTS))
 def test_gram_identity(W):
     n = 12
     B = orthonormal_basis(W, n)
@@ -145,6 +165,14 @@ def test_gram_identity(W):
     res = integrate_pieces(fv, pieces, rel_tol=1e-13, abs_tol=1e-13)
     G = res.value.reshape(n, n)
     assert np.max(np.abs(G - np.eye(n))) < 1e-10
+
+
+@pytest.mark.parametrize("base", [GAUSS, LAG], ids=["gaussian", "laguerre"])
+@pytest.mark.parametrize("E", [[[1, "inf"]], [[-1, 1]]], ids=["right", "mid"])
+def test_sign_changing_weight_not_pd(base, E):
+    # s = 1.5 makes the weight negative on E; its moment matrix is not PD
+    with pytest.raises(HankelNotPD, match="not PD"):
+        orthonormal_basis(deform_weight(base, IntervalSet(E), 1.5), 12)
 
 
 @pytest.mark.parametrize("W", [GAUSS, LAG, QUARTIC], ids=["gaussian", "laguerre", "quartic"])
@@ -163,36 +191,33 @@ def test_recurrence_pointwise(W):
 
 
 def test_gamma_closed_form_gaussian():
-    B = orthonormal_basis(GAUSS, 6)
     for a in (0.3, 1.0, -0.7):
+        gam = _gamma_vector(GAUSS, a, 6)
         for j in range(5):
             expect = a ** j * math.exp(a * a / 2) / math.sqrt(math.factorial(j))
-            got = gamma_coeff(B, j, a)
-            assert abs(got - expect) < 1e-11 * max(1.0, abs(expect))
+            assert abs(gam[j] - expect) < 1e-11 * max(1.0, abs(expect))
 
 
 def test_gamma_closed_form_laguerre():
-    B = orthonormal_basis(LAG, 6)
     # with positive leading coefficients, Gamma_j(a) = a^j / (1-a)^{j+1}
     for a in (0.3, 0.9, -0.5):
+        gam = _gamma_vector(LAG, a, 6)
         for j in range(5):
             expect = a ** j / (1 - a) ** (j + 1)
-            got = gamma_coeff(B, j, a)
-            assert abs(got - expect) < 1e-10 * max(1.0, abs(expect))
+            assert abs(gam[j] - expect) < 1e-10 * max(1.0, abs(expect))
 
 
 def test_gamma_at_zero_orthogonality():
     for W in (GAUSS, LAG):
-        B = orthonormal_basis(W, 5)
-        assert abs(gamma_coeff(B, 0, 0.0) - 1.0) < 1e-12  # sqrt(M_0) = 1
+        gam = _gamma_vector(W, 0.0, 5)
+        assert abs(gam[0] - 1.0) < 1e-12  # sqrt(M_0) = 1
         for j in range(1, 4):
-            assert abs(gamma_coeff(B, j, 0.0)) < 1e-12
+            assert abs(gam[j]) < 1e-12
 
 
 def test_gamma_rejects_divergent_tilt():
-    B = orthonormal_basis(LAG, 4)
     with pytest.raises(QuadratureError):
-        gamma_coeff(B, 1, 1.4)
+        _gamma_vector(LAG, 1.4, 4)
 
 
 def test_engine_matches_mpmath_reference():
@@ -235,17 +260,15 @@ def test_deformed_basis_exists():
     assert np.max(np.abs(G - np.eye(9))) < 1e-9
 
 
-def test_concurrent_basis_builds_keep_mpmath_precision():
-    # each build raises mpmath's process-wide precision for its duration;
-    # overlapping builds must neither compute at the wrong precision nor
-    # leave the raised precision behind
+def test_concurrent_basis_builds_agree():
+    # a build holds no shared state: overlapping builds give the same basis
     import sys
     import threading
-    import mpmath
     W = deform_weight(GAUSS, IntervalSet([[1, "inf"]]), 0.5)
-    want = orthonormal_basis(W, 8).coeffs
+    x = np.linspace(-4.0, 4.0, 17)
+    want = orthonormal_basis(W, 8).eval_all(x)
     got = []
-    threads = [threading.Thread(target=lambda: got.append(orthonormal_basis(W, 8).coeffs))
+    threads = [threading.Thread(target=lambda: got.append(orthonormal_basis(W, 8).eval_all(x)))
                for _ in range(4)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -257,8 +280,7 @@ def test_concurrent_basis_builds_keep_mpmath_precision():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(got) == 4 and all(np.array_equal(c, want) for c in got)
-    assert mpmath.mp.dps == 15
+    assert len(got) == 4 and all(np.array_equal(v, want) for v in got)
 
 
 def test_weight_spec_rejects_unknown_keys():
