@@ -5,22 +5,19 @@ machine checks of the determinant and bilinear identities tying them
 together."""
 
 from .series import (
-    TruncatedSeries, LaurentSlice, FieldMismatch, WindowError,
-    series_exp, miwa_eval, laurent_residue, laurent_mul,
+    TruncatedSeries, LaurentSlice, FieldMismatch, WindowError, laurent_mul,
 )
 from .schur import (
     Partition, NearConfluent, partitions_iter, elementary_schur, h_series,
-    schur_series, schur_poly,
-    hciz_expansion_residual, dodgson_residual,
 )
 from .weights import (
     IntervalSet, GaussianWeight, LaguerreWeight, ExpPolyWeight, DeformedWeight,
     QuadratureError, HankelNotPD, QuadResult, weight_from_spec, deform_weight,
-    moment, MomentTable, integrate, orthonormal_basis, OrthoBasis,
+    orthonormal_basis, OrthoBasis,
 )
 from .matrix_model import (
     SourceModel, ExpectationQuery, IdentityReport, partition_fn,
-    partition_fn_raw, rank1_partition_fn, expectation, normalized_expectation,
+    rank1_partition_fn, expectation, normalized_expectation,
     rank_reduction_rhs, verify_main_identity, z_ratio_det_check, classify,
 )
 from .dkp import (

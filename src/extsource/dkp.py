@@ -21,11 +21,10 @@ from .schur import (
 
 
 class TauConfig:
-    """Exact-moment weight, truncation cap, ladder depth, and the constant
-    convention (all d-dependent constants are one unless overridden)."""
+    """Exact-moment weight, truncation cap and ladder depth; every
+    d-dependent normalisation constant is one."""
 
-    def __init__(self, weight, cap, dmax, chat_ratio=None, moments=None,
-                 _extendable=None):
+    def __init__(self, weight, cap, dmax, moments=None, _extendable=None):
         if cap < 1 or dmax < 1:
             raise ValueError("cap and dmax must be >= 1")
         if moments is None and not weight.exact_moments:
@@ -34,7 +33,6 @@ class TauConfig:
         self.weight = weight
         self.cap = cap
         self.dmax = dmax
-        self.chat_ratio = chat_ratio  # d -> Chat_d / Chat_{d+1}
         self._coeffs = {}  # _coeff memo, (kappa parts, d) -> value
         jmax = 2 * dmax + cap + 2
         if moments is None:
@@ -55,18 +53,13 @@ class TauConfig:
             self._moments.append(Fraction(self.weight.moment_exact(len(self._moments))))
         return self._moments[j]
 
-    def ratio(self, d):
-        if self.chat_ratio is None:
-            return Fraction(1)
-        return Fraction(self.chat_ratio(d))
-
     def with_moment(self, j, value):
         """Copy with one moment replaced (checker sensitivity tests); indices
         beyond the copy keep following the clean weight."""
         self.moment(j)
         moms = list(self._moments)
         moms[j] = Fraction(value)
-        return TauConfig(self.weight, self.cap, self.dmax, self.chat_ratio,
+        return TauConfig(self.weight, self.cap, self.dmax,
                          moments=moms, _extendable=self._extendable)
 
 
@@ -217,9 +210,8 @@ def _zhat_up_shifted_slice(cfg, d, min_power, nblocks=1, tblock=0):
 class NuMeasure:
     """Coefficient data of the pairing measure at ladder index d.
 
-    The coefficient at z-power k is (-1)^d (Chat_d/Chat_{d+1}) M_{j+d} / j!
-    with j = d - 1 - k, so powers above d - 1 vanish; negative indices mirror
-    to nu_{-d-1}.
+    The coefficient at z-power k is (-1)^d M_{j+d} / j! with j = d - 1 - k,
+    so powers above d - 1 vanish; negative indices mirror to nu_{-d-1}.
     """
 
     def __init__(self, cfg, d):
@@ -232,13 +224,10 @@ class NuMeasure:
         if j < 0:
             return Fraction(0)
         sign = -1 if d % 2 else 1
-        return sign * self.cfg.ratio(d) * self.cfg.moment(j + d) / math.factorial(j)
-
-    def window(self, lo, hi):
-        return LaurentSlice(lo, [self.coeff(k) for k in range(lo, hi + 1)])
+        return sign * self.cfg.moment(j + d) / math.factorial(j)
 
 
-def vertex_apply(cfg, d, zwindow=None):
+def vertex_apply(cfg, d):
     """X(t, z) applied to the degree-d series, as a Laurent window.
 
     The result is exp(sum t_k z^k) times the down-shifted series; its full
@@ -249,16 +238,7 @@ def vertex_apply(cfg, d, zwindow=None):
     cap = cfg.cap
     shifted = _zhat_down_shifted_slice(cfg, d)
     pre = LaurentSlice(0, [elementary_schur(k, cap) for k in range(cap + 1)])
-    X = laurent_mul(pre, shifted)  # full support [-d, cap]
-    if zwindow is None:
-        return X
-    lo, hi = zwindow
-    if lo > -d or hi < cap:
-        # a narrower window would silently lose pairing terms downstream
-        raise WindowError(f"zwindow {zwindow} does not cover the support [{-d}, {cap}]")
-    zero = TruncatedSeries.zero(cap)
-    coeffs = ([zero] * (-d - lo)) + list(X.coeffs) + ([zero] * (hi - cap))
-    return LaurentSlice(lo, coeffs)
+    return laurent_mul(pre, shifted)
 
 
 def nu_pair(cfg, d, X):

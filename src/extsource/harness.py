@@ -202,15 +202,20 @@ class RunConfig:
 
 
 def load_config(spec):
-    """Load a config from a path or a bundled name ('quick', 'full')."""
+    """Load a config from a file path or a bundled name ('quick', 'full').
+
+    Only a regular file counts as a path, so a directory named like a bundled
+    config (an earlier `--out-dir quick`, say) does not shadow it."""
     path = Path(spec)
-    if not path.exists():
-        try:
+    try:
+        if path.is_file():
+            text = path.read_text(encoding="utf-8")
+        else:
             text = (resources.files("extsource") / "configs" / f"{spec}.yaml").read_text()
-        except (FileNotFoundError, TypeError):
-            raise ConfigError(f"config {spec!r}: no such file or bundled name") from None
-    else:
-        text = path.read_text()
+    except (FileNotFoundError, TypeError):
+        raise ConfigError(f"config {spec!r}: no such file or bundled name") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {spec!r}: cannot read: {exc}") from None
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -422,7 +427,7 @@ def _needs_exact_moments(W):
 
 
 _COUNTS = _nonempty_list(_integer(1))
-_INTERVALS = _nonempty_list(_built(IntervalSet.from_spec, ValueError, TypeError))
+_INTERVALS = _nonempty_list(_built(IntervalSet, ValueError, TypeError))
 _RATIONALS = _nonempty_list(_built(lambda v: Fraction(str(v)), ValueError, ZeroDivisionError),
                             distinct=True)
 _RANK_FIELDS = {"d": (_COUNTS, _REQUIRED), "m": (_COUNTS, _REQUIRED),

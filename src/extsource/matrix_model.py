@@ -12,8 +12,6 @@ determinant well conditioned in floating point:
 * column functions are the monic orthonormal polynomials of the integration
   weight itself instead of raw monomials (any monic family leaves the
   determinant unchanged).
-
-A literal raw-form evaluation is kept as a cross-check for small dimensions.
 """
 
 import math
@@ -31,6 +29,10 @@ from .weights import (
 )
 
 ENTRY_REL_TOL = 1e-13
+# relative error assumed per matrix entry when a check predicts its noise
+# floor; a miss within NOISE_FACTOR of that floor is inconclusive
+ENTRY_REL_NOISE = 1e-12
+NOISE_FACTOR = 10.0
 SERIES_ZONE = 40.0  # |x| * max|node| below this: series evaluation
 _MIN_BASIS = 12
 # beyond this dimension double precision cannot reach the 1e-8 identity
@@ -158,22 +160,30 @@ class IdentityReport:
     diag: dict = field(default_factory=dict)
 
 
-def _make_report(lhs, rhs, diag):
+def _make_report(lhs, rhs, sources, cond_sum):
+    """Report with the diagnostics of both identity checks: the smallest
+    source gap, the summed conditioning and the noise floor it predicts."""
+    gaps = [abs(x - y) for i, x in enumerate(sources) for y in sources[:i]]
+    diag = {
+        "min_source_gap": min(gaps, default=math.inf),
+        "cond_sum": cond_sum,
+        "noise_est": cond_sum * ENTRY_REL_NOISE,
+    }
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
     return IdentityReport(lhs, rhs, abs_err, rel_err, diag)
 
 
-def classify(report, rel_tol=1e-8, noise_factor=10.0):
+def classify(report, rel_tol=1e-8):
     """pass / inconclusive / fail.
 
-    A miss that is within a noise factor of the conditioning-predicted error
+    A miss that is within NOISE_FACTOR of the conditioning-predicted error
     floor is inconclusive, not a mathematical failure.
     """
     if report.rel_err < rel_tol:
         return "pass"
     noise = report.diag.get("noise_est", 0.0)
-    if report.rel_err <= noise_factor * noise:
+    if report.rel_err <= NOISE_FACTOR * noise:
         return "inconclusive"
     return "fail"
 
@@ -375,50 +385,6 @@ def partition_fn(model):
     return sign * math.exp(logz)
 
 
-def partition_fn_raw(model):
-    """Spec-literal Andreief form: monomial columns, raw confluent rows
-    {x^i} u {x^p e^{a_k x}}, divided by the confluent Vandermonde.
-
-    Numerically much worse conditioned than partition_fn; kept as an
-    independent cross-check for small d.
-    """
-    d = model.d
-    weight = model.weight
-    nodes = model.nodes()
-    mu0 = d - model.rank
-    rows = []
-    for i in range(mu0):
-        rows.append((0.0, i))
-    for a, m in model.sources:
-        for p in range(m):
-            rows.append((a, p))
-    A = np.empty((d, d))
-    for ridx, (a, p) in enumerate(rows):
-        def fv(x, a=a, p=p):
-            logw = np.asarray(weight.log_density(x), dtype=float)
-            base = x ** p * np.exp(a * x + logw)
-            cols = np.vander(x, d, increasing=True)
-            return base[:, None] * cols
-        pieces = domain_pieces(weight, max(a, 0.0), d + p + 2)
-        res = integrate_pieces(fv, pieces, rel_tol=ENTRY_REL_TOL, counter=EVALS)
-        A[ridx, :] = res.value
-    det = np.linalg.det(A)
-    cv = 1.0
-    for i in range(mu0):
-        cv *= math.factorial(i)
-    groups = [(0.0, mu0)] if mu0 else []
-    groups += [(a, m) for a, m in model.sources]
-    for a, m in model.sources:
-        for p in range(m):
-            cv *= math.factorial(p)
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            bi, mi = groups[i]
-            bj, mj = groups[j]
-            cv *= (bj - bi) ** (mi * mj)
-    return math.factorial(d) * det / cv
-
-
 def _gamma_vector(weight, a, n):
     """Gamma_j(a), j < n, from the orthonormal basis of the undeformed weight."""
     base = weight.undeformed()
@@ -525,25 +491,18 @@ def rank_reduction_rhs(q):
     return _rank_reduction_rhs_with_diag(q)[0]
 
 
-def verify_main_identity(q, entry_rel=1e-12):
+def verify_main_identity(q):
     """Both sides of the rank-reduction identity through disjoint pipelines:
     the m-source Andreief determinant versus the rank-one ladder."""
     model = q.model
     _check_simple_sources(model, "verify_main_identity")
     lhs, dl = _normalized_expectation_with_diag(q)
     rhs, dr = _rank_reduction_rhs_with_diag(q)
-    a = [v for v, _ in model.sources]
-    gaps = [abs(x - y) for i, x in enumerate(a) for y in a[:i]]
-    cond = dl["cond_sum"] + dr["cond_sum"]
-    diag = {
-        "min_source_gap": min(gaps) if gaps else math.inf,
-        "cond_sum": cond,
-        "noise_est": cond * entry_rel,
-    }
-    return _make_report(lhs, rhs, diag)
+    return _make_report(lhs, rhs, [v for v, _ in model.sources],
+                        dl["cond_sum"] + dr["cond_sum"])
 
 
-def z_ratio_det_check(weight, d, a, entry_rel=1e-12):
+def z_ratio_det_check(weight, d, a):
     """Z_d(a_1..a_m)/Z_d against det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}]
     divided by Delta_m(a) = prod_{j<k} (a_j - a_k)."""
     a = [float(v) for v in a]
@@ -575,10 +534,4 @@ def z_ratio_det_check(weight, d, a, entry_rel=1e-12):
             delta *= a[i] - a[j]
     sM, logM, cond_M = _slogdet_with_cond(M)
     rhs = (sM * math.exp(logM) if sM != 0.0 else 0.0) / delta
-    gaps = [abs(x - y) for i, x in enumerate(a) for y in a[:i]]
-    diag = {
-        "min_source_gap": min(gaps) if gaps else math.inf,
-        "cond_sum": cond + cond_M,
-        "noise_est": (cond + cond_M) * entry_rel,
-    }
-    return _make_report(lhs, rhs, diag)
+    return _make_report(lhs, rhs, a, cond + cond_M)

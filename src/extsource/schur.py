@@ -1,4 +1,5 @@
-"""Partitions, elementary Schur polynomials, Schur evaluation and determinant utilities."""
+"""Partitions, the elementary Schur polynomials h_j, and determinants of
+series, Laurent windows and exact rational matrices."""
 
 import functools
 import math
@@ -138,27 +139,6 @@ def det_series(rows):
     return expand(0, tuple(range(n)))
 
 
-def schur_series(kappa, cap, nblocks=1, block=0):
-    """s_kappa(t) by the Jacobi-Trudi determinant det[h_{kappa_p - p + q}]."""
-    ell = kappa.length
-    if ell == 0:
-        return TruncatedSeries.one(cap, nblocks)
-    rows = [[elementary_schur(kappa.part(p) - p + q, cap, nblocks, block)
-             for q in range(1, ell + 1)] for p in range(1, ell + 1)]
-    return det_series(rows)
-
-
-def complete_homogeneous(k, values):
-    """h_k of a list of scalars, by adding one variable at a time."""
-    if k < 0:
-        return 0
-    h = [1] + [0] * k
-    for v in values:
-        for n in range(1, k + 1):
-            h[n] = h[n] + v * h[n - 1]
-    return h[k]
-
-
 def _det_numeric(M):
     """Determinant by Gaussian elimination; exact for Fraction entries."""
     n = len(M)
@@ -183,101 +163,3 @@ def _det_numeric(M):
             for c in range(col, n):
                 A[r][c] -= f * A[col][c]
     return det
-
-
-def _check_distinct(values, what):
-    exact = all(not isinstance(v, float) for v in values)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            gap = abs(values[i] - values[j])
-            if gap == 0 or (not exact and gap < CONFLUENT_GAP):
-                raise NearConfluent(f"{what} too close: {values[i]} vs {values[j]}")
-
-
-def schur_poly(kappa, a, method="jacobi-trudi"):
-    """Numeric Schur polynomial s_kappa(a_1..a_n).
-
-    The Jacobi-Trudi determinant is the default (no distinctness needed);
-    the alternant ratio det[a_j^{kappa_q+n-q}] / det[a_j^{n-q}] is kept as a
-    cross-check and raises NearConfluent at (nearly) coincident points.
-    """
-    a = list(a)
-    n = len(a)
-    if method == "jacobi-trudi":
-        ell = kappa.length
-        if ell == 0:
-            return 1 if all(not isinstance(x, float) for x in a) else 1.0
-        H = [[complete_homogeneous(kappa.part(p) - p + q, a)
-              for q in range(1, ell + 1)] for p in range(1, ell + 1)]
-        return _det_numeric(H)
-    if method == "alternant":
-        if kappa.length > n:
-            return 0
-        _check_distinct(a, "alternant points")
-        num = _det_numeric([[a[j] ** (kappa.part(q) + n - q) for q in range(1, n + 1)]
-                            for j in range(n)])
-        den = _det_numeric([[a[j] ** (n - q) for q in range(1, n + 1)]
-                            for j in range(n)])
-        return num / den
-    raise ValueError(f"unknown method {method!r}")
-
-
-def hciz_expansion_residual(a, lam, D):
-    """Gap between det[e^{a_j lam_k}]/(Delta(a) Delta(lam)) and its truncated
-    Schur expansion over partitions of weight <= D with at most d parts.
-
-    No a-priori truncation bound is attempted; empirically the residual
-    decays like the first omitted order, roughly
-    (max_j |a_j| * max_k |lam_k| * d)^(D+1) / (D+1)!, so D should be chosen
-    a few steps past max|a_j lam_k| * e * d for 1e-12 accuracy.
-    """
-    a = [float(x) for x in a]
-    lam = [float(x) for x in lam]
-    d = len(a)
-    if len(lam) != d:
-        raise ValueError("a and lam must have equal length")
-    _check_distinct(a, "source points")
-    _check_distinct(lam, "spectral points")
-    E = [[math.exp(aj * lk) for lk in lam] for aj in a]
-    delta_a = _vandermonde(a)
-    delta_l = _vandermonde(lam)
-    lhs = _det_numeric(E) / (delta_a * delta_l)
-    rhs = 0.0
-    for kappa in partitions_iter(d, D):
-        denom = 1.0
-        for q in range(1, d + 1):
-            denom *= math.factorial(kappa.part(q) + d - q)
-        rhs += float(schur_poly(kappa, lam)) * float(schur_poly(kappa, a)) / denom
-    return abs(lhs - rhs)
-
-
-def _vandermonde(x):
-    """prod_{j<k} (x_k - x_j)."""
-    out = 1
-    for j in range(len(x)):
-        for k in range(j + 1, len(x)):
-            out *= x[k] - x[j]
-    return out
-
-
-def _minor(M, drop_rows, drop_cols):
-    return [[M[i][j] for j in range(len(M)) if j not in drop_cols]
-            for i in range(len(M)) if i not in drop_rows]
-
-
-def dodgson_residual(M):
-    """|det(M) det(inner) - (det top-left * det bottom-right - corners)|.
-
-    Identically zero over the rationals (Desnanot-Jacobi); for float input it
-    measures rounding only.
-    """
-    n = len(M)
-    if n < 3:
-        raise ValueError("need size >= 3")
-    full = _det_numeric(M)
-    inner = _det_numeric(_minor(M, {0, n - 1}, {0, n - 1}))
-    tl = _det_numeric(_minor(M, {0}, {0}))          # rows/cols 2..n
-    br = _det_numeric(_minor(M, {n - 1}, {n - 1}))  # rows/cols 1..n-1
-    tr = _det_numeric(_minor(M, {0}, {n - 1}))
-    bl = _det_numeric(_minor(M, {n - 1}, {0}))
-    return abs(full * inner - (br * tl - tr * bl))

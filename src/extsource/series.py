@@ -302,49 +302,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.cap, out, self.nblocks - 1)
 
 
-def series_exp(f):
-    """exp(f) = sum f^k/k! truncated at cap; f must have zero constant term."""
-    if f.constant_term() != 0:
-        raise ValueError("series_exp requires a zero constant term")
-    out = TruncatedSeries.one(f.cap, f.nblocks)
-    term = out
-    for k in range(1, f.cap + 1):
-        term = term * f / k
-        if term.is_zero():
-            break
-        out = out + term
-    return out
-
-
-def miwa_eval(f, points, block=0):
-    """Substitute t_j = sum_i sign_i * c_i^j / j in one block and sum.
-
-    points is a list of (c, sign) with exact rational c and sign = +1 or -1.
-    All other blocks must be absent from f's monomials.
-    """
-    tj = {}
-
-    def tval(j):
-        if j not in tj:
-            acc = Fraction(0)
-            for c, sign in points:
-                acc += Fraction(sign) * Fraction(_exact(c)) ** j / j
-            tj[j] = acc
-        return tj[j]
-
-    total = Fraction(0)
-    for mono, coef in f.terms.items():
-        val = coef
-        for b, exps in enumerate(mono):
-            if b != block and exps:
-                raise ValueError("miwa_eval: series involves another block")
-        for i, e in enumerate(mono[block]):
-            if e:
-                val = val * tval(i + 1) ** e
-        total += val
-    return total
-
-
 class LaurentSlice:
     """Finite window of a formal Laurent series in z.
 
@@ -371,10 +328,6 @@ class LaurentSlice:
 
     def powers(self):
         return range(self.lo, self.hi + 1)
-
-    def shifted(self, k):
-        """Multiply by z^k."""
-        return LaurentSlice(self.lo + k, self.coeffs)
 
     def __add__(self, other):
         lo = min(self.lo, other.lo)
@@ -409,13 +362,6 @@ class LaurentSlice:
 
     def __repr__(self):
         return f"<LaurentSlice [{self.lo}, {self.hi}]>"
-
-
-def laurent_residue(L):
-    """Coefficient of z^-1; the window must cover power -1."""
-    if L.lo > -1 or L.hi < -1:
-        raise WindowError(f"window [{L.lo}, {L.hi}] does not cover power -1")
-    return L.get(-1)
 
 
 def laurent_mul(A, B, keep=None):

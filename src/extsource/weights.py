@@ -1,17 +1,19 @@
-"""Weight functions, moments, adaptive quadrature and orthonormal polynomials.
+"""Weight functions, exact moments, adaptive quadrature and orthonormal
+polynomials.
 
 Supported weights: normalized Gaussian e^{-x^2/2}/sqrt(2 pi) on R, Laguerre
 e^{-x} on [0, inf), exp-polynomial e^{-V(x)} with even positive-leading V,
-and indicator deformations W(x) (1 - s chi_E(x)) of any of these.
+and indicator deformations W(x) (1 - s chi_E(x)) of any of these.  The
+Gaussian and Laguerre weights also give their moments as exact rationals.
 
-Quadrature is adaptive Gauss-Legendre on a truncated domain.  The truncation
-point comes from a per-kind tail bound (Mills ratio for the Gaussian, a
-geometric Gamma-tail bound for Laguerre-type decay, a leading-term bound for
-exp-polynomial weights); the tolerance budget is split between tail and panel
-error.  Panels never straddle a deformation endpoint, so the integrand is
-analytic on every panel.  The integrand is called once per refinement step:
-the 20- and 40-point nodes of all initial panels go in one call, and each
-split measures both halves in one call.
+Quadrature is adaptive Gauss-Legendre (integrate_pieces) over the pieces
+that domain_pieces returns.  Each infinite end of the domain is cut, by
+doubling outward, where the log integrand deg*log|x| + tilt*x + log W(x) has
+fallen 140 nats below its peak; no tail bound is computed, and the panel
+error alone decides convergence.  Panels never straddle a deformation
+endpoint, so the integrand is analytic on every panel.  The integrand is
+called once per refinement step: the 20- and 40-point nodes of all initial
+panels go in one call, and each split measures both halves in one call.
 
 Orthonormal polynomials come from a discretized Stieltjes procedure on the
 same domain pieces, in double precision with exactly rounded sums; no
@@ -94,10 +96,6 @@ class IntervalSet:
                 return "-inf"
             return v
         return [[enc(lo), enc(hi)] for lo, hi in self.intervals]
-
-    @classmethod
-    def from_spec(cls, pairs):
-        return cls(pairs)
 
     def __eq__(self, other):
         return isinstance(other, IntervalSet) and self.intervals == other.intervals
@@ -309,7 +307,7 @@ def weight_from_spec(spec):
     E = spec.get("E")
     s = spec.get("s", 0.0)
     if E is not None and s != 0.0:
-        return DeformedWeight(base, IntervalSet.from_spec(E), s)
+        return DeformedWeight(base, IntervalSet(E), s)
     return base
 
 
@@ -417,13 +415,15 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
         f"no convergence after {len(live)} panels; err={np.max(errs.sum(axis=0)):.3e}")
 
 
-def _log_integrand_peak_and_cutoff(W, tilt, deg, side, drop=140.0):
+DOMAIN_DROP = 140.0  # nats below the peak where the domain is cut off
+
+
+def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     """Largest |x| worth integrating on one side (side = +1 right, -1 left).
 
     Finds the peak of deg*log|x| + tilt*x + log W(x) along the side, then
-    doubles outward until the log integrand has fallen `drop` nats below the
-    peak.  Used to seed the domain; the explicit tail bound is checked after
-    integration.
+    doubles outward until the log integrand has fallen DOMAIN_DROP nats below
+    the peak.
     """
     lo, hi = W.support()
     if side > 0 and hi != INF:
@@ -446,42 +446,21 @@ def _log_integrand_peak_and_cutoff(W, tilt, deg, side, drop=140.0):
             break
         x, best = xn, v
     cut = x
-    while logf(cut) > best - drop:
+    while logf(cut) > best - DOMAIN_DROP:
         cut *= 2
         if abs(cut) > 1e9:
             raise QuadratureError("tail cutoff search diverged (tilt too large?)")
     return cut
 
 
-def _tail_bound(W, tilt, deg, X, side):
-    """First-order bound on the discarded tail beyond X (one side).
-
-    The bound is integrand(X) / |d/dx log integrand(X)|, valid when the log
-    integrand is concave-decreasing past X; for the Gaussian this is the
-    Mills-ratio bound, for Laguerre-type decay the geometric Gamma-tail
-    bound, for exp-polynomial weights the leading-term bound.
-    """
-    lo, hi = W.support()
-    if (side > 0 and X >= hi) or (side < 0 and X <= lo):
-        return 0.0
-    h = abs(X) * 1e-6 + 1e-9
-    def logf(x):
-        base = float(np.asarray(W.log_density(np.array([x]))).ravel()[0])
-        return deg * math.log(max(abs(x), 1e-12)) + tilt * x + base
-    g = (logf(X + side * h) - logf(X)) / (side * h)  # d(logf)/dx at X
-    rate = -side * g  # decay rate in the outward direction
-    if rate <= 0:
-        return INF
-    return math.exp(logf(X)) / rate
-
-
-def domain_pieces(W, tilt=0.0, deg=0, drop=140.0):
-    """Integration pieces (lo, hi, mult) for the possibly deformed weight."""
+def domain_pieces(W, tilt=0.0, deg=0):
+    """Integration pieces (lo, hi, mult) for the possibly deformed weight,
+    for integrands up to |x|^deg e^{tilt x} W(x)."""
     if tilt >= W.max_tilt():
         raise QuadratureError(
             f"tilt {tilt} not integrable against {W.undeformed().kind} weight")
-    left = _log_integrand_peak_and_cutoff(W, tilt, deg, -1, drop)
-    right = _log_integrand_peak_and_cutoff(W, tilt, deg, +1, drop)
+    left = _log_integrand_peak_and_cutoff(W, tilt, deg, -1)
+    right = _log_integrand_peak_and_cutoff(W, tilt, deg, +1)
     if right <= left:
         right = left + 1.0
     cuts = {left, right}
@@ -489,18 +468,18 @@ def domain_pieces(W, tilt=0.0, deg=0, drop=140.0):
     for p in W.deform_set.finite_endpoints():
         if left < p < right:
             cuts.add(p)
-    # geometric refinement of wide domains so adaptivity starts sensibly
-    for anchor in (0.0,):
-        scale = 1.0
-        while anchor + scale < right:
-            if anchor + scale > left:
-                cuts.add(anchor + scale)
-            scale *= 2
-        scale = 1.0
-        while anchor - scale > left:
-            if anchor - scale < right:
-                cuts.add(anchor - scale)
-            scale *= 2
+    # geometric refinement of wide domains so adaptivity starts sensibly:
+    # cuts at +-1, +-2, +-4, ... inside (left, right)
+    scale = 1.0
+    while scale < right:
+        if scale > left:
+            cuts.add(scale)
+        scale *= 2
+    scale = 1.0
+    while -scale > left:
+        if -scale < right:
+            cuts.add(-scale)
+        scale *= 2
     pts = sorted(cuts)
     pieces = []
     E = W.deform_set
@@ -509,80 +488,6 @@ def domain_pieces(W, tilt=0.0, deg=0, drop=140.0):
         mult = 1.0 - s if (s != 0.0 and bool(E.indicator(midpt))) else 1.0
         pieces.append((a, b, mult))
     return pieces
-
-
-def integrate(W, f, tol=1e-12):
-    """integral of f(x) W(x) dx with the deformation factor of W applied.
-
-    f must be vectorized (accept an ndarray) and be dominated by W's decay.
-    Returns QuadResult(value, error); error combines the panel estimate and
-    the tail bound.  Raises QuadratureError when the tolerance is
-    unreachable.
-    """
-    deg_hint = 32
-
-    def fv(x):
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape != x.shape:
-            vals = np.broadcast_to(vals, x.shape).copy()
-        return vals * np.exp(W.log_density(x))
-
-    pieces = domain_pieces(W, 0.0, deg_hint)
-    res = integrate_pieces(fv, pieces, rel_tol=1e-13, abs_tol=0.5 * tol)
-    left, right = pieces[0][0], pieces[-1][1]
-    tail = _tail_bound(W, 0.0, deg_hint, right, +1) + _tail_bound(W, 0.0, deg_hint, left, -1)
-    value = float(res.value[0])
-    err = float(res.error[0]) + tail
-    if err > max(tol, 1e-13 * abs(value)):
-        raise QuadratureError(f"requested tol {tol}, achieved {err:.3e}")
-    return QuadResult(value, err)
-
-
-# ---------------------------------------------------------------------------
-# moments
-
-
-def moment(W, j, tol=1e-12):
-    """j-th moment of W; exact Fraction for Gaussian/Laguerre, float otherwise."""
-    if j < 0:
-        raise ValueError("moment index must be >= 0")
-    if W.exact_moments:
-        return W.moment_exact(j)
-    if isinstance(W, DeformedWeight) and W.base.exact_moments:
-        base = float(W.base.moment_exact(j))
-        corr = 0.0
-        for lo0, hi0 in W.E.intervals:
-            slo, shi = W.base.support()
-            lo, hi = max(lo0, slo), min(hi0, shi)
-            if hi <= lo:
-                continue
-            fv = lambda x: x ** j * np.exp(W.base.log_density(x))
-            if not math.isfinite(hi):
-                hi = _log_integrand_peak_and_cutoff(W.base, 0.0, j, +1)
-            if not math.isfinite(lo):
-                lo = _log_integrand_peak_and_cutoff(W.base, 0.0, j, -1)
-            res = integrate_pieces(fv, [(lo, hi, 1.0)], rel_tol=1e-13, abs_tol=0.1 * tol)
-            corr += float(res.value[0])
-        return base - W.s * corr
-    res = integrate(W, lambda x: x ** j if j else np.ones_like(x), tol)
-    return res.value
-
-
-class MomentTable:
-    """Moments M_0..M_jmax of one weight."""
-
-    __slots__ = ("weight", "values")
-
-    def __init__(self, weight, jmax, tol=1e-12):
-        self.weight = weight
-        self.values = [moment(weight, j, tol) for j in range(jmax + 1)]
-
-    @property
-    def jmax(self):
-        return len(self.values) - 1
-
-    def __getitem__(self, j):
-        return self.values[j]
 
 
 # ---------------------------------------------------------------------------

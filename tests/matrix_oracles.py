@@ -1,0 +1,53 @@
+"""The literal Andreief form of the partition function, which only the tests use.
+
+It integrates raw confluent rows {x^i} u {x^p e^{a_k x}} against monomial
+columns and divides by the confluent Vandermonde.  That is much worse
+conditioned than `extsource.matrix_model.partition_fn`, but shares neither its
+divided-difference rows nor its orthonormal columns, so it cross-checks them
+at small d.
+"""
+
+import math
+
+import numpy as np
+
+from extsource.matrix_model import ENTRY_REL_TOL
+from extsource.weights import domain_pieces, integrate_pieces
+
+
+def partition_fn_raw(model):
+    """Z_d of the model in the convention of partition_fn (d! included)."""
+    d = model.d
+    weight = model.weight
+    mu0 = d - model.rank
+    rows = []
+    for i in range(mu0):
+        rows.append((0.0, i))
+    for a, m in model.sources:
+        for p in range(m):
+            rows.append((a, p))
+    A = np.empty((d, d))
+    for ridx, (a, p) in enumerate(rows):
+        def fv(x, a=a, p=p):
+            logw = np.asarray(weight.log_density(x), dtype=float)
+            base = x ** p * np.exp(a * x + logw)
+            cols = np.vander(x, d, increasing=True)
+            return base[:, None] * cols
+        pieces = domain_pieces(weight, max(a, 0.0), d + p + 2)
+        res = integrate_pieces(fv, pieces, rel_tol=ENTRY_REL_TOL)
+        A[ridx, :] = res.value
+    det = np.linalg.det(A)
+    cv = 1.0
+    for i in range(mu0):
+        cv *= math.factorial(i)
+    groups = [(0.0, mu0)] if mu0 else []
+    groups += [(a, m) for a, m in model.sources]
+    for a, m in model.sources:
+        for p in range(m):
+            cv *= math.factorial(p)
+    for i in range(len(groups)):
+        for j in range(i + 1, len(groups)):
+            bi, mi = groups[i]
+            bj, mj = groups[j]
+            cv *= (bj - bi) ** (mi * mj)
+    return math.factorial(d) * det / cv

@@ -8,8 +8,10 @@ helpers are independent routes to quantities the package computes another
 way.
 """
 
+from fractions import Fraction
+
 from extsource.schur import elementary_schur
-from extsource.series import TruncatedSeries, LaurentSlice
+from extsource.series import TruncatedSeries, LaurentSlice, _exact
 
 
 def _weight(mono):
@@ -82,3 +84,32 @@ def h_shift_up(j, c, cap, nblocks=1, block=0):
         out = out + elementary_schur(j - i, cap, nblocks, block) * ci
         ci = ci * c
     return out
+
+
+def miwa_eval(f, points, block=0):
+    """Substitute t_j = sum_i sign_i * c_i^j / j in one block and sum.
+
+    points is a list of (c, sign) with exact rational c and sign = +1 or -1.
+    All other blocks must be absent from f's monomials.
+    """
+    tj = {}
+
+    def tval(j):
+        if j not in tj:
+            acc = Fraction(0)
+            for c, sign in points:
+                acc += Fraction(sign) * Fraction(_exact(c)) ** j / j
+            tj[j] = acc
+        return tj[j]
+
+    total = Fraction(0)
+    for mono, coef in f.terms.items():
+        val = coef
+        for b, exps in enumerate(mono):
+            if b != block and exps:
+                raise ValueError("miwa_eval: series involves another block")
+        for i, e in enumerate(mono[block]):
+            if e:
+                val = val * tval(i + 1) ** e
+        total += val
+    return total

@@ -61,6 +61,70 @@ def test_unknown_bundled_name():
         load_config("nonexistent-config")
 
 
+def test_directory_does_not_shadow_bundled_config(tmp_path, monkeypatch):
+    # an earlier `--out-dir quick` leaves a folder named like the bundled config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "quick").mkdir()
+    assert main(["run", "--config", "quick", "--out-dir", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "results.ndjson").read_text().splitlines()) == 29
+
+
+def test_directory_config_path_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs-dir").mkdir()
+    assert main(["run", "--config", "configs-dir", "--out-dir", str(tmp_path / "o")]) == 2
+    assert "configs-dir" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"schema: 1 # \xe9\n")
+    assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_readme_library_sketch_runs():
+    # the sketch is the library API the README promises; it must keep running
+    readme = (REPO / "README.md").read_text().split("## Library sketch", 1)[1]
+    sketch = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(sketch, "README.md:Library sketch", "exec"), scope)
+    assert scope["report"].rel_err < 1e-8
+
+
+TRACED_SPANS = {
+    "harness.startup", "harness.load_config", "harness.run", "harness.build_jobs",
+    "harness.job", "harness.write",
+    "weights.orthonormal_basis", "weights.basis_eval", "weights.domain_pieces",
+    "weights.integrate_pieces",
+    "matrix_model.entry_vector", "matrix_model.values_fused", "matrix_model.slogdet",
+    "matrix_model.identity_check", "matrix_model.zratio_check",
+    "matrix_model.expectation",
+    "series.mul", "series.laurent_mul", "schur.det_series", "schur.elementary_schur",
+    "dkp.coeff", "dkp.zhat_series", "dkp.ladder", "dkp.hirota", "dkp.fay",
+    "mc.cross_check", "mc.sampler",
+}
+
+
+def test_benchmark_trace_hooks_find_their_targets(tmp_path):
+    # perfbench/launch.py wraps program functions by name from outside src/;
+    # a renamed or deleted target breaks `perfbench/run.py --trace 1`
+    import os
+    import subprocess
+    import sys
+    import time
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    report, spans = tmp_path / "report.json", tmp_path / "spans.tsv"
+    cmd = [sys.executable, str(REPO / "perfbench" / "launch.py"), "trace", str(report),
+           "quick", str(tmp_path / "out"), "20260809", str(time.monotonic_ns()), str(spans)]
+    out = subprocess.run(cmd, cwd=REPO, env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(report.read_text())
+    assert rep["exit_code"] == 0
+    assert len(TRACED_SPANS) == 27 and TRACED_SPANS <= set(rep["spans"])
+
+
 def test_schema_required():
     with pytest.raises(ConfigError, match="schema"):
         RunConfig({"weights": {}, "suites": {}})

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from extsource.series import TruncatedSeries, miwa_eval
-from extsource.schur import (
-    Partition, partitions_iter, elementary_schur, schur_series, schur_poly,
-    complete_homogeneous, hciz_expansion_residual, dodgson_residual,
-    NearConfluent,
+from extsource.series import TruncatedSeries
+from extsource.schur import Partition, partitions_iter, elementary_schur, NearConfluent
+from schur_oracles import (
+    schur_series, schur_poly, complete_homogeneous, hciz_expansion_residual,
+    dodgson_residual,
 )
-from series_oracles import partition_count_dp, h_shift_down, h_shift_up
+from series_oracles import miwa_eval, partition_count_dp, h_shift_down, h_shift_up
 
 
 def test_partition_invariants():
