@@ -201,17 +201,24 @@ class RunConfig:
         return out
 
 
+_BUNDLED_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
 def load_config(spec):
     """Load a config from a file path or a bundled name ('quick', 'full').
 
     Only a regular file counts as a path, so a directory named like a bundled
-    config (an earlier `--out-dir quick`, say) does not shadow it."""
+    config (an earlier `--out-dir quick`, say) does not shadow it.  Only a
+    bare name ([A-Za-z0-9_-]+) is looked up among the bundled configs, so a
+    path such as /dir/foo never resolves to a neighbouring /dir/foo.yaml."""
     path = Path(spec)
     try:
         if path.is_file():
             text = path.read_text(encoding="utf-8")
-        else:
+        elif isinstance(spec, str) and _BUNDLED_NAME.fullmatch(spec):
             text = (resources.files("extsource") / "configs" / f"{spec}.yaml").read_text()
+        else:
+            raise FileNotFoundError(spec)
     except (FileNotFoundError, TypeError):
         raise ConfigError(f"config {spec!r}: no such file or bundled name") from None
     except (OSError, UnicodeDecodeError) as exc:

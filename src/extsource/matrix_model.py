@@ -43,6 +43,7 @@ _LOCK = threading.Lock()
 _BASIS_CACHE = {}
 _ENTRY_CACHE = {}
 _GAMMA_CACHE = {}
+_LOGDET_CACHE = {}
 EVALS = _EvalCounter()
 
 
@@ -51,6 +52,7 @@ def clear_caches():
         _BASIS_CACHE.clear()
         _ENTRY_CACHE.clear()
         _GAMMA_CACHE.clear()
+        _LOGDET_CACHE.clear()
 
 
 def _compute_once(cache, key, compute):
@@ -364,14 +366,23 @@ def _slogdet_with_cond(A):
 def _partition_logdet(model, weight):
     """(sign, log|Z|, diag) for the partition function of `model` computed
     against `weight` (the model's own weight or its deformation); the
-    convention fixes every d-dependent constant to one and includes d!."""
+    convention fixes every d-dependent constant to one and includes d!.
+
+    The determinant is computed once per model: the key holds the weight,
+    the column basis and the whole node sequence, so no two models share it.
+    """
     d = model.d
     basis = _column_basis(weight, d)
     nodes = model.nodes()
-    A = np.empty((d, d))
-    for r in range(1, d + 1):
-        A[r - 1, :] = _entry_vector(weight, basis, nodes[:r])[:d]
-    sign, logabs, cond = _slogdet_with_cond(A)
+
+    def compute():
+        A = np.empty((d, d))
+        for r in range(1, d + 1):
+            A[r - 1, :] = _entry_vector(weight, basis, nodes[:r])[:d]
+        return _slogdet_with_cond(A)
+
+    key = (weight.key(), basis.weight.key(), basis.n, nodes)
+    sign, logabs, cond = _compute_once(_LOGDET_CACHE, key, compute)
     diag = {"cond": cond, "logdet": logabs}
     return sign, logabs + math.log(math.factorial(d)), diag
 

@@ -12,8 +12,10 @@ doubling outward, where the log integrand deg*log|x| + tilt*x + log W(x) has
 fallen 140 nats below its peak; no tail bound is computed, and the panel
 error alone decides convergence.  Panels never straddle a deformation
 endpoint, so the integrand is analytic on every panel.  The integrand is
-called once per refinement step: the 20- and 40-point nodes of all initial
-panels go in one call, and each split measures both halves in one call.
+called once per refinement round: the 20- and 40-point nodes of all initial
+panels go in one call, and each later round splits the fewest worst panels
+that leave the remaining error within tolerance and measures all their
+halves in one call.
 
 Orthonormal polynomials come from a discretized Stieltjes procedure on the
 same domain pieces, in double precision with exactly rounded sums; no
@@ -352,6 +354,26 @@ class _EvalCounter:
 _COARSE, _FINE = 20, 40  # Gauss-Legendre orders; their difference is the error
 
 
+def _panels_to_split(errs, thresh):
+    """Indices, in ascending order, of the fewest panels to split.
+
+    errs holds one row per panel and one column per failing component.
+    Panels rank by their largest errs / thresh; the chosen ones are the
+    shortest prefix of that ranking whose removal leaves every column's
+    remaining error within thresh.  A zero threshold makes every panel with
+    error on that column rank first, so all of them split.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(errs > 0.0, errs / thresh, 0.0)
+    order = np.argsort(-ratio.max(axis=1), kind="stable")
+    # rest[k]: error left on the panels ranked k and below, summed from the
+    # least bad upward
+    rest = np.cumsum(errs[order[::-1]], axis=0)[::-1]
+    fits = np.all(rest <= thresh, axis=1)
+    k = int(np.argmax(fits)) if fits.any() else len(order)
+    return np.sort(order[:k])
+
+
 def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, counter=None):
     """Adaptive Gauss-Legendre over explicit pieces.
 
@@ -361,8 +383,12 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
     per-component error below max(abs_tol, rel_tol * |I_comp|, small fraction
     of the largest component).
 
-    f is called once per refinement step: once on the coarse and fine nodes
-    of every initial piece, then once per split on the nodes of both halves.
+    f is called once per refinement round: once on the coarse and fine nodes
+    of every initial piece, then once on the nodes of both halves of every
+    panel split in the round.  A round splits the fewest panels, ranked by
+    their largest error-to-threshold ratio over the failing components, whose
+    errors leave the rest within every failing threshold (_panels_to_split).
+    max_panels caps the total number of splits.
     """
     live = [(lo, hi, mult) for lo, hi, mult in pieces if mult != 0.0 and hi > lo]
     if not live:
@@ -388,8 +414,8 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
         return fine, np.abs(fine - coarse)
 
     vals, errs = measure(live)  # one row per live panel
-
-    for _ in range(max_panels):
+    splits = 0
+    while True:
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
         mass = np.abs(vals).sum(axis=0)  # L1 of panel sums: rounding floor
@@ -399,18 +425,21 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
         bad = toterr > thresh
         if not bad.any():
             return QuadResult(total, toterr)
-        # split the panel contributing most to the failing components
-        i = int(np.argmax(errs[:, bad].max(axis=1)))
-        lo, hi, mult = live[i]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # cannot split further in float
-        halves = [(lo, mid, mult), (mid, hi, mult)]
-        v2, e2 = measure(halves)
-        live[i] = halves[0]
-        live.append(halves[1])
-        vals[i], errs[i] = v2[0], e2[0]
-        vals, errs = np.vstack([vals, v2[1:]]), np.vstack([errs, e2[1:]])
+        chosen = _panels_to_split(errs[:, bad], thresh[bad])
+        splits += len(chosen)
+        mids = [0.5 * (live[i][0] + live[i][1]) for i in chosen]
+        if splits > max_panels or not all(
+                live[i][0] < mid < live[i][1] for i, mid in zip(chosen, mids)):
+            break  # over the cap, or a panel cannot split further in float
+        lefts = [(live[i][0], mid, live[i][2]) for i, mid in zip(chosen, mids)]
+        rights = [(mid, live[i][1], live[i][2]) for i, mid in zip(chosen, mids)]
+        v2, e2 = measure(lefts + rights)
+        n = len(chosen)
+        for i, left in zip(chosen, lefts):
+            live[i] = left
+        live.extend(rights)
+        vals[chosen], errs[chosen] = v2[:n], e2[:n]
+        vals, errs = np.vstack([vals, v2[n:]]), np.vstack([errs, e2[n:]])
     raise QuadratureError(
         f"no convergence after {len(live)} panels; err={np.max(errs.sum(axis=0)):.3e}")
 

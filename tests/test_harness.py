@@ -76,6 +76,24 @@ def test_directory_config_path_exits_2(tmp_path, monkeypatch, capsys):
     assert "configs-dir" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("relative", [False, True])
+def test_path_next_to_yaml_does_not_load_it(tmp_path, monkeypatch, capsys, relative):
+    # /dir/foo is a directory beside /dir/foo.yaml: only bare names are
+    # looked up as bundled configs, so neither path may load foo.yaml
+    (tmp_path / "foo").mkdir()
+    (tmp_path / "foo.yaml").write_text((REPO / "src/extsource/configs/quick.yaml").read_text())
+    spec = str(tmp_path / "foo")
+    if relative:
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        spec = "../foo"
+    with pytest.raises(ConfigError):
+        load_config(spec)
+    assert main(["run", "--config", spec, "--out-dir", str(tmp_path / "o")]) == 2
+    assert spec in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "latin1.yaml"
     bad.write_bytes(b"schema: 1 # \xe9\n")
@@ -246,16 +264,17 @@ def test_records_carry_rerun_inputs(tmp_path):
             assert {"weight", "d", "m", "sources", "E", "s", "tol"} <= rec.keys()
 
 
-def test_threaded_run_keeps_mpmath_precision_and_bytes(tmp_path):
-    import mpmath
+def test_threaded_run_keeps_bytes(tmp_path):
+    # every cache, the determinant memo included, starts cold; the threaded
+    # runs build bases and fill the memo concurrently
     from extsource import matrix_model as mm
-    mm.clear_caches()
-    run(load_config("quick"), tmp_path / "w1", workers=1)
-    mm.clear_caches()  # the threaded run builds its bases concurrently
-    run(load_config("quick"), tmp_path / "w2", workers=2)
-    assert mpmath.mp.dps == 15
-    assert (tmp_path / "w1" / "results.ndjson").read_bytes() == \
-        (tmp_path / "w2" / "results.ndjson").read_bytes()
+    for workers in (1, 2, 4):
+        mm.clear_caches()
+        assert not mm._LOGDET_CACHE
+        run(load_config("quick"), tmp_path / f"w{workers}", workers=workers)
+    want = (tmp_path / "w1" / "results.ndjson").read_bytes()
+    for workers in (2, 4):
+        assert (tmp_path / f"w{workers}" / "results.ndjson").read_bytes() == want
 
 
 def test_threaded_run_counts_same_evaluations(tmp_path):

@@ -337,3 +337,41 @@ def test_failed_basis_build_is_cached(monkeypatch):
         mm._basis_for(W, 4)
     assert len(builds) == 2
     mm.clear_caches()
+
+
+# -- determinant memo --------------------------------------------------------
+
+def test_one_determinant_per_model(monkeypatch):
+    from extsource import matrix_model as mm
+    mm.clear_caches()
+    shapes = []
+    slogdet = mm._slogdet_with_cond
+
+    def counted(A):
+        shapes.append(np.shape(A))
+        return slogdet(A)
+
+    monkeypatch.setattr(mm, "_slogdet_with_cond", counted)
+    sources = (0.3, 0.9, 1.4)
+    q = ExpectationQuery(SourceModel(8, [(a, 1) for a in sources], GAUSS), RIGHT1, 0.5)
+    report = verify_main_identity(q)
+    assert report.rel_err < 1e-8
+    # LHS: the 3-source model and the zero-source one at d = 8; RHS: each
+    # rank-one model at d = 8, 7, 6 and the zero-source ones there; every
+    # model against the deformed and the undeformed weight
+    models = {(8, sources), (8, ())}
+    for dim in (8, 7, 6):
+        models |= {(dim, (a,)) for a in sources} | {(dim, ())}
+    expected = {(w.key(), (0.0,) * (dim - len(src)) + src)
+                for dim, src in models for w in (GAUSS, q.deformed_weight())}
+    assert len(expected) == 26
+    assert {(key[0], key[3]) for key in mm._LOGDET_CACHE} == expected
+    # one determinant per model key, plus the numerator and denominator of
+    # the 3 x 3 ladder
+    assert len(shapes) == len(expected) + 2
+    assert shapes.count((3, 3)) == 2
+    # a second check finds every model determinant in the memo
+    assert verify_main_identity(q).rel_err == report.rel_err
+    assert len(shapes) == len(expected) + 4
+    mm.clear_caches()
+    assert not mm._LOGDET_CACHE
