@@ -7,17 +7,26 @@ identities in two sets of times) and single "point symbols" of weight one
 (shift parameters that must participate in the grading).  Coefficients are
 exact rationals (int or Fraction); a float is rejected, never coerced.
 
-The ring operations work on a graded view of each series: its terms grouped
-by monomial weight, in increasing weight, computed once per series.  A
-product visits only the bucket pairs whose weights sum to at most the cap,
-and its result carries its own graded view, so no monomial weight is
-recomputed per pair.  Results are built by a trusted constructor that skips
-validation.  Series are immutable after construction (memoised builders
-share them), so nothing may write to `terms` once a series exists.
+Internally a series is integer data.  Each monomial is packed into one int
+by Kronecker substitution: variable t_j of each block owns a bit slot wide
+enough for cap // j, the largest exponent of t_j within the cap, so a
+product of monomials is one int addition (Monagan & Pearce 2007, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC).  A product
+only forms monomials of weight at most cap, so no slot overflows.  The
+coefficients are int numerators over one positive int denominator per
+series, reduced by a single gcd after every operation, so the stored form is
+canonical and equality is structural.
+
+The numerators are grouped by monomial weight, in increasing weight.  A
+product visits only the bucket pairs whose weights sum to at most the cap.
+Results are built by a trusted constructor that skips validation.  Series
+are immutable after construction (memoised builders share them); `terms`
+decodes them into a dict {monomial: int | Fraction} on first use.
 """
 
+import functools
 from fractions import Fraction
-from operator import add, mul
+from math import gcd, lcm
 
 
 class FieldMismatch(TypeError):
@@ -43,47 +52,67 @@ def _strip(exps):
     return exps[:n]
 
 
-def _block_weight(exps):
-    return sum(map(mul, range(1, len(exps) + 1), exps))
+@functools.lru_cache(maxsize=64)
+def _slots(cap):
+    """Bit layout of one block at this cap: the (shift, mask) slot of each
+    of t_1..t_cap, and the block's total width.  Block b starts at bit
+    b * width."""
+    slots = []
+    shift = 0
+    for j in range(1, cap + 1):
+        bits = (cap // j).bit_length()
+        slots.append((shift, (1 << bits) - 1))
+        shift += bits
+    return tuple(slots), shift
 
 
-def _mono_weight(mono):
-    return sum(map(_block_weight, mono))
+def _encode(mono, cap):
+    """(weight, packed int) of a monomial of stripped blocks, or None when
+    its weight exceeds the cap."""
+    slots, width = _slots(cap)
+    w = packed = 0
+    for b, exps in enumerate(mono):
+        for j, e in enumerate(exps, 1):
+            if e < 0:
+                raise ValueError("negative exponent")
+            if e:
+                w += j * e
+                if w > cap:
+                    return None
+                packed |= e << (b * width + slots[j - 1][0])
+    return w, packed
 
 
-def _block_mul(b1, b2):
-    # exponents are non-negative, so the sum of two stripped blocks is stripped
-    if not b1:
-        return b2
-    if not b2:
-        return b1
-    if len(b1) < len(b2):
-        b1, b2 = b2, b1
-    return tuple(map(add, b1, b2)) + b1[len(b2):]
+def _decode(packed, cap, nblocks):
+    """The monomial (one stripped exponent tuple per block) of a packed int."""
+    slots, width = _slots(cap)
+    block = (1 << width) - 1
+    return tuple(_strip([(q >> s) & m for s, m in slots])
+                 for q in ((packed >> (b * width)) & block for b in range(nblocks)))
 
 
-def _mono_mul(m1, m2):
-    return tuple(map(_block_mul, m1, m2))
+def _scaled(nums, f):
+    """{packed: numerator * f} as a new dict, which the caller may fill."""
+    return dict(nums) if f == 1 else {m: c * f for m, c in nums.items()}
 
 
 class TruncatedSeries:
     """Sparse series with weighted-degree truncation.
 
-    terms maps a monomial to its coefficient; a monomial is a tuple with one
-    exponent tuple per block, trailing zeros stripped.  No stored coefficient
-    is zero and no stored monomial exceeds the cap, so equality of series is
-    structural equality.
+    _graded lists (weight, {packed monomial: int numerator}) in increasing
+    weight and _den is the common positive denominator.  No numerator and
+    no bucket is empty or zero, no monomial exceeds the cap, and _den
+    shares no factor with all the numerators, so equality of series at one
+    cap is structural equality.
     """
 
-    __slots__ = ("cap", "nblocks", "terms", "_graded")
+    __slots__ = ("cap", "nblocks", "_den", "_graded", "_terms")
 
     def __init__(self, cap, terms=None, nblocks=1):
         if cap < 0:
             raise ValueError("cap must be >= 0")
-        self.cap = cap
-        self.nblocks = nblocks
-        self.terms = {}
-        self._graded = None
+        sums = {}
+        weights = {}
         if terms:
             for mono, c in terms.items():
                 if _exact(c) == 0:
@@ -91,22 +120,51 @@ class TruncatedSeries:
                 mono = tuple(_strip(b) for b in mono)
                 if len(mono) != nblocks:
                     raise ValueError("monomial block count mismatch")
-                if _mono_weight(mono) > cap:
+                enc = _encode(mono, cap)
+                if enc is None:
                     continue
-                self.terms[mono] = self.terms.get(mono, 0) + c
-            for mono in [m for m, c in self.terms.items() if c == 0]:
-                del self.terms[mono]
+                w, packed = enc
+                weights[packed] = w
+                sums[packed] = sums.get(packed, 0) + c
+        den = lcm(*(c.denominator for c in sums.values()))
+        byweight = {}
+        for packed, c in sums.items():
+            byweight.setdefault(weights[packed], {})[packed] = \
+                c.numerator * (den // c.denominator)
+        self._set(cap, nblocks, den, byweight)
+
+    def _set(self, cap, nblocks, den, byweight):
+        """Store {weight: {packed: numerator}} over den in canonical form:
+        zero numerators and empty buckets dropped, den reduced."""
+        graded = []
+        for w in sorted(byweight):
+            nums = byweight[w]
+            if 0 in nums.values():
+                nums = {m: c for m, c in nums.items() if c}
+            if nums:
+                graded.append((w, nums))
+        if den != 1:
+            g = den
+            for _, nums in graded:
+                g = gcd(g, *nums.values())
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                graded = [(w, {m: c // g for m, c in nums.items()}) for w, nums in graded]
+        self.cap = cap
+        self.nblocks = nblocks
+        self._den = den
+        self._graded = graded
+        self._terms = None
 
     @classmethod
-    def _trusted(cls, cap, terms, nblocks, graded=None):
-        """Wrap terms that already hold the invariants (stripped monomials,
-        no zero coefficient, no weight above cap) without checking them;
-        graded, if given, is the matching graded view."""
+    def _trusted(cls, cap, nblocks, den, byweight):
+        """Build from {weight: {packed: numerator}} over den without
+        checking monomials: every packed monomial must already belong to
+        this cap's layout and weigh at most cap."""
         s = object.__new__(cls)
-        s.cap = cap
-        s.nblocks = nblocks
-        s.terms = terms
-        s._graded = graded
+        s._set(cap, nblocks, den, byweight)
         return s
 
     # -- constructors ------------------------------------------------------
@@ -117,7 +175,8 @@ class TruncatedSeries:
 
     @classmethod
     def const(cls, value, cap, nblocks=1):
-        return cls(cap, {((),) * nblocks: value}, nblocks)
+        c = _exact(value)
+        return cls._trusted(cap, nblocks, c.denominator, {0: {0: c.numerator}})
 
     @classmethod
     def one(cls, cap, nblocks=1):
@@ -128,6 +187,8 @@ class TruncatedSeries:
         """The variable t_j (weight j) of the given block."""
         if j < 1:
             raise ValueError("variable index must be >= 1")
+        if not 0 <= block < nblocks:
+            raise ValueError(f"block {block} out of range")
         if j > cap:
             return cls.zero(cap, nblocks)
         mono = tuple(((0,) * (j - 1) + (1,)) if b == block else () for b in range(nblocks))
@@ -135,37 +196,38 @@ class TruncatedSeries:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _grades(self):
-        """[(weight, [(mono, coeff), ...]), ...] in increasing weight."""
-        g = self._graded
-        if g is None:
-            buckets = {}
-            for mono, c in self.terms.items():
-                buckets.setdefault(_mono_weight(mono), []).append((mono, c))
-            g = self._graded = sorted(buckets.items())
-        return g
+    @property
+    def terms(self):
+        """{monomial: coefficient}, decoded once; a monomial is a tuple with
+        one exponent tuple per block, trailing zeros stripped."""
+        t = self._terms
+        if t is None:
+            cap, nblocks, den = self.cap, self.nblocks, self._den
+            t = self._terms = {
+                _decode(m, cap, nblocks): c if den == 1 else Fraction(c, den)
+                for _, nums in self._graded for m, c in nums.items()}
+        return t
 
     def _at_cap(self, cap):
-        """This series truncated at cap <= self.cap."""
+        """This series truncated at cap <= self.cap, in that cap's layout."""
         if cap >= self.cap:
             return self
-        graded = [(w, items) for w, items in self._grades() if w <= cap]
-        terms = {m: c for _, items in graded for m, c in items}
-        return TruncatedSeries._trusted(cap, terms, self.nblocks, graded)
+        old, nblocks = self.cap, self.nblocks
+        byweight = {w: {_encode(_decode(m, old, nblocks), cap)[1]: c for m, c in nums.items()}
+                    for w, nums in self._graded if w <= cap}
+        return TruncatedSeries._trusted(cap, nblocks, self._den, byweight)
 
     def _operand(self, other):
         """other as a series of the same block count: a scalar becomes a
         constant series at this cap."""
         if not isinstance(other, TruncatedSeries):
-            c = _exact(other)
-            return TruncatedSeries._trusted(
-                self.cap, {((),) * self.nblocks: c} if c else {}, self.nblocks)
+            return TruncatedSeries.const(other, self.cap, self.nblocks)
         if self.nblocks != other.nblocks:
             raise ValueError("block count mismatch")
         return other
 
     def is_zero(self):
-        return not self.terms
+        return not self._graded
 
     def constant_term(self):
         return self.terms.get(((),) * self.nblocks, 0)
@@ -176,16 +238,18 @@ class TruncatedSeries:
 
     def weight(self):
         """Largest stored monomial weight (0 for the zero series)."""
-        g = self._grades()
+        g = self._graded
         return g[-1][0] if g else 0
 
     def __repr__(self):
-        n = len(self.terms)
+        n = sum(len(nums) for _, nums in self._graded)
         return f"<TruncatedSeries cap={self.cap} blocks={self.nblocks} terms={n}>"
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        if self.cap == other.cap and self.nblocks == other.nblocks:
+            return self._den == other._den and self._graded == other._graded
         return self.terms == other.terms
 
     def __hash__(self):
@@ -197,18 +261,18 @@ class TruncatedSeries:
         other = self._operand(other)
         cap = min(self.cap, other.cap)
         a, b = self._at_cap(cap), other._at_cap(cap)
-        out = dict(a.terms)
-        for mono, c in b.terms.items():
-            v = out.get(mono)
-            if v is None:
-                out[mono] = c if sign > 0 else -c
+        g = gcd(a._den, b._den)
+        fa, fb = b._den // g, sign * (a._den // g)
+        out = {w: _scaled(nums, fa) for w, nums in a._graded}
+        for w, nums in b._graded:
+            acc = out.get(w)
+            if acc is None:
+                out[w] = _scaled(nums, fb)
             else:
-                v = v + c if sign > 0 else v - c
-                if v:
-                    out[mono] = v
-                else:
-                    del out[mono]
-        return TruncatedSeries._trusted(cap, out, self.nblocks)
+                get = acc.get
+                for m, c in nums.items():
+                    acc[m] = get(m, 0) + c * fb
+        return TruncatedSeries._trusted(cap, self.nblocks, a._den * fa, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -223,23 +287,22 @@ class TruncatedSeries:
 
     def __neg__(self):
         return TruncatedSeries._trusted(
-            self.cap, {m: -c for m, c in self.terms.items()}, self.nblocks)
+            self.cap, self.nblocks, self._den,
+            {w: _scaled(nums, -1) for w, nums in self._graded})
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             c = _exact(other)
-            if c == 0:
-                return TruncatedSeries._trusted(self.cap, {}, self.nblocks)
             return TruncatedSeries._trusted(
-                self.cap, {m: v * c for m, v in self.terms.items()}, self.nblocks)
-        other = self._operand(other)
+                self.cap, self.nblocks, self._den * c.denominator,
+                {w: _scaled(nums, c.numerator) for w, nums in self._graded} if c else {})
+        if self.nblocks != other.nblocks:
+            raise ValueError("block count mismatch")
         cap = min(self.cap, other.cap)
-        mono_mul = _mono_mul
-        right = other._grades()
+        a, b = self._at_cap(cap), other._at_cap(cap)
+        right = [(w, list(nums.items())) for w, nums in b._graded]
         byweight = {}
-        for w1, left_items in self._grades():
-            if w1 > cap:
-                break
+        for w1, left in a._graded:
             for w2, right_items in right:
                 w = w1 + w2
                 if w > cap:
@@ -247,19 +310,12 @@ class TruncatedSeries:
                 acc = byweight.get(w)
                 if acc is None:
                     acc = byweight[w] = {}
-                for m1, c1 in left_items:
+                get = acc.get
+                for m1, c1 in left.items():
                     for m2, c2 in right_items:
-                        m = mono_mul(m1, m2)
-                        v = acc.get(m)
-                        acc[m] = c1 * c2 if v is None else v + c1 * c2
-        terms = {}
-        graded = []
-        for w in sorted(byweight):
-            items = [(m, c) for m, c in byweight[w].items() if c]
-            if items:
-                graded.append((w, items))
-                terms.update(items)
-        return TruncatedSeries._trusted(cap, terms, self.nblocks, graded)
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + c1 * c2
+        return TruncatedSeries._trusted(cap, self.nblocks, a._den * b._den, byweight)
 
     __rmul__ = __mul__
 
@@ -278,11 +334,11 @@ class TruncatedSeries:
 
     def flip_signs(self):
         """Substitute t_j -> -t_j in every block."""
-        out = {}
-        for mono, c in self.terms.items():
-            tot = sum(sum(b) for b in mono)
-            out[mono] = -c if tot % 2 else c
-        return TruncatedSeries._trusted(self.cap, out, self.nblocks)
+        cap, nblocks = self.cap, self.nblocks
+        return TruncatedSeries._trusted(
+            cap, nblocks, self._den,
+            {w: {m: -c if sum(map(sum, _decode(m, cap, nblocks))) % 2 else c
+                 for m, c in nums.items()} for w, nums in self._graded})
 
     def substitute_point(self, block, value):
         """Evaluate a point-symbol block at a scalar, dropping that block.
@@ -291,15 +347,28 @@ class TruncatedSeries:
         """
         if self.nblocks < 2:
             raise ValueError("cannot drop the last block")
-        out = {}
-        for mono, c in self.terms.items():
-            b = mono[block]
-            if len(b) > 1:
-                raise ValueError("block is not a point symbol")
-            e = b[0] if b else 0
-            red = mono[:block] + mono[block + 1:]
-            out[red] = out.get(red, 0) + c * value ** e
-        return TruncatedSeries(self.cap, out, self.nblocks - 1)
+        if not 0 <= block < self.nblocks:
+            raise ValueError(f"block {block} out of range")
+        value = _exact(value)
+        slots, width = _slots(self.cap)
+        lo, hi = block * width, (block + 1) * width
+        first_bits = slots[0][1].bit_length() if slots else 0
+        # c t_1^e / den at t_1 = p/q is c p^e q^(emax - e) / (den q^emax)
+        found = []
+        for w, nums in self._graded:
+            for m, c in nums.items():
+                bits = (m >> lo) & ((1 << width) - 1)
+                if bits >> first_bits:
+                    raise ValueError("block is not a point symbol")
+                found.append((w - bits, (m & ((1 << lo) - 1)) | ((m >> hi) << lo), c, bits))
+        emax = max((e for *_, e in found), default=0)
+        p, q = value.numerator, value.denominator
+        byweight = {}
+        for w, m, c, e in found:
+            acc = byweight.setdefault(w, {})
+            acc[m] = acc.get(m, 0) + c * p ** e * q ** (emax - e)
+        return TruncatedSeries._trusted(
+            self.cap, self.nblocks - 1, self._den * q ** emax, byweight)
 
 
 class LaurentSlice:

@@ -447,39 +447,43 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
 DOMAIN_DROP = 140.0  # nats below the peak where the domain is cut off
 
 
+# the search reads the log integrand only at +-2^k, and gives up before 2^30
+_LADDER = [2.0 ** k for k in range(31)]
+
+
 def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     """Largest |x| worth integrating on one side (side = +1 right, -1 left).
 
     Finds the peak of deg*log|x| + tilt*x + log W(x) along the side, then
     doubles outward until the log integrand has fallen DOMAIN_DROP nats below
-    the peak.
+    the peak.  log W is evaluated on the whole ladder x = side * 2^k in one
+    call; the other two terms are added per point in Python floats.
     """
     lo, hi = W.support()
     if side > 0 and hi != INF:
         return hi
     if side < 0 and lo != -INF:
         return lo
+    xs = [side * r for r in _LADDER]
+    # a steep potential may overflow at ladder points beyond the cut, which
+    # the search never reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.asarray(W.log_density(np.array(xs)), dtype=float).tolist()
+    logf = [deg * math.log(r) + tilt * x + b for r, x, b in zip(_LADDER, xs, base)]
 
-    def logf(x):
-        ax = abs(x)
-        base = float(np.asarray(W.log_density(np.array([x]))).ravel()[0])
-        return deg * math.log(max(ax, 1e-12)) + tilt * x + base
-
-    x = side * 1.0
-    best = logf(x)
+    k = 0
+    best = logf[0]
     # crude peak search by doubling
     while True:
-        xn = x * 2
-        v = logf(xn)
-        if v <= best or abs(xn) > 1e8:
+        v = logf[k + 1]
+        if v <= best or _LADDER[k + 1] > 1e8:
             break
-        x, best = xn, v
-    cut = x
-    while logf(cut) > best - DOMAIN_DROP:
-        cut *= 2
-        if abs(cut) > 1e9:
+        k, best = k + 1, v
+    while logf[k] > best - DOMAIN_DROP:
+        k += 1
+        if _LADDER[k] > 1e9:
             raise QuadratureError("tail cutoff search diverged (tilt too large?)")
-    return cut
+    return xs[k]
 
 
 def domain_pieces(W, tilt=0.0, deg=0):

@@ -288,25 +288,26 @@ def test_exploratory_s_above_one():
 def test_expectation_against_mpmath_double_integral():
     # independent oracle: the two-eigenvalue measure integrated directly in
     # high precision.  With sources (a, 0) the joint density is proportional
-    # to (e^{a x} - e^{a y})(x - y) W(x) W(y).
+    # to (e^{a x} - e^{a y})(x - y) W(x) W(y).  Against chi(x) chi(y) that
+    # is a sum of products of one-variable factors, so each 2-D integral is
+    # 2 (I[x e^{ax}] I[1] - I[e^{ax}] I[x]) with I[f] = int f W chi.
     import mpmath as mp
     a, s, c = 0.7, 1.0, 1.0  # E = [c, inf)
     q = ExpectationQuery(SourceModel(2, [(a, 1)], GAUSS), IntervalSet([[c, "inf"]]), s)
     got = expectation(q)
     with mp.workdps(25):
         am = mp.mpf(a)
-
-        def dens(x, y):
-            w = mp.exp(-x * x / 2 - y * y / 2)
-            return (mp.exp(am * x) - mp.exp(am * y)) * (x - y) * w
-
-        def chi(u):
-            return 1 - s * (1 if u >= c else 0)
-
         L = mp.mpf(9)
-        num = mp.quad(lambda x: mp.quad(lambda y: dens(x, y) * chi(x) * chi(y),
-                                        [-L, c, L]), [-L, c, L])
-        den = mp.quad(lambda x: mp.quad(lambda y: dens(x, y), [-L, c, L]), [-L, c, L])
+
+        def pair_integral(chi):
+            def I(f):
+                return mp.quad(lambda u: f(u) * chi(u) * mp.exp(-u * u / 2), [-L, c, L])
+            i1, ix = I(lambda u: 1), I(lambda u: u)
+            ie, ixe = I(lambda u: mp.exp(am * u)), I(lambda u: u * mp.exp(am * u))
+            return 2 * (ixe * i1 - ie * ix)
+
+        num = pair_integral(lambda u: 1 - s * (1 if u >= c else 0))
+        den = pair_integral(lambda u: 1)
         ref = float(num / den)
     assert abs(got - ref) < 1e-9 * abs(ref)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from extsource.series import (
     TruncatedSeries, LaurentSlice, FieldMismatch, WindowError, laurent_mul,
+    _decode, _encode,
 )
 from series_oracles import miwa_eval, reference_add, reference_mul
 
@@ -61,6 +63,8 @@ def test_field_mismatch_rejected():
         f / 2.0
     with pytest.raises(FieldMismatch):
         miwa_eval(f, [(0.5, 1)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        TruncatedSeries(3, {((1, -1),): 1})
 
 
 def test_ring_axioms_randomized():
@@ -105,6 +109,8 @@ def test_blocks_are_independent():
     # joint weight truncation: weight 2 + weight 3 drops at cap 4
     q = t(2, cap, nblocks=2, block=0) * t(3, cap, nblocks=2, block=1)
     assert q.is_zero()
+    with pytest.raises(ValueError, match="out of range"):
+        t(1, cap, nblocks=2, block=2)
 
 
 def test_substitute_point_block():
@@ -114,6 +120,10 @@ def test_substitute_point_block():
     g = f.substitute_point(1, Fraction(1, 2))
     assert g.nblocks == 1
     assert g.constant_term() == 1 + 1 + Fraction(3, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        f.substitute_point(2, 1)
+    with pytest.raises(ValueError, match="not a point symbol"):
+        (f + t(2, cap, nblocks=2, block=1)).substitute_point(1, 1)
 
 
 def test_flip_signs():
@@ -185,20 +195,33 @@ def random_multiblock(rng, cap, nblocks, max_terms=8):
     return TruncatedSeries(cap, terms, nblocks)
 
 
+def _weight(mono):
+    return sum((i + 1) * e for b in mono for i, e in enumerate(b))
+
+
 def assert_kernel_invariants(f):
     for mono, c in f.terms.items():
         assert isinstance(c, (int, Fraction)) and c != 0
         assert len(mono) == f.nblocks
         assert all(not b or b[-1] != 0 for b in mono), mono
-        assert sum((i + 1) * e for b in mono for i, e in enumerate(b)) <= f.cap
-    # the cached graded view holds exactly the terms, at their true weights
+        assert _weight(mono) <= f.cap
+    # the stored form: int numerators over one positive denominator that
+    # shares no factor with all of them, bucketed by the true weight of each
+    # packed monomial, buckets nonempty and in increasing weight
+    assert isinstance(f._den, int) and f._den > 0
     seen = {}
-    for w, items in f._grades():
-        for mono, c in items:
-            assert sum((i + 1) * e for b in mono for i, e in enumerate(b)) == w
-            seen[mono] = c
+    for w, nums in f._graded:
+        assert nums
+        for packed, c in nums.items():
+            assert isinstance(c, int) and c != 0
+            mono = _decode(packed, f.cap, f.nblocks)
+            assert _weight(mono) == w
+            assert _encode(mono, f.cap) == (w, packed)
+            seen[mono] = Fraction(c, f._den)
     assert seen == f.terms
-    assert [w for w, _ in f._grades()] == sorted({w for w, _ in f._grades()})
+    assert math.gcd(f._den, *(c for _, nums in f._graded for c in nums.values())) == 1
+    weights = [w for w, _ in f._graded]
+    assert weights == sorted(set(weights))
 
 
 def test_kernel_matches_reference_randomized():
@@ -254,7 +277,7 @@ def test_kernel_scalar_ops_keep_invariants():
     rng = random.Random(5)
     for _ in range(30):
         f = random_multiblock(rng, 5, rng.randrange(1, 4))
-        f._grades()  # scalar ops on a series with a cached graded view
+        f.terms  # scalar ops on a series whose terms are already decoded
         for got, want in ((f * 3, reference_mul(f, TruncatedSeries.const(3, 5, f.nblocks))),
                           (f / 2, reference_mul(f, TruncatedSeries.const(Fraction(1, 2), 5, f.nblocks))),
                           (f * 0, TruncatedSeries.zero(5, f.nblocks)),
@@ -263,3 +286,132 @@ def test_kernel_scalar_ops_keep_invariants():
                           (-f, reference_add(TruncatedSeries.zero(5, f.nblocks), f, -1))):
             assert got.terms == want.terms
             assert_kernel_invariants(got)
+
+
+# -- packing edges: full slots, many blocks, unequal caps, integer results ----
+
+def power_mono(j, e, block=0, nblocks=1):
+    """The monomial t_j^e of one block."""
+    return tuple(((0,) * (j - 1) + (e,)) if b == block else () for b in range(nblocks))
+
+
+@pytest.mark.parametrize("cap", range(1, 13))
+def test_kernel_full_slots_do_not_carry(cap):
+    # t_j^(cap // j) is the largest exponent the slot of t_j holds; a product
+    # that reaches it must not spill into t_{j+1} or into the next block
+    nblocks = 2
+    for j in range(1, cap + 1):
+        top = cap // j
+        for e in range(top + 1):
+            f = TruncatedSeries(cap, {power_mono(j, e, 0, nblocks): 1,
+                                      power_mono(j, e, 1, nblocks): Fraction(1, 3)}, nblocks)
+            g = TruncatedSeries(cap, {power_mono(j, top - e, 0, nblocks): 2,
+                                      power_mono(j, top - e, 1, nblocks): -1}, nblocks)
+            got = f * g
+            assert got.terms == reference_mul(f, g).terms
+            if 0 < e < top:  # otherwise the constant terms of the blocks merge
+                assert got.coeff(power_mono(j, top, 0, nblocks)) == 2
+                assert got.coeff(power_mono(j, top, 1, nblocks)) == Fraction(-1, 3)
+            assert_kernel_invariants(got)
+
+
+def test_kernel_t1_powers_at_slot_boundaries():
+    # at cap 7 the slot of t_1 is three bits and t_1^7 fills it; at cap 8 it
+    # takes a fourth bit for t_1^8
+    for cap in (7, 8, 12):
+        x = t(1, cap)
+        for n in (7, 8, cap):
+            if n > cap:
+                continue
+            for k in range(n + 1):
+                assert (x ** k * x ** (n - k)).terms == {((n,),): 1}
+        binom = (TruncatedSeries.one(cap) + x) ** cap
+        want = TruncatedSeries.one(cap)
+        for _ in range(cap):
+            want = reference_mul(want, TruncatedSeries.one(cap) + x)
+        assert binom.terms == want.terms
+        assert binom.coeff(((cap // 2,),)) == math.comb(cap, cap // 2)
+        assert_kernel_invariants(binom)
+        # t_1^cap next to the slot of t_2 and the next block
+        y = t(2, cap, nblocks=2, block=0)
+        z = t(1, cap, nblocks=2, block=1)
+        u = t(1, cap, nblocks=2, block=0)
+        assert (u ** cap).coeff(((cap,), ())) == 1
+        assert (u ** (cap - 2) * y).terms == {((cap - 2, 1), ()): 1}
+        assert (u ** (cap - 1) * z).terms == {((cap - 1,), (1,)): 1}
+        assert (u ** cap * z).is_zero() and (u ** cap * y).is_zero()
+
+
+def random_edge_series(rng, cap, nblocks, max_terms=6):
+    """Random series of one- or two-factor monomials whose exponents sit at
+    or near the top of their slots; some monomials exceed the cap (dropped)."""
+    terms = {}
+    for _ in range(rng.randrange(max_terms + 1)):
+        mono = [[0] * cap for _ in range(nblocks)]
+        for _ in range(rng.randrange(1, 3)):
+            b, j = rng.randrange(nblocks), rng.randrange(1, cap + 1)
+            top = cap // j
+            mono[b][j - 1] += rng.choice([top, max(top - 1, 0), rng.randrange(top + 1)])
+        mono = tuple(tuple(block) for block in mono)
+        c = Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3, 4, 6]))
+        terms[mono] = terms.get(mono, 0) + c
+    return TruncatedSeries(cap, terms, nblocks)
+
+
+def test_kernel_matches_reference_at_packing_edges():
+    # caps up to 12, up to five blocks (fay-det at m = 3 uses four), and
+    # operands at unequal caps, whose product repacks the larger-cap one
+    rng = random.Random(77)
+    for trial in range(120):
+        nblocks = rng.randrange(1, 6)
+        caps = [rng.randrange(1, 13)] * 3 if trial % 2 else [rng.randrange(1, 13) for _ in range(3)]
+        f, g, h = (random_edge_series(rng, c, nblocks) for c in caps)
+        cases = [
+            (f * g, reference_mul(f, g)),
+            (g * f, reference_mul(g, f)),
+            (f + g, reference_add(f, g)),
+            (f - g, reference_add(f, g, -1)),
+            (f * g * h, reference_mul(reference_mul(f, g), h)),
+        ]
+        for got, want in cases:
+            assert got.terms == want.terms
+            assert got.cap == want.cap and got.nblocks == want.nblocks
+            assert_kernel_invariants(got)
+        assert (f * g) * h == f * (g * h)
+        assert f * (g + h) == f * g + f * h
+
+
+def test_kernel_denominators_cancel_to_integers():
+    cap = 6
+    x, y = t(1, cap), t(2, cap)
+    cases = [
+        # scalar scaling clears the denominator
+        (TruncatedSeries(cap, {((1,),): Fraction(1, 2), ((0, 1),): Fraction(3, 2)}) * 2,
+         x + y * 3),
+        # a sum whose fractional parts cancel
+        (x * Fraction(1, 3) + x * Fraction(2, 3), x),
+        (x / 6 + y / 4 - x / 6 + y * Fraction(3, 4), y),
+        # (x/2 + 1/2)(2x - 2) = x^2 - 1
+        ((x / 2 + Fraction(1, 2)) * (x * 2 - 2), x * x - 1),
+        # truncation drops the only fractional term
+        (TruncatedSeries(cap, {((),): 1, ((5,),): Fraction(1, 2)}) * t(2, 3), t(2, 3)),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert got._den == 1
+        assert all(type(c) is int for c in got.terms.values())
+        assert_kernel_invariants(got)
+    # a partial cancellation keeps the smallest common denominator
+    q = (x / 6 + Fraction(1, 4)) * 3
+    assert q._den == 4 and q.terms == {((),): Fraction(3, 4), ((1,),): Fraction(1, 2)}
+    assert_kernel_invariants(q)
+
+
+def test_kernel_associative_with_fraction_coefficients():
+    rng = random.Random(31)
+    for _ in range(40):
+        nblocks = rng.randrange(1, 5)
+        cap = rng.randrange(4, 13)
+        f, g, h = (random_multiblock(rng, cap, nblocks) for _ in range(3))
+        assert (f * g) * h == f * (g * h)
+        assert ((f * g) * h).terms == reference_mul(f, reference_mul(g, h)).terms

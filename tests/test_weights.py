@@ -1,9 +1,12 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from extsource import matrix_model, mc, weights
+from extsource.harness import load_config, run
 from extsource.weights import (
     IntervalSet, GaussianWeight, LaguerreWeight, ExpPolyWeight,
     deform_weight, weight_from_spec, orthonormal_basis, HankelNotPD, QuadratureError,
@@ -14,6 +17,7 @@ from extsource.matrix_model import _gamma_vector
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
 QUARTIC = ExpPolyWeight([0, 0, 0, 0, 0.25])  # V(x) = x^4/4
+REPO = Path(__file__).resolve().parents[1]
 
 
 def quad(W, f, tilt=0.0, deg=0, rel_tol=1e-13, abs_tol=0.0):
@@ -294,3 +298,74 @@ def test_weight_spec_rejects_unknown_keys():
         with pytest.raises(UnknownField) as exc:
             weight_from_spec(spec)
         assert exc.value.key == key
+
+
+def one_point_cutoff(W, tilt, deg, side):
+    """The tail cut search of domain_pieces as it was first written: one
+    log_density call on a one-element array per ladder point visited."""
+    lo, hi = W.support()
+    if side > 0 and hi != math.inf:
+        return hi
+    if side < 0 and lo != -math.inf:
+        return lo
+
+    def logf(x):
+        base = float(np.asarray(W.log_density(np.array([x]))).ravel()[0])
+        return deg * math.log(max(abs(x), 1e-12)) + tilt * x + base
+
+    x = side * 1.0
+    best = logf(x)
+    while True:
+        xn = x * 2
+        v = logf(xn)
+        if v <= best or abs(xn) > 1e8:
+            break
+        x, best = xn, v
+    cut = x
+    while logf(cut) > best - weights.DOMAIN_DROP:
+        cut *= 2
+        if abs(cut) > 1e9:
+            raise QuadratureError("tail cutoff search diverged (tilt too large?)")
+    return cut
+
+
+def _cutoff_outcome(search, *args):
+    try:
+        return search(*args)
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def test_ladder_cutoffs_match_one_point_search(monkeypatch, tmp_path):
+    # every (weight, tilt, deg) that the quick config and the three benchmark
+    # workloads ask for, from cold caches; the Monte Carlo draws do not
+    # touch the quadrature, so they are stubbed out
+    asked = set()
+    ladder = weights._log_integrand_peak_and_cutoff
+
+    def spy(W, tilt, deg, side):
+        asked.add((W, tilt, deg, side))
+        return ladder(W, tilt, deg, side)
+
+    monkeypatch.setattr(weights, "_log_integrand_peak_and_cutoff", spy)
+    monkeypatch.setattr(mc, "estimate_expectation",
+                        lambda d, a, E, s, N, seed: mc.McEstimate(0.5, 0.1, N, seed))
+    workloads = sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))
+    assert len(workloads) == 3
+    try:
+        for k, config in enumerate(["quick"] + [str(p) for p in workloads]):
+            matrix_model.clear_caches()
+            run(load_config(config), str(tmp_path / str(k)), workers=1)
+    finally:
+        matrix_model.clear_caches()
+    assert len({(W, tilt, deg) for W, tilt, deg, _ in asked}) > 50
+    for args in sorted(asked, key=repr):
+        assert _cutoff_outcome(ladder, *args) == _cutoff_outcome(one_point_cutoff, *args), args
+    # the divergent case raises from both searches alike
+    args = (GAUSS, 1e10, 0, 1)
+    assert _cutoff_outcome(ladder, *args) == _cutoff_outcome(one_point_cutoff, *args)
+    # tilts large enough to move the peak, on both sides
+    for W in (GAUSS, QUARTIC, deform_weight(GAUSS, [[-1, 1]], 0.5)):
+        for tilt in (-60.0, 3.0, 60.0):
+            for side in (-1, 1):
+                assert ladder(W, tilt, 7, side) == one_point_cutoff(W, tilt, 7, side)
