@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import re
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -318,10 +319,14 @@ def _mc_jobs(cfg, body, W, mutate):
     n, zmax = body["n"], body["zmax"]
     for E in body["intervals"]:
         for s in body["s"]:
-            for d, m, tup in _rank_grid(body):
-                yield ({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup),
-                        "n": n, "zmax": zmax},
-                       _mc_thunk(d, tup, E, s, n, cfg.seed, zmax, mutate))
+            # _rank_grid is d-major, so each (E, s, d) group is contiguous
+            for d, group in itertools.groupby(_rank_grid(body), key=lambda job: job[0]):
+                group = list(group)
+                checks = _mc_group(d, [list(tup) for _, _, tup in group], E, s, n, cfg.seed)
+                for k, (_, m, tup) in enumerate(group):
+                    yield ({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup),
+                            "n": n, "zmax": zmax},
+                           _mc_thunk(checks, k, zmax, mutate))
 
 
 # thunks return dict fragments merged into the record
@@ -405,10 +410,30 @@ def _sensitivity_thunk(W, cap, dmax):
     return thunk
 
 
-def _mc_thunk(d, sources, E, s, n, seed, zmax, mutate):
-    # records run on cfg.workers threads; the sampler itself starts none
+def _once(compute):
+    """A function returning compute(), which the first caller runs while
+    later callers wait; an error leaves it to the next caller."""
+    lock, box = threading.Lock(), []
+
+    def get():
+        with lock:
+            if not box:
+                box.append(compute())
+        return box[0]
+    return get
+
+
+def _mc_group(d, sources, E, s, n, seed):
+    # one sampler call for all records of the group: they share its draws
+    return _once(lambda: mc_mod.cross_check(d, sources, E, s, n, seed))
+
+
+def _mc_thunk(checks, k, zmax, mutate):
+    # records run on cfg.workers threads and the sampler itself starts none;
+    # record k of a group reads the k-th result of the group's one shared
+    # sampler call, which whichever record of the group runs first makes
     def thunk():
-        chk = mc_mod.cross_check(d, list(sources), E, s, n, seed)
+        chk = checks()[k]
         if mutate:
             corrupted = chk.quad * 1.05
             z = abs(chk.mc.mean - corrupted) / chk.mc.stderr \

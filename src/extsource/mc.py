@@ -18,6 +18,14 @@ draw with a zero or non-finite pivot is recounted from its eigenvalues.
 
 Streams use the counter-based Philox generator with jumped substreams per
 batch, so estimates are bit-reproducible for a given seed.
+
+One call estimates a group of source tuples that share (d, E, s, N, seed).
+The source matrix only shifts the diagonal, so every tuple of the group is
+evaluated on the same draws of H, each batch drawn once and dropped before
+the next (common random numbers; Asmussen & Glynn, Stochastic Simulation,
+2007, ch. V).  Each estimate is bitwise the one a group of its tuple alone
+gives, but the estimates of one group are correlated: their z values are
+not independent.
 """
 
 import math
@@ -48,8 +56,8 @@ def _rng_for_batch(seed, batch_index):
     return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
 
 
-def _spiked_draws(rng, n, d, A):
-    """Real and imaginary parts of A + H for n draws, each of shape (d, d, n).
+def _hermitian_draws(rng, n, d):
+    """Real and imaginary parts of H for n draws, each of shape (d, d, n).
 
     H = (X + X^T)/2 + i (Y - Y^T)/2 from two standard normal (n, d, d)
     arrays, drawn in that order; the layout puts the n draws of one entry in
@@ -63,15 +71,15 @@ def _spiked_draws(rng, n, d, A):
     np.subtract(Y, Y.transpose(1, 0, 2), out=imag)
     real /= 2
     imag /= 2
-    real[np.arange(d), np.arange(d)] += A[:, None]
     return real, imag
 
 
-def _count_below(real, imag, cuts):
-    """Eigenvalues below each cut, per draw, by the inertia of LDL^H.
+def _count_below(real, imag, A, cuts):
+    """Eigenvalues of A + H below each cut, per draw, by the inertia of LDL^H.
 
-    real, imag: (d, d, n) parts of the draws, of which only the lower
-    triangle is read; cuts: C floats.
+    real, imag: (d, d, n) parts of the draws of H, of which only the lower
+    triangle is read; A: the d diagonal entries of the source; cuts: C
+    floats.  The diagonal is formed as (h + a) - c.
     Returns (below, bad): below is (C, n) int, and bad is an (n,) mask of
     draws with a zero or non-finite pivot at some cut, whose count is not
     to be trusted.
@@ -80,7 +88,9 @@ def _count_below(real, imag, cuts):
     C = len(cuts)
     R = np.repeat(real[:, :, None, :], C, axis=2)
     I = np.repeat(imag[:, :, None, :], C, axis=2)
-    R[np.arange(d), np.arange(d)] -= np.asarray(cuts, dtype=float)[:, None]
+    diag = np.arange(d), np.arange(d)
+    R[diag] += A[:, None, None]
+    R[diag] -= np.asarray(cuts, dtype=float)[:, None]
     below = np.zeros((C, n), dtype=np.intp)
     bad = np.zeros((C, n), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -100,11 +110,11 @@ def _count_below(real, imag, cuts):
     return below, bad.any(axis=0)
 
 
-def _inside_counts(real, imag, E):
-    """Number of eigenvalues of each draw in the closed interval set E."""
+def _inside_counts(real, imag, A, E):
+    """Number of eigenvalues of A + H in the closed interval set E, per draw."""
     d, _, n = real.shape
     cuts = sorted(set(E.finite_endpoints()))
-    below, bad = _count_below(real, imag, cuts)
+    below, bad = _count_below(real, imag, A, cuts)
     col = dict(zip(cuts, below))
     inside = np.zeros(n, dtype=np.intp)
     for lo, hi in E.intervals:
@@ -113,57 +123,80 @@ def _inside_counts(real, imag, E):
         if math.isfinite(lo):
             inside -= col[lo]
     if bad.any():
-        H = (real[:, :, bad] + 1j * imag[:, :, bad]).transpose(2, 0, 1)
+        R = real[:, :, bad]
+        R[np.arange(d), np.arange(d)] += A[:, None]
+        H = (R + 1j * imag[:, :, bad]).transpose(2, 0, 1)
         inside[bad] = E.indicator(np.linalg.eigvalsh(H)).sum(axis=1)
     return inside
 
 
-def _batch_values(d, A, E, s, seed, idx, take):
-    """prod_j (1 - s chi_E(lambda_j)) for each of the take draws of batch idx."""
+def _batch_values(d, As, E, s, seed, idx, take):
+    """prod_j (1 - s chi_E(lambda_j)) for each of the take draws of batch idx.
+
+    Yields one array per source diagonal in As, all from one draw of H,
+    which is dropped once the generator is exhausted.
+    """
     # the value of a draw with k eigenvalues in E, multiplied up factor by
     # factor as prod(1 - s chi) does, so the two agree bit for bit
     table = np.ones(d + 1)
     for k in range(1, d + 1):
         table[k] = table[k - 1] * (1.0 - s)
-    real, imag = _spiked_draws(_rng_for_batch(seed, idx), take, d, A)
-    return table[_inside_counts(real, imag, E)]
+    real, imag = _hermitian_draws(_rng_for_batch(seed, idx), take, d)
+    for A in As:
+        yield table[_inside_counts(real, imag, A, E)]
 
 
-def estimate_expectation(d, a, E, s, N, seed):
-    """Sample mean of prod_j (1 - s chi_E(lambda_j)) over N spiked draws."""
-    if N < 1000:
-        raise ValueError("need N >= 1000")
-    E = E if isinstance(E, IntervalSet) else IntervalSet(E)
+def _source_diagonal(d, a):
     a = [float(v) for v in a]
     if len(a) > d:
         raise ValueError("more sources than dimensions")
-    A = np.array(a + [0.0] * (d - len(a)), dtype=float)
-    sums, squares = [], []
-    for idx, start in enumerate(range(0, N, BATCH)):
-        v = _batch_values(d, A, E, s, seed, idx, min(BATCH, N - start))
-        sums.append(float(v.sum()))
-        squares.append(float((v * v).sum()))
-    s1 = math.fsum(sums)
-    s2 = math.fsum(squares)
-    mean = s1 / N
-    var = max(0.0, (s2 - N * mean * mean) / (N - 1))
-    stderr = math.sqrt(var / N)
-    return McEstimate(mean, stderr, N, seed)
+    return np.array(a + [0.0] * (d - len(a)), dtype=float)
 
 
-def cross_check(d, a, E, s, N, seed, quad=None):
-    """|mc - quadrature| in units of the Monte Carlo standard error.
+def estimate_expectation(d, sources, E, s, N, seed):
+    """Sample means of prod_j (1 - s chi_E(lambda_j)) over N spiked draws.
 
-    quad may be supplied to compare against a precomputed (or deliberately
-    corrupted) value; by default it is the determinant-pipeline expectation.
+    sources lists source tuples; returns one McEstimate per tuple, all from
+    the same N draws of H.
     """
-    est = estimate_expectation(d, a, E, s, N, seed)
-    if quad is None:
-        model = SourceModel(d, [(v, 1) for v in a], GaussianWeight())
-        quad = expectation(ExpectationQuery(model, E, s))
-    diff = abs(est.mean - quad)
-    if est.stderr == 0.0:
-        z = 0.0 if diff == 0.0 else math.inf
-    else:
-        z = diff / est.stderr
-    return CrossCheck(est, float(quad), z)
+    if N < 1000:
+        raise ValueError("need N >= 1000")
+    E = E if isinstance(E, IntervalSet) else IntervalSet(E)
+    As = [_source_diagonal(d, a) for a in sources]
+    sums = [[] for _ in As]
+    squares = [[] for _ in As]
+    for idx, start in enumerate(range(0, N, BATCH)):
+        values = _batch_values(d, As, E, s, seed, idx, min(BATCH, N - start))
+        for k, v in enumerate(values):
+            sums[k].append(float(v.sum()))
+            squares[k].append(float((v * v).sum()))
+    out = []
+    for s1, s2 in zip(map(math.fsum, sums), map(math.fsum, squares)):
+        mean = s1 / N
+        var = max(0.0, (s2 - N * mean * mean) / (N - 1))
+        out.append(McEstimate(mean, math.sqrt(var / N), N, seed))
+    return out
+
+
+def cross_check(d, sources, E, s, N, seed, quads=None):
+    """|mc - quadrature| in units of the Monte Carlo standard error, one
+    CrossCheck per source tuple of sources.
+
+    quads may supply one value per tuple to compare against a precomputed
+    (or deliberately corrupted) value; by default each is the
+    determinant-pipeline expectation.
+    """
+    ests = estimate_expectation(d, sources, E, s, N, seed)
+    if quads is None:
+        quads = [expectation(ExpectationQuery(
+                     SourceModel(d, [(v, 1) for v in a], GaussianWeight()), E, s))
+                 for a in sources]
+    out = []
+    for est, quad in zip(ests, quads, strict=True):
+        diff = abs(est.mean - quad)
+        if est.stderr == 0.0:
+            z = 0.0 if diff == 0.0 else math.inf
+        else:
+            z = diff / est.stderr
+        out.append(CrossCheck(est, float(quad), z))
+    return out

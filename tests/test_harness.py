@@ -327,6 +327,88 @@ def test_mc_suite_starts_no_thread(tmp_path, monkeypatch):
     assert started == []
 
 
+MC_GROUPS = yaml.safe_load("""
+schema: 1
+seed: 7
+workers: 1
+weights:
+  gaussian: {kind: gaussian}
+suites:
+  mc: {weights: [gaussian], d: [2, 3], m: [1, 2], sources: [0.5, 1.1],
+       intervals: [[[1, inf]]], s: [0.5, 1.0], n: 2000, zmax: 6.0}
+""")
+
+
+def _count_sampler_calls(monkeypatch):
+    from extsource import mc
+    calls = []
+    sampler = mc.estimate_expectation
+
+    def spy(d, sources, E, s, N, seed):
+        calls.append((d, len(sources), s))
+        return sampler(d, sources, E, s, N, seed)
+
+    monkeypatch.setattr(mc, "estimate_expectation", spy)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_records_of_a_group_share_one_sampler_call(tmp_path, monkeypatch, workers):
+    calls = _count_sampler_calls(monkeypatch)
+    code, _ = run(RunConfig(copy.deepcopy(MC_GROUPS)), tmp_path, workers=workers)
+    assert code == 0
+    # (E, s, d) groups: two s values times two d, of 3 records each
+    assert sorted(calls) == [(d, 3, s) for d in (2, 3) for s in (0.5, 1.0)]
+    calls.clear()
+    run(load_config(str(REPO / "perfbench" / "workloads" / "mc-sampler.yaml")),
+        tmp_path / "mc-sampler", workers=1)
+    assert calls == [(2, 6, 1.0), (4, 7, 1.0)]
+
+
+def test_shared_group_result_is_computed_once_under_contention():
+    import sys
+    import threading
+    from extsource.harness import _once
+    calls = []
+
+    def compute():
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("first attempt fails")
+        return object()
+
+    get = _once(compute)
+    results, errors = [], []
+
+    def worker():
+        try:
+            results.append(get())
+        except ValueError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # the failed attempt is left to the next caller; after that, one value
+    assert len(calls) == 2 and len(errors) == 1
+    assert len(results) == 7 and len({id(r) for r in results}) == 1
+
+
+def test_mc_groups_are_byte_identical_across_workers(tmp_path):
+    for workers in (1, 2):
+        run(RunConfig(copy.deepcopy(MC_GROUPS)), tmp_path / f"w{workers}", workers=workers)
+    for name in ("results.ndjson", "results.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
 def test_list_suites_complete():
     assert list_suites() == {name: suite.summary for name, suite in SUITES.items()}
 

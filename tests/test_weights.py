@@ -349,7 +349,8 @@ def test_ladder_cutoffs_match_one_point_search(monkeypatch, tmp_path):
 
     monkeypatch.setattr(weights, "_log_integrand_peak_and_cutoff", spy)
     monkeypatch.setattr(mc, "estimate_expectation",
-                        lambda d, a, E, s, N, seed: mc.McEstimate(0.5, 0.1, N, seed))
+                        lambda d, sources, E, s, N, seed:
+                        [mc.McEstimate(0.5, 0.1, N, seed) for _ in sources])
     workloads = sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))
     assert len(workloads) == 3
     try:
