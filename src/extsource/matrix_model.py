@@ -238,9 +238,35 @@ def _closed_groups(nodes):
     return out
 
 
+def _series_cuts(top):
+    """cut[c] for c = 0..top: the first n past the peak of c^n / n! at which
+    it is below 2^-60 of that peak.  Built in Python floats at import, so
+    a run with no float suite pages in no numpy routine for it."""
+    cuts = [1]  # c = 0: only the n = 0 term is nonzero
+    for c in range(1, top + 1):
+        log_c = math.log(c)
+        # the peak is at n = c - 1 and n = c
+        floor = c * log_c - math.lgamma(c + 1) - 60 * math.log(2)
+        n = c
+        while n * log_c - math.lgamma(n + 1) >= floor:
+            n += 1
+        cuts.append(n)
+    return cuts
+
+
+# Horner start of the series zone, indexed by ceil(max|x| * max|node|)
+_SERIES_CUT = _series_cuts(math.ceil(SERIES_ZONE))
+
+
 class DividedExpRow:
     """Confluent divided difference of x -> e^{a x} over a node prefix,
-    evaluated fused with a log-density so exponentials never overflow."""
+    evaluated fused with a log-density so exponentials never overflow.
+
+    In the series zone, term n of psi(x) = x^{r-1} sum_n c_n x^n is at most
+    |x|^{r-1} / (r-1)! * R^n / n! with R = |x| max|node|, so each call sums
+    only the terms up to the first one past the peak of R^n / n! that is
+    below 2^-60 of it, R taken over the call's points.
+    """
 
     __slots__ = ("nodes", "r", "maxnode", "series_coeffs", "groups")
 
@@ -271,8 +297,9 @@ class DividedExpRow:
             (np.abs(x) * self.maxnode <= SERIES_ZONE)
         if zone.any():
             xs = x[zone]
+            cut = _SERIES_CUT[math.ceil(np.max(np.abs(xs)) * self.maxnode)]
             acc = np.zeros_like(xs)
-            for c in self.series_coeffs[::-1]:
+            for c in self.series_coeffs[cut::-1]:
                 acc = acc * xs + c
             out[zone] = acc * xs ** (self.r - 1) * np.exp(logw[zone])
         far = ~zone

@@ -3,8 +3,9 @@
 `extsource.mc` counts the eigenvalues of each draw in E by the inertia of an
 LDL^H factorisation.  This module keeps the direct route it replaced: the
 same Philox draws assembled into complex Hermitian matrices, batched
-`numpy.linalg.eigvalsh`, and prod_j (1 - s chi_E(lambda_j)) per draw.  The
-tests require the two to agree bit for bit.
+`numpy.linalg.eigvalsh` on A + H for every source tuple, and
+prod_j (1 - s chi_E(lambda_j)) per draw.  The tests require the two to agree
+bit for bit.
 """
 
 import math
@@ -44,16 +45,25 @@ def batch_values(d, A, E, s, seed, idx, take):
     return np.prod(1.0 - s * E.indicator(lam), axis=1)
 
 
-def reference_estimate(d, a, E, s, N, seed):
-    """The eigvalsh estimator, batch by batch as extsource.mc schedules it."""
+def reference_estimates(d, group, E, s, N, seed):
+    """The eigvalsh estimator for every source tuple of group, batch by batch
+    as extsource.mc schedules it: each batch of H is drawn once, and the
+    eigenvalues of A + H are computed for every tuple's A."""
     E = E if isinstance(E, IntervalSet) else IntervalSet(E)
-    A = np.array([float(v) for v in a] + [0.0] * (d - len(a)), dtype=float)
-    parts = []
+    diags = [np.diag(np.array([float(v) for v in a] + [0.0] * (d - len(a)), dtype=float))
+             for a in group]
+    parts = [[] for _ in group]
     for idx, start in enumerate(range(0, N, BATCH)):
-        v = batch_values(d, A, E, s, seed, idx, min(BATCH, N - start))
-        parts.append((float(v.sum()), float((v * v).sum())))
-    s1 = math.fsum(p[0] for p in parts)
-    s2 = math.fsum(p[1] for p in parts)
-    mean = s1 / N
-    var = max(0.0, (s2 - N * mean * mean) / (N - 1))
-    return McEstimate(mean, math.sqrt(var / N), N, seed)
+        H = hermitian_batch(_rng_for_batch(seed, idx), min(BATCH, N - start), d)
+        for A, part in zip(diags, parts):
+            lam = np.linalg.eigvalsh(H + A[None, :, :])
+            v = np.prod(1.0 - s * E.indicator(lam), axis=1)
+            part.append((float(v.sum()), float((v * v).sum())))
+    out = []
+    for part in parts:
+        s1 = math.fsum(p[0] for p in part)
+        s2 = math.fsum(p[1] for p in part)
+        mean = s1 / N
+        var = max(0.0, (s2 - N * mean * mean) / (N - 1))
+        out.append(McEstimate(mean, math.sqrt(var / N), N, seed))
+    return out

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from extsource.schur import NearConfluent
 from extsource.weights import GaussianWeight, LaguerreWeight, IntervalSet
 from extsource.matrix_model import (
-    SourceModel, ExpectationQuery, DividedExpRow,
+    SERIES_ZONE, SourceModel, ExpectationQuery, DividedExpRow, _SERIES_CUT,
     partition_fn, rank1_partition_fn,
     expectation, normalized_expectation, rank_reduction_rhs,
     verify_main_identity, z_ratio_det_check, classify,
@@ -82,6 +83,49 @@ def test_dd_repeated_nodes_match_derivative_limit():
                    - x * math.exp(0.6 * x)) < 1e-12 * max(1.0, abs(x * math.exp(0.6 * x)))
         ref = 0.5 * x * x * math.exp(0.6 * x)
         assert abs(row3.values_fused(np.array([x]), np.zeros(1))[0] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def _full_node_prefixes():
+    """Every prefix of the node chains of `full`'s identity and z-ratio
+    grids: d <= 8, sources {0.3, 0.5, 0.9, 1.4}, m <= 3."""
+    out = set()
+    for d in range(1, 9):
+        for m in range(min(d, 3) + 1):
+            for tup in itertools.combinations((0.3, 0.5, 0.9, 1.4), m):
+                chain = (0.0,) * (d - m) + tup
+                out.update(chain[:r] for r in range(1, d + 1))
+    return sorted(out)
+
+
+def test_series_cut_matches_full_horner_sum():
+    # values_fused sums the series only up to the cut its call's points
+    # need; the full-length Horner sum over every coefficient is the oracle.
+    # They agree within 4 ulp of the term bound |x|^(r-1)/(r-1)! max_k R^k/k!
+    rng = np.random.default_rng(12)
+    ks = np.arange(200)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(ks[1:]))])
+    cut_short = 0
+    prefixes = _full_node_prefixes()
+    for nodes in prefixes:
+        row = DividedExpRow(nodes)
+        r = row.r
+        for reach in (1.0, 0.5, 0.1, 0.01):  # share of the series zone a call spans
+            top = reach * SERIES_ZONE / row.maxnode if row.maxnode else 10 * reach
+            t = top * np.concatenate([[1.0], rng.random(40)])
+            x = np.concatenate([-t, t])
+            x = x[np.abs(x) * row.maxnode <= SERIES_ZONE]
+            got = row.values_fused(x, np.zeros_like(x))
+            acc = np.zeros_like(x)
+            for c in row.series_coeffs[::-1]:
+                acc = acc * x + c
+            want = acc * x ** (r - 1)
+            R = np.max(np.abs(x)) * row.maxnode
+            peak = np.exp(np.max(ks * math.log(R) - log_fact)) if R > 0 else 1.0
+            bound = np.abs(x) ** (r - 1) / math.factorial(r - 1) * peak
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * bound), (nodes, reach)
+            cut_short += _SERIES_CUT[math.ceil(R)] + 1 < len(row.series_coeffs)
+    # every call on a row with a nonzero node drops terms
+    assert cut_short == 4 * sum(1 for nodes in prefixes if any(nodes))
 
 
 # -- partition functions -----------------------------------------------------

@@ -1,11 +1,13 @@
-"""The batched adaptive quadrature against a per-panel reference loop.
+"""The batched adaptive quadrature against a per-panel reference loop, and
+the Gauss-Kronrod rule it measures panels with.
 
-`reference_integrate_pieces` is the panel-at-a-time form of the engine: two
-integrand calls (20 and 40 Gauss-Legendre points) per panel measured, and
-the panels of one refinement round split one after another.  The batched
-engine must reproduce its values and error estimates bit for bit, with the
-same number of integrand evaluations, while calling the integrand once per
-refinement round.
+`reference_integrate_pieces` is the panel-at-a-time form of the engine: one
+integrand call on the 41 Kronrod nodes per panel measured, whose 20 values
+at the Gauss nodes also give the 20-point Gauss-Legendre sum, and the panels
+of one refinement round split one after another.  The batched engine must
+reproduce its values and error estimates bit for bit, with the same number
+of integrand evaluations, while calling the integrand once per refinement
+round.
 """
 
 import math
@@ -17,18 +19,21 @@ from extsource.matrix_model import DividedExpRow
 from extsource.weights import (
     GaussianWeight, LaguerreWeight, IntervalSet, QuadResult, QuadratureError,
     deform_weight, domain_pieces, integrate_pieces, orthonormal_basis,
-    _EvalCounter, _leggauss, _panels_to_split,
+    _EvalCounter, _GAUSS_ORDER, _kronrod, _leggauss, _panels_to_split,
 )
 
+NODES, KRONROD, GAUSS_W = _kronrod(_GAUSS_ORDER)
+POINTS = len(NODES)  # integrand evaluations per panel measured
 
-def _reference_panel_values(f, lo, hi, order):
-    x0, w0 = _leggauss(order)
+
+def _reference_panel(f, lo, hi):
+    """(Kronrod sum, Gauss sum) of one panel from one call on its nodes."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x = mid + half * x0
-    vals = np.asarray(f(x))
+    vals = np.asarray(f(mid + half * NODES))
     if vals.ndim == 1:
         vals = vals[:, None]
-    return half * (w0[:, None] * vals).sum(axis=0)
+    return (half * (KRONROD[:, None] * vals).sum(axis=0),
+            half * (GAUSS_W[:, None] * vals[1::2]).sum(axis=0))
 
 
 def _round_split(errs, bad, thresh):
@@ -70,11 +75,11 @@ def reference_integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels
         return QuadResult(np.zeros(1), np.zeros(1))
 
     def measure(lo, hi, mult):
-        c = _reference_panel_values(f, lo, hi, 20) * mult
-        v = _reference_panel_values(f, lo, hi, 40) * mult
+        k, g = _reference_panel(f, lo, hi)
+        k, g = k * mult, g * mult
         if counter is not None:
-            counter.n += 60
-        return v, np.abs(v - c)
+            counter.n += POINTS
+        return k, np.abs(k - g)
 
     vals, errs, live = [], [], []
     for lo, hi, mult in panels:
@@ -118,6 +123,59 @@ def reference_integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels
     raise QuadratureError(f"no convergence after {len(live)} panels")
 
 
+# -- the Gauss-Kronrod rule -------------------------------------------------
+
+def test_kronrod_nodes_contain_the_gauss_nodes():
+    gauss_nodes = _leggauss(_GAUSS_ORDER)[0]
+    assert POINTS == 2 * _GAUSS_ORDER + 1
+    assert np.all(np.diff(NODES) > 0)
+    assert np.all(np.abs(NODES[1::2] - gauss_nodes) <= np.spacing(np.abs(gauss_nodes)))
+
+
+def test_kronrod_weights_are_positive_and_sum_to_two():
+    for w in (KRONROD, GAUSS_W):
+        assert np.all(w > 0)
+        assert abs(math.fsum(w.tolist()) - 2.0) <= 2 * np.spacing(2.0)
+
+
+def test_kronrod_rule_is_exact_to_degree_3n_plus_1():
+    # K41 integrates x^p exactly for p <= 61, and its Gauss part for p <= 39,
+    # up to the rounding of the weights and nodes
+    for p in range(3 * _GAUSS_ORDER + 2):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(math.fsum((KRONROD * NODES ** p).tolist()) - exact) <= 8e-16, p
+        if p < 2 * _GAUSS_ORDER:
+            got = math.fsum((GAUSS_W * NODES[1::2] ** p).tolist())
+            assert abs(got - exact) <= 8e-16, p
+
+
+# QUADPACK's qk21 (Piessens et al. 1983): the nonnegative nodes of the
+# 21-point Kronrod extension of the 10-point Gauss rule, descending, and
+# their weights
+QK21_NODES = [
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+]
+QK21_WEIGHTS = [
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208067625710, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+]
+
+
+def test_construction_reproduces_quadpack_qk21():
+    nodes, weights, _ = _kronrod(10)
+    assert np.max(np.abs(nodes[::-1][:11] - QK21_NODES)) <= 1e-15
+    assert np.max(np.abs(weights[::-1][:11] - QK21_WEIGHTS)) <= 1e-15
+
+
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
 
@@ -146,18 +204,33 @@ def _entry_integrand(weight, nodes, n):
     return fv
 
 
+def _one_piece_per_multiplier(pieces):
+    """The domain pieces with neighbours of equal multiplier merged: the
+    41-point rule meets the tolerance on the finer pieces at once, so these
+    make the engine find the structure by splitting."""
+    out = []
+    for lo, hi, mult in pieces:
+        if out and out[-1][1] == lo and out[-1][2] == mult:
+            out[-1] = (out[-1][0], hi, mult)
+        else:
+            out.append((lo, hi, mult))
+    return out
+
+
 DEFORMED = deform_weight(GAUSS, IntervalSet([[-1, 1]]), 1.5)
+HALF_LINE = deform_weight(LAG, [[1, "inf"]], 0.5)
 
 CASES = {
-    "1d-gaussian": (_gauss_1d, domain_pieces(GAUSS, 0.0, 4), {}),
+    "1d-gaussian": (_gauss_1d, _one_piece_per_multiplier(domain_pieces(GAUSS, 0.0, 4)), {}),
     "1d-peaked": (_peaked_1d, [(-1.0, 2.0, 1.0)], {"rel_tol": 1e-13}),
     "k-laguerre-tilted": (_tilted_columns, domain_pieces(LAG, 0.7, 8), {}),
     "k-deformed-entry": (_entry_integrand(DEFORMED, (0.0, 0.9, 1.4), 12),
-                         domain_pieces(DEFORMED, 1.4, 19), {"rel_tol": 1e-13}),
-    "k-half-line-mult": (_entry_integrand(deform_weight(LAG, [[1, "inf"]], 0.5),
-                                          (0.0, 0.3), 12),
-                         domain_pieces(deform_weight(LAG, [[1, "inf"]], 0.5), 0.3, 18),
+                         _one_piece_per_multiplier(domain_pieces(DEFORMED, 1.4, 19)),
                          {"rel_tol": 1e-13}),
+    # at 1e-13 every round splits one panel; at 1e-14 one round splits two
+    "k-half-line-mult": (_entry_integrand(HALF_LINE, (0.0, 0.3), 12),
+                         _one_piece_per_multiplier(domain_pieces(HALF_LINE, 0.3, 18)),
+                         {"rel_tol": 1e-14}),
 }
 
 
@@ -180,10 +253,11 @@ def test_batched_engine_matches_reference_bitwise(name):
     # one call per round: the initial panels, then both halves of every
     # panel split in the round
     initial = sum(1 for lo, hi, mult in pieces if mult != 0.0 and hi > lo)
-    assert calls == [60 * initial] + [120 * k for k in rounds]
+    assert calls == [POINTS * initial] + [2 * POINTS * k for k in rounds]
 
 
-@pytest.mark.parametrize("name", ["1d-peaked", "k-deformed-entry", "k-half-line-mult"])
+@pytest.mark.parametrize("name", ["1d-gaussian", "1d-peaked", "k-deformed-entry",
+                                  "k-half-line-mult"])
 def test_rounds_make_fewer_calls_than_one_panel_refinement(name):
     f, pieces, kw = CASES[name]
     calls, one_panel = [], []
@@ -204,7 +278,13 @@ def test_cases_cover_splits_and_multipliers():
     counter = _EvalCounter()
     f, pieces, kw = CASES["1d-peaked"]
     integrate_pieces(f, pieces, counter=counter, **kw)
-    assert counter.n // 60 - len(pieces) >= 2 * 5  # at least five splits
+    assert counter.n // POINTS - len(pieces) >= 2 * 5  # at least five splits
+    # the cases with multipliers split too
+    for name in ("k-deformed-entry", "k-half-line-mult"):
+        counter = _EvalCounter()
+        f, pieces, kw = CASES[name]
+        integrate_pieces(f, pieces, counter=counter, **kw)
+        assert counter.n // POINTS > len(pieces), name
 
 
 def test_empty_pieces_make_no_call():
@@ -226,7 +306,7 @@ def test_round_splits_fewest_worst_panels():
 
 
 def test_cap_on_splits_raises():
-    # coarse and fine sums never agree: +1 and -1 alternate at the nodes
+    # Kronrod and Gauss sums never agree: +1 and -1 alternate at the nodes
     def never(x):
         return np.where(np.arange(x.size) % 2, 1.0, -1.0)
 
@@ -236,6 +316,6 @@ def test_cap_on_splits_raises():
         with pytest.raises(QuadratureError):
             integrate_pieces(never, [(0.0, 1.0, 1.0), (1.0, 3.0, 1.0)],
                              max_panels=cap, counter=counter)
-        splits[cap] = (counter.n - 2 * 60) // 120
+        splits[cap] = (counter.n - 2 * POINTS) // (2 * POINTS)
         assert splits[cap] <= cap
     assert splits[50] > 7
