@@ -3,6 +3,13 @@ machine checks of its identities: the vertex-operator ladder, the bilinear
 residue identity, the three-term shift identity and its determinant
 generalization.
 
+The degree-d series is sum_kappa c_kappa det[h_{kappa_p - p + q}(t)]
+(Jacobi-Trudi), and shifting the times changes only the entries h_a.  So
+the series at t + [s], t - [1/z] and t + [1/z] all come from one sum over
+partitions (_jacobi_trudi_sum), each passing its own shifted entry.  The
+three-term shift identity is the m = 2 case of the determinant
+generalization.
+
 Everything here is exact rational arithmetic.  Shift parameters enter as
 weight-one symbol blocks so that every computation is homogeneous in the
 joint grading; numeric shift values are substituted only at the very end.
@@ -102,6 +109,30 @@ def _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks):
     return out
 
 
+def _jacobi_trudi_sum(cfg, d, max_weight, entry, total, lo=None):
+    """total + sum_kappa _coeff(cfg, kappa, d) det[entry(kappa_p - p + q)]
+    over the partitions of length <= d and weight <= max_weight.
+
+    entry(a) is h_a at the shifted times: shifting t changes only the
+    Jacobi-Trudi entries.  The determinant is the same at every size
+    n >= l(kappa), and size max(l(kappa), 1) gives the empty partition
+    det[entry(0)] = h_0 = 1.  With lo, each Laurent term keeps only its
+    powers >= lo before it is added.
+    """
+    entry = functools.cache(entry)
+    for kappa in partitions_iter(d, max_weight):
+        c = _coeff(cfg, kappa, d)
+        if c == 0:
+            continue
+        n = max(kappa.length, 1)
+        term = det_series([[entry(kappa.part(p) - p + q) for q in range(1, n + 1)]
+                           for p in range(1, n + 1)]) * c
+        if lo is not None and term.lo < lo:
+            term = LaurentSlice(lo, term.coeffs[lo - term.lo:])
+        total = total + term
+    return total
+
+
 def zhat_series(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
     """The degree-d series of the tau vector, truncated at the cap.
 
@@ -110,101 +141,49 @@ def zhat_series(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
     """
     if d < 0 or d > cfg.dmax:
         raise ValueError(f"d must be within 0..{cfg.dmax}")
-    cap = cfg.cap
-    if d == 0:
-        return TruncatedSeries.one(cap, nblocks)
-    out = TruncatedSeries.zero(cap, nblocks)
-    for kappa in partitions_iter(d, cap):
-        c = _coeff(cfg, kappa, d)
-        if c == 0:
-            continue
-        ell = kappa.length
-        if ell == 0:
-            skappa = TruncatedSeries.one(cap, nblocks)
-        else:
-            rows = [[_h_shifted_entry(kappa.part(p) - p + q, cap, nblocks,
-                                      tblock, tuple(shift_blocks))
-                     for q in range(1, ell + 1)] for p in range(1, ell + 1)]
-            skappa = det_series(rows)
-        out = out + skappa * c
-    return out
+    cap, shift_blocks = cfg.cap, tuple(shift_blocks)
+    return _jacobi_trudi_sum(
+        cfg, d, cap, lambda a: _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks),
+        TruncatedSeries.zero(cap, nblocks))
 
 
 def _zhat_down_shifted_slice(cfg, d, nblocks=1, tblock=0):
     """Series at t - [z^{-1}] as a Laurent window over powers -d..0.
 
-    Each Jacobi-Trudi row turns into h_a - z^{-1} h_{a-1}; expanding over the
-    subset of rows taking the shifted term gives the power -|subset|.  A
-    shifted row sheds one unit of weight, so partitions up to weight
-    cap + d still contribute below the cap.
+    Each Jacobi-Trudi entry turns into h_a - z^{-1} h_{a-1}, and a
+    determinant of l <= d rows reaches down to z^{-l}; the sum starts from
+    zeros over the whole window, which nu_pair needs.  The z^{-1} term
+    sheds one unit of weight, so partitions up to weight cap + d still
+    contribute below the cap.
     """
     cap = cfg.cap
     zero = TruncatedSeries.zero(cap, nblocks)
-    acc = [zero for _ in range(d + 1)]  # index i <-> power -d + i
-    if d == 0:
-        return LaurentSlice(0, [TruncatedSeries.one(cap, nblocks)])
-    for kappa in partitions_iter(d, cap + d):
-        c = _coeff(cfg, kappa, d)
-        if c == 0:
-            continue
-        ell = kappa.length
-        if ell == 0:
-            acc[d] = acc[d] + TruncatedSeries.one(cap, nblocks) * c
-            continue
-        for mask in range(1 << ell):
-            bits = bin(mask).count("1")
-            if kappa.weight - bits > cap:
-                continue
-            rows = []
-            for p in range(1, ell + 1):
-                drop = (mask >> (p - 1)) & 1
-                rows.append([h_series(kappa.part(p) - p + q - drop,
-                                      cap, nblocks, tblock)
-                             for q in range(1, ell + 1)])
-            det = det_series(rows)
-            sign = -1 if bits % 2 else 1
-            acc[d - bits] = acc[d - bits] + det * (c * sign)
-    return LaurentSlice(-d, acc)
+    return _jacobi_trudi_sum(
+        cfg, d, cap + d,
+        lambda a: LaurentSlice(-1, [-h_series(a - 1, cap, nblocks, tblock),
+                                    h_series(a, cap, nblocks, tblock)]),
+        LaurentSlice(-d, [zero] * (d + 1)), lo=-d)
 
 
 def _zhat_up_shifted_slice(cfg, d, min_power, nblocks=1, tblock=0):
-    """Series at t + [z^{-1}]: rows become sum_i h_{a-i} z^{-i}.
+    """Series at t + [z^{-1}]: entries become sum_i h_{a-i} z^{-i}.
 
     The window is unbounded below (every extra inverse power sheds one unit
     of weight), so only powers >= min_power are materialized; partitions up
     to weight cap + |min_power| contribute there.
     """
-    cap = cfg.cap
     if min_power > 0:
         raise ValueError("min_power must be <= 0")
-    if d == 0:
-        return LaurentSlice(0, [TruncatedSeries.one(cap, nblocks)])
-    total = None
-    for kappa in partitions_iter(d, cap - min_power):
-        c = _coeff(cfg, kappa, d)
-        if c == 0:
-            continue
-        ell = kappa.length
-        if ell == 0:
-            term = LaurentSlice(0, [TruncatedSeries.one(cap, nblocks) * c])
-        else:
-            rows = []
-            for p in range(1, ell + 1):
-                row = []
-                for q in range(1, ell + 1):
-                    a = kappa.part(p) - p + q
-                    if a < 0:
-                        row.append(LaurentSlice(0, [TruncatedSeries.zero(cap, nblocks)]))
-                    else:
-                        coeffs = [h_series(a - i, cap, nblocks, tblock)
-                                  for i in range(a, -1, -1)]  # powers -a..0
-                        row.append(LaurentSlice(-a, coeffs))
-                rows.append(row)
-            term = det_series(rows).scaled(c)
-        if term.lo < min_power:
-            term = LaurentSlice(min_power, term.coeffs[min_power - term.lo:])
-        total = term if total is None else total + term
-    return total
+    cap = cfg.cap
+    zero = TruncatedSeries.zero(cap, nblocks)
+
+    def entry(a):
+        if a < 0:
+            return LaurentSlice(0, [zero])
+        return LaurentSlice(-a, [h_series(a - i, cap, nblocks, tblock)
+                                 for i in range(a, -1, -1)])  # powers -a..0
+    return _jacobi_trudi_sum(cfg, d, cap - min_power, entry, LaurentSlice(0, [zero]),
+                             lo=min_power)
 
 
 class NuMeasure:
@@ -310,28 +289,10 @@ def fay_residual(cfg, d, a, b, corrupt_first=None):
         a Z_d(t+[a]) Z_{d-1}(t+[b]) - b Z_d(t+[b]) Z_{d-1}(t+[a])
           - (a-b) Z_d(t+[a]+[b]) Z_{d-1}(t)
 
-    computed with a, b as graded symbols and evaluated at the given rationals
-    afterwards.  Identically zero at every truncation order.
-
-    corrupt_first = (index, value) perturbs one moment in the first product
-    term only (a consistent perturbation everywhere would leave the identity
-    intact).
+    which is fay_det_residual at m = 2; corrupt_first perturbs one moment in
+    the fully shifted factor Z_d(t+[a]+[b]) only.
     """
-    if not (1 <= d <= cfg.dmax):
-        raise ValueError("need 1 <= d <= dmax")
-    cap = cfg.cap
-    cfg1 = cfg if corrupt_first is None else cfg.with_moment(*corrupt_first)
-    nb = 3  # t, a, b
-    sa = TruncatedSeries.variable(1, cap, block=1, nblocks=nb)
-    sb = TruncatedSeries.variable(1, cap, block=2, nblocks=nb)
-    Fa = zhat_series(cfg1, d, nb, 0, (1,))
-    Fb = zhat_series(cfg, d, nb, 0, (2,))
-    Fab = zhat_series(cfg, d, nb, 0, (1, 2))
-    Ga = zhat_series(cfg, d - 1, nb, 0, (1,))
-    Gb = zhat_series(cfg, d - 1, nb, 0, (2,))
-    G0 = zhat_series(cfg, d - 1, nb)
-    res = sa * Fa * Gb - sb * Fb * Ga - (sa - sb) * Fab * G0
-    return res.substitute_point(2, Fraction(b)).substitute_point(1, Fraction(a))
+    return fay_det_residual(cfg, d, 2, [a, b], corrupt_lead=corrupt_first)
 
 
 def fay_det_residual(cfg, d, m, a, corrupt_lead=None):
@@ -340,14 +301,16 @@ def fay_det_residual(cfg, d, m, a, corrupt_lead=None):
         det[a_k^{m-j} Z_{d+1-j}(t+[a_k])]
           - Delta_m(a) Z_d(t+[a_1]+...+[a_m]) prod_{j=2..m} Z_{d+1-j}(t)
 
-    with Delta_m(a) = prod_{j<k} (a_j - a_k); reduces to fay_residual at
-    m = 2.  Exact over rationals; shift values enter as graded symbols.
+    with Delta_m(a) = prod_{j<k} (a_j - a_k), for d >= max(1, m - 1)
+    (Z_0 = 1); m = 2 is the three-term identity of fay_residual.  Exact over
+    rationals: shift values enter as graded symbols and are substituted
+    afterwards, so the residual vanishes at every truncation order.
 
     corrupt_lead = (index, value) perturbs one moment in the fully shifted
     factor only, for checker sensitivity.
     """
-    if not (d >= m >= 1):
-        raise ValueError("need d >= m >= 1")
+    if not (m >= 1 and d >= max(1, m - 1)):
+        raise ValueError("need m >= 1 and d >= max(1, m - 1)")
     a = [Fraction(x) for x in a]
     if len(a) != m:
         raise ValueError("need m shift values")

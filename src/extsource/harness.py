@@ -32,8 +32,7 @@ import yaml
 from . import matrix_model as mm
 from . import mc as mc_mod
 from .dkp import (
-    TauConfig, zhat_series, tau_ladder_step, hirota_residual, fay_residual,
-    fay_det_residual,
+    TauConfig, zhat_series, tau_ladder_step, hirota_residual, fay_det_residual,
 )
 from .weights import IntervalSet, UnknownField, weight_from_spec, QuadratureError
 from .schur import NearConfluent
@@ -199,6 +198,9 @@ class RunConfig:
         problem = suite.check and suite.check(out)
         if problem:
             raise ConfigError(p + problem)
+        if next(suite.jobs(self, out, self.weights[out["weights"][0]], False), None) is None:
+            raise ConfigError(f"suites.{name}: the grid is empty (every m exceeds "
+                              "each d or the number of sources); nothing would be checked")
         return out
 
 
@@ -301,7 +303,8 @@ def _fay_jobs(cfg, body, W, mutate):
     a, b = body["points"]
     for d in body["d"]:
         yield ({"d": d, "cap": cap, "points": [str(a), str(b)]},
-               _exact_thunk(W, cap, dmax, FAY_MUTATE_MOMENT, mutate, _fay_residual, d, a, b))
+               _exact_thunk(W, cap, dmax, FAY_MUTATE_MOMENT, mutate,
+                            _fay_det_residual, d, 2, [a, b]))
 
 
 def _fay_det_jobs(cfg, body, W, mutate):
@@ -339,7 +342,7 @@ def _float_thunk(W, sources, tol, mutate, report, *args):
         if bad:
             return {"status": "skipped",
                     "reason": f"source {bad[0]} is not integrable against the "
-                              f"{W.undeformed().kind} weight (tilt bound {W.max_tilt()})"}
+                              f"{W.kind} weight (tilt bound {W.max_tilt()})"}
         rep = report(*args)
         if mutate:
             lhs = rep.lhs * (1 + 1e-4)
@@ -386,10 +389,6 @@ def _ladder_residual(cfg, corrupt, d):
 
 def _hirota_residual(cfg, corrupt, d1, d2):
     return dict(hirota_residual(cfg, d1, d2, corrupt_first=corrupt))
-
-
-def _fay_residual(cfg, corrupt, d, a, b):
-    return fay_residual(cfg, d, a, b, corrupt_first=corrupt).terms
 
 
 def _fay_det_residual(cfg, corrupt, d, m, pts):

@@ -276,7 +276,7 @@ class DividedExpRow:
             raise ValueError("empty node prefix")
         self.r = len(self.nodes)
         self.maxnode = max(abs(v) for v in self.nodes)
-        nmax = max(0, 165 - self.r)
+        nmax = _SERIES_CUT[-1]  # the most terms values_fused ever sums
         h = _h_complete(self.nodes, nmax)
         coeffs = np.zeros(nmax + 1)
         f = float(math.factorial(self.r - 1))

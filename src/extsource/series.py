@@ -420,14 +420,11 @@ class LaurentSlice:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product over the full convolution support."""
+        """Product over the full convolution support; a scalar or series
+        factor multiplies every coefficient."""
         if not isinstance(other, LaurentSlice):
-            return NotImplemented
+            return LaurentSlice(self.lo, [c * other for c in self.coeffs])
         return laurent_mul(self, other)
-
-    def scaled(self, factor):
-        """Multiply every coefficient by a scalar or series."""
-        return LaurentSlice(self.lo, [factor * c for c in self.coeffs])
 
     def __repr__(self):
         return f"<LaurentSlice [{self.lo}, {self.hi}]>"

@@ -146,9 +146,6 @@ class Weight:
     def key(self):
         return (self.kind,)
 
-    def to_spec(self):
-        return {"kind": self.kind}
-
     def __eq__(self, other):
         return isinstance(other, Weight) and self.key() == other.key()
 
@@ -237,9 +234,6 @@ class ExpPolyWeight(Weight):
     def key(self):
         return (self.kind, self.coeffs)
 
-    def to_spec(self):
-        return {"kind": self.kind, "coeffs": list(self.coeffs)}
-
 
 class DeformedWeight(Weight):
     """base(x) * (1 - s chi_E(x))."""
@@ -277,12 +271,6 @@ class DeformedWeight(Weight):
     def key(self):
         return ("deformed", self.base.key(), self.E.intervals, self.s)
 
-    def to_spec(self):
-        spec = dict(self.base.to_spec())
-        spec["E"] = self.E.to_spec()
-        spec["s"] = self.s
-        return spec
-
 
 class UnknownField(ValueError):
     """A weight spec holds a key the builder does not read; .key names it."""
@@ -293,26 +281,21 @@ class UnknownField(ValueError):
 
 
 def weight_from_spec(spec):
-    """Build a weight from {kind, parameters, E, s} (E/s optional); the only
-    parameter is `coeffs`, for kind exppoly.  Any other key is rejected."""
+    """Build an undeformed weight from {kind} or, for kind exppoly,
+    {kind, coeffs}.  Any other key is rejected: a deformation belongs to
+    the suite (its E and s), not to the weight."""
     kind = spec.get("kind")
-    known = ["kind", "E", "s"] + (["coeffs"] if kind == "exppoly" else [])
+    known = ["kind"] + (["coeffs"] if kind == "exppoly" else [])
     for key in spec:
         if key not in known:
             raise UnknownField(key, known)
     if kind == "gaussian":
-        base = GaussianWeight()
-    elif kind == "laguerre":
-        base = LaguerreWeight()
-    elif kind == "exppoly":
-        base = ExpPolyWeight(spec["coeffs"])
-    else:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    E = spec.get("E")
-    s = spec.get("s", 0.0)
-    if E is not None and s != 0.0:
-        return DeformedWeight(base, IntervalSet(E), s)
-    return base
+        return GaussianWeight()
+    if kind == "laguerre":
+        return LaguerreWeight()
+    if kind == "exppoly":
+        return ExpPolyWeight(spec["coeffs"])
+    raise ValueError(f"unknown weight kind {kind!r}")
 
 
 def deform_weight(W, E, s):

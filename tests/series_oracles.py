@@ -10,6 +10,7 @@ way.
 
 from fractions import Fraction
 
+from extsource.dkp import zhat_series
 from extsource.schur import elementary_schur
 from extsource.series import TruncatedSeries, LaurentSlice, _exact
 
@@ -113,3 +114,26 @@ def miwa_eval(f, points, block=0):
                 val = val * tval(i + 1) ** e
         total += val
     return total
+
+
+def fay_three_term(cfg, d, a, b, first_cfg=None):
+    """The three-term shift identity written out product by product:
+
+        a Z_d(t+[a]) Z_{d-1}(t+[b]) - b Z_d(t+[b]) Z_{d-1}(t+[a])
+          - (a-b) Z_d(t+[a]+[b]) Z_{d-1}(t)
+
+    with a, b as weight-one symbols of blocks 1 and 2, substituted at the
+    end.  first_cfg, if given, replaces cfg in Z_d(t+[a]) only.
+    """
+    first_cfg = first_cfg or cfg
+    nb = 3  # t, a, b
+    sa = TruncatedSeries.variable(1, cfg.cap, block=1, nblocks=nb)
+    sb = TruncatedSeries.variable(1, cfg.cap, block=2, nblocks=nb)
+    Fa = zhat_series(first_cfg, d, nb, 0, (1,))
+    Fb = zhat_series(cfg, d, nb, 0, (2,))
+    Fab = zhat_series(cfg, d, nb, 0, (1, 2))
+    Ga = zhat_series(cfg, d - 1, nb, 0, (1,))
+    Gb = zhat_series(cfg, d - 1, nb, 0, (2,))
+    G0 = zhat_series(cfg, d - 1, nb)
+    res = sa * Fa * Gb - sb * Fb * Ga - (sa - sb) * Fab * G0
+    return res.substitute_point(2, Fraction(b)).substitute_point(1, Fraction(a))

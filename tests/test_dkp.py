@@ -10,7 +10,7 @@ from extsource.dkp import (
     TauConfig, NuMeasure, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
     hirota_residual, fay_residual, fay_det_residual, _coeff, _h_shifted_entry,
 )
-from series_oracles import miwa_eval
+from series_oracles import fay_three_term, miwa_eval
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -75,9 +75,12 @@ def test_vertex_on_unity_gives_prefactor():
 
 
 def test_vertex_window_bounds_and_padding():
+    # the window is [-d, cap] at every d, so nu_pair finds every power it
+    # pairs; at d = 0 the z^-1 slot of the empty partition's h_0 is dropped
     cfg = gauss_cfg(cap=5)
-    X = vertex_apply(cfg, 2)
-    assert X.lo == -2
+    for d in range(4):
+        X = vertex_apply(cfg, d)
+        assert (X.lo, X.hi) == (-d, cfg.cap)
 
 
 def test_vertex_miwa_two_routes():
@@ -192,9 +195,12 @@ def test_fay_residual_zero(W, d):
     assert fay_residual(cfg, d, Fraction(1, 2), Fraction(1, 3)).is_zero()
 
 
-def test_fay_residual_equal_points_trivial():
+def test_fay_residual_rejects_equal_points():
+    # at a = b the identity degenerates to 0 = 0; repeated points are
+    # rejected, as fay_det_residual and the fay config do
     cfg = gauss_cfg(cap=4, dmax=2)
-    assert fay_residual(cfg, 2, Fraction(1, 2), Fraction(1, 2)).is_zero()
+    with pytest.raises(ValueError, match="distinct"):
+        fay_residual(cfg, 2, Fraction(1, 2), Fraction(1, 2))
 
 
 def test_fay_det_m1_trivial():
@@ -203,11 +209,25 @@ def test_fay_det_m1_trivial():
 
 
 def test_fay_det_m2_matches_pairwise_form():
-    cfg = gauss_cfg(cap=5, dmax=2)
+    # the 2 x 2 determinant against the three products written out; d = 1
+    # is the m - 1 case, where Z_{d-1} = Z_0 = 1
     a, b = Fraction(1, 2), Fraction(1, 3)
-    r1 = fay_det_residual(cfg, 2, 2, [a, b])
-    r2 = fay_residual(cfg, 2, a, b)
-    assert r1 == r2
+    for W in (GAUSS, LAG):
+        cfg = TauConfig(W, 5, 3)
+        for d in (1, 2, 3):
+            want = fay_three_term(cfg, d, a, b)
+            assert want.is_zero()
+            assert fay_det_residual(cfg, d, 2, [a, b]) == want
+
+
+def test_fay_det_depth_bounds():
+    cfg = gauss_cfg(cap=4, dmax=3)
+    pts = [Fraction(1), Fraction(1, 2), Fraction(1, 3)]
+    assert fay_det_residual(cfg, 2, 3, pts).is_zero()  # d = m - 1
+    with pytest.raises(ValueError):
+        fay_det_residual(cfg, 1, 3, pts)
+    with pytest.raises(ValueError):
+        fay_det_residual(cfg, 0, 1, pts[:1])
 
 
 def test_fay_det_full_depth():
@@ -223,23 +243,14 @@ def test_fay_det_rejects_repeats():
 
 
 def test_fay_det_sensitive_to_one_sided_change():
-    # mutate the moments of the leading factor only; residual must appear
+    # a moment changed in one factor only must leave a residual: in the
+    # fully shifted factor of the determinant form, and in the first
+    # product of the three-term form
     cfg = gauss_cfg(cap=4, dmax=2)
-    bad_cfg = cfg.with_moment(2, 2)
     a, b = Fraction(1, 2), Fraction(1, 3)
-    from extsource.dkp import zhat_series as zs
-    nb = 3
-    sa = TruncatedSeries.variable(1, 4, block=1, nblocks=nb)
-    sb = TruncatedSeries.variable(1, 4, block=2, nblocks=nb)
-    Fa = zs(bad_cfg, 2, nb, 0, (1,))
-    Fb = zs(cfg, 2, nb, 0, (2,))
-    Ga = zs(cfg, 1, nb, 0, (1,))
-    Gb = zs(cfg, 1, nb, 0, (2,))
-    Fab = zs(cfg, 2, nb, 0, (1, 2))
-    G0 = zs(cfg, 1, nb)
-    res = sa * Fa * Gb - sb * Fb * Ga - (sa - sb) * Fab * G0
-    res = res.substitute_point(2, b).substitute_point(1, a)
-    assert not res.is_zero()
+    assert not fay_det_residual(cfg, 2, 2, [a, b], corrupt_lead=(2, 2)).is_zero()
+    assert not fay_residual(cfg, 2, a, b, corrupt_first=(2, 2)).is_zero()
+    assert not fay_three_term(cfg, 2, a, b, first_cfg=cfg.with_moment(2, 2)).is_zero()
 
 
 def test_mirror_evaluation():

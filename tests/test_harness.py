@@ -480,6 +480,10 @@ BAD_FIELDS = [
     ("weights.gaussian", "sigma", "2.0", "weights.gaussian.sigma"),
     ("weights.gaussian", "coeffs", "[0, 0, 1]", "weights.gaussian.coeffs"),
     ("weights.gaussian", "e", "[[1, 2]]", "weights.gaussian.e"),
+    # a deformation set on the weight would reach one side of the identity
+    # only; E and s belong to the identity and mc suites
+    ("weights.gaussian", "E", "[[0, inf]]", "weights.gaussian.E: unknown field"),
+    ("weights.gaussian", "s", "0.5", "weights.gaussian.s: unknown field"),
 ]
 
 
@@ -500,6 +504,21 @@ def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, suite, field,
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert path in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite,fields", [
+    ("identity", {"d": [3], "m": [3], "sources": [0.5, 1.1]}),
+    ("fay-det", {"d": [2], "m": [3], "points": ["1", "1/2", "1/3"]}),
+])
+def test_empty_grid_exits_2_naming_its_suite(tmp_path, capsys, suite, fields):
+    # every m above d or above the number of sources: no record to check
+    raw = copy.deepcopy(VALID)
+    raw["suites"][suite].update(fields)
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"suites.{suite}: the grid is empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

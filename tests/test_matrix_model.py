@@ -97,6 +97,24 @@ def _full_node_prefixes():
     return sorted(out)
 
 
+def _full_series_coeffs(nodes):
+    """c_n = h_n(nodes) / (n + r - 1)! for n <= 165 - r, the full length
+    DividedExpRow built before its build stopped at the largest cut."""
+    r = len(nodes)
+    nmax = 165 - r
+    h = [1.0] + [0.0] * nmax
+    for v in nodes:
+        for n in range(1, nmax + 1):
+            h[n] += v * h[n - 1]
+    coeffs = np.zeros(nmax + 1)
+    f = float(math.factorial(r - 1))
+    coeffs[0] = h[0] / f
+    for n in range(1, nmax + 1):
+        f *= n + r - 1
+        coeffs[n] = h[n] / f
+    return np.trim_zeros(coeffs, "b")
+
+
 def test_series_cut_matches_full_horner_sum():
     # values_fused sums the series only up to the cut its call's points
     # need; the full-length Horner sum over every coefficient is the oracle.
@@ -108,6 +126,8 @@ def test_series_cut_matches_full_horner_sum():
     prefixes = _full_node_prefixes()
     for nodes in prefixes:
         row = DividedExpRow(nodes)
+        full = _full_series_coeffs(nodes)
+        assert np.array_equal(row.series_coeffs, full[:len(row.series_coeffs)])
         r = row.r
         for reach in (1.0, 0.5, 0.1, 0.01):  # share of the series zone a call spans
             top = reach * SERIES_ZONE / row.maxnode if row.maxnode else 10 * reach
@@ -116,14 +136,14 @@ def test_series_cut_matches_full_horner_sum():
             x = x[np.abs(x) * row.maxnode <= SERIES_ZONE]
             got = row.values_fused(x, np.zeros_like(x))
             acc = np.zeros_like(x)
-            for c in row.series_coeffs[::-1]:
+            for c in full[::-1]:
                 acc = acc * x + c
             want = acc * x ** (r - 1)
             R = np.max(np.abs(x)) * row.maxnode
             peak = np.exp(np.max(ks * math.log(R) - log_fact)) if R > 0 else 1.0
             bound = np.abs(x) ** (r - 1) / math.factorial(r - 1) * peak
             assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * bound), (nodes, reach)
-            cut_short += _SERIES_CUT[math.ceil(R)] + 1 < len(row.series_coeffs)
+            cut_short += _SERIES_CUT[math.ceil(R)] + 1 < len(full)
     # every call on a row with a nonzero node drops terms
     assert cut_short == 4 * sum(1 for nodes in prefixes if any(nodes))
 
