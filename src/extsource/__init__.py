@@ -7,9 +7,7 @@ together."""
 from .series import (
     TruncatedSeries, LaurentSlice, FieldMismatch, WindowError, laurent_mul,
 )
-from .schur import (
-    Partition, NearConfluent, partitions_iter, elementary_schur, h_series,
-)
+from .schur import NearConfluent, elementary_schur, h_series
 from .weights import (
     IntervalSet, GaussianWeight, LaguerreWeight, ExpPolyWeight, DeformedWeight,
     QuadratureError, HankelNotPD, QuadResult, weight_from_spec, deform_weight,

@@ -3,12 +3,14 @@ machine checks of its identities: the vertex-operator ladder, the bilinear
 residue identity, the three-term shift identity and its determinant
 generalization.
 
-The degree-d series is sum_kappa c_kappa det[h_{kappa_p - p + q}(t)]
-(Jacobi-Trudi), and shifting the times changes only the entries h_a.  So
-the series at t + [s], t - [1/z] and t + [1/z] all come from one sum over
-partitions (_jacobi_trudi_sum), each passing its own shifted entry.  The
-three-term shift identity is the m = 2 case of the determinant
-generalization.
+The degree-d series is the moment determinant
+det[sum_l h_{l-d+i}(t) M_{l+j-1} / l!]_{i,j=1..d} (Adler & van Moerbeke,
+Comm. Math. Phys. 203, 1999): by Cauchy-Binet, the d x d determinant of one
+moment-matrix product instead of a sum over partitions.  Shifting the times
+changes only the entries h_a, so the series at t + [s], t - [1/z] and
+t + [1/z] all come from one determinant (_moment_det), each passing its own
+shifted entry.  The three-term shift identity is the m = 2 case of the
+determinant generalization.
 
 Everything here is exact rational arithmetic.  Shift parameters enter as
 weight-one symbol blocks so that every computation is homogeneous in the
@@ -22,9 +24,7 @@ import math
 from fractions import Fraction
 
 from .series import TruncatedSeries, LaurentSlice, WindowError, laurent_mul
-from .schur import (
-    partitions_iter, elementary_schur, h_series, det_series, _det_numeric,
-)
+from .schur import elementary_schur, h_series, det_series
 
 
 class TauConfig:
@@ -40,7 +40,7 @@ class TauConfig:
         self.weight = weight
         self.cap = cap
         self.dmax = dmax
-        self._coeffs = {}  # _coeff memo, (kappa parts, d) -> value
+        self._coeffs = {}  # _coeff memo, (d, top) -> table
         jmax = 2 * dmax + cap + 2
         if moments is None:
             self._moments = [Fraction(weight.moment_exact(j)) for j in range(jmax + 1)]
@@ -70,20 +70,17 @@ class TauConfig:
                          moments=moms, _extendable=self._extendable)
 
 
-def _coeff(cfg, kappa, d):
-    """det[M_{kappa_p + d - p + q - 1}] / prod_q (kappa_q + d - q)!  (exact),
-    memoised on cfg (a with_moment copy starts with an empty memo)."""
-    key = (kappa.parts, d)
-    if key in cfg._coeffs:
-        return cfg._coeffs[key]
-    M = [[cfg.moment(kappa.part(p) + d - p + q - 1) for q in range(1, d + 1)]
-         for p in range(1, d + 1)]
-    det = _det_numeric(M)
-    denom = 1
-    for q in range(1, d + 1):
-        denom *= math.factorial(kappa.part(q) + d - q)
-    out = cfg._coeffs[key] = Fraction(det, denom)
-    return out
+def _coeff(cfg, d, top):
+    """The exact table M_{l+j} / l! for l = 0..top (rows), j = 0..d-1
+    (columns), memoised on cfg (a with_moment copy starts with an empty
+    memo)."""
+    key = (d, top)
+    table = cfg._coeffs.get(key)
+    if table is None:
+        table = cfg._coeffs[key] = [
+            [cfg.moment(l + j) / math.factorial(l) for j in range(d)]
+            for l in range(top + 1)]
+    return table
 
 
 @functools.lru_cache(maxsize=1024)
@@ -109,28 +106,35 @@ def _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks):
     return out
 
 
-def _jacobi_trudi_sum(cfg, d, max_weight, entry, total, lo=None):
-    """total + sum_kappa _coeff(cfg, kappa, d) det[entry(kappa_p - p + q)]
-    over the partitions of length <= d and weight <= max_weight.
+def _moment_det(cfg, d, max_weight, entry, lo=None):
+    """det[sum_l entry(l - d + i) M_{l+j-1} / l!]_{i,j=1..d}.
 
-    entry(a) is h_a at the shifted times: shifting t changes only the
-    Jacobi-Trudi entries.  The determinant is the same at every size
-    n >= l(kappa), and size max(l(kappa), 1) gives the empty partition
-    det[entry(0)] = h_0 = 1.  With lo, each Laurent term keeps only its
-    powers >= lo before it is added.
+    By Cauchy-Binet this is sum_kappa c_kappa det[entry(kappa_p - p + q)]
+    over the partitions of length <= d, where c_kappa = det[M_{l_p+q-1} /
+    l_p!] with l_p = kappa_p + d - p, and entry(a) is h_a at the shifted
+    times (shifting t changes only the Jacobi-Trudi entries; h_a = 0 for
+    a < 0).  Entries of index above max_weight vanish at the cap and are
+    dropped, and d = 0 gives entry(0) = h_0 = 1.  With lo, each Laurent
+    entry and product keeps only its powers >= lo, which is exact because no
+    entry carries a positive power.
     """
-    entry = functools.cache(entry)
-    for kappa in partitions_iter(d, max_weight):
-        c = _coeff(cfg, kappa, d)
-        if c == 0:
-            continue
-        n = max(kappa.length, 1)
-        term = det_series([[entry(kappa.part(p) - p + q) for q in range(1, n + 1)]
-                           for p in range(1, n + 1)]) * c
-        if lo is not None and term.lo < lo:
-            term = LaurentSlice(lo, term.coeffs[lo - term.lo:])
-        total = total + term
-    return total
+    entries = [entry(a) for a in range(max_weight + 1 if d else 1)]
+    if lo is not None:
+        entries = [e if e.lo >= lo else LaurentSlice(lo, e.coeffs[lo - e.lo:])
+                   for e in entries]
+    if d == 0:
+        return entries[0]
+    table = _coeff(cfg, d, max_weight + d - 1)
+
+    def row(i):
+        # l = a + d - 1 - i; column j reads M_{l+j} / l!
+        out = [None] * d
+        for a, e in enumerate(entries):
+            for j, c in enumerate(table[a + d - 1 - i]):
+                if c or out[j] is None:
+                    out[j] = e * c if out[j] is None else out[j] + e * c
+        return out
+    return det_series((row(i) for i in range(d)), lo)
 
 
 def zhat_series(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
@@ -142,48 +146,41 @@ def zhat_series(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
     if d < 0 or d > cfg.dmax:
         raise ValueError(f"d must be within 0..{cfg.dmax}")
     cap, shift_blocks = cfg.cap, tuple(shift_blocks)
-    return _jacobi_trudi_sum(
-        cfg, d, cap, lambda a: _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks),
-        TruncatedSeries.zero(cap, nblocks))
+    return _moment_det(
+        cfg, d, cap, lambda a: _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks))
 
 
 def _zhat_down_shifted_slice(cfg, d, nblocks=1, tblock=0):
     """Series at t - [z^{-1}] as a Laurent window over powers -d..0.
 
-    Each Jacobi-Trudi entry turns into h_a - z^{-1} h_{a-1}, and a
-    determinant of l <= d rows reaches down to z^{-l}; the sum starts from
-    zeros over the whole window, which nu_pair needs.  The z^{-1} term
-    sheds one unit of weight, so partitions up to weight cap + d still
+    Each Jacobi-Trudi entry turns into h_a - z^{-1} h_{a-1}, and the d x d
+    determinant reaches down to z^{-d}: the window nu_pair needs.  The
+    z^{-1} term sheds one unit of weight, so entries up to index cap + 1
     contribute below the cap.
     """
     cap = cfg.cap
-    zero = TruncatedSeries.zero(cap, nblocks)
-    return _jacobi_trudi_sum(
-        cfg, d, cap + d,
+    return _moment_det(
+        cfg, d, cap + 1,
         lambda a: LaurentSlice(-1, [-h_series(a - 1, cap, nblocks, tblock),
                                     h_series(a, cap, nblocks, tblock)]),
-        LaurentSlice(-d, [zero] * (d + 1)), lo=-d)
+        lo=-d)
 
 
 def _zhat_up_shifted_slice(cfg, d, min_power, nblocks=1, tblock=0):
     """Series at t + [z^{-1}]: entries become sum_i h_{a-i} z^{-i}.
 
     The window is unbounded below (every extra inverse power sheds one unit
-    of weight), so only powers >= min_power are materialized; partitions up
-    to weight cap + |min_power| contribute there.
+    of weight), so only powers >= min_power are materialized; entries up to
+    index cap + |min_power| contribute there.
     """
     if min_power > 0:
         raise ValueError("min_power must be <= 0")
     cap = cfg.cap
-    zero = TruncatedSeries.zero(cap, nblocks)
-
-    def entry(a):
-        if a < 0:
-            return LaurentSlice(0, [zero])
-        return LaurentSlice(-a, [h_series(a - i, cap, nblocks, tblock)
-                                 for i in range(a, -1, -1)])  # powers -a..0
-    return _jacobi_trudi_sum(cfg, d, cap - min_power, entry, LaurentSlice(0, [zero]),
-                             lo=min_power)
+    return _moment_det(
+        cfg, d, cap - min_power,
+        lambda a: LaurentSlice(-a, [h_series(a - i, cap, nblocks, tblock)
+                                    for i in range(a, -1, -1)]),  # powers -a..0
+        lo=min_power)
 
 
 class NuMeasure:

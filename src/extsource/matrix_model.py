@@ -140,11 +140,18 @@ class SourceModel:
 
 
 class ExpectationQuery:
-    """Inputs of the expectation of prod_j (1 - s chi_E(lambda_j))."""
+    """Inputs of the expectation of prod_j (1 - s chi_E(lambda_j)).
+
+    The model's weight must be undeformed: the query deforms it by its own
+    E and s, while the rank-one Gamma coefficients read the base weight.
+    """
 
     __slots__ = ("model", "E", "s")
 
     def __init__(self, model, E, s):
+        if isinstance(model.weight, DeformedWeight):
+            raise ValueError("the model's weight is already deformed; pass the base "
+                             "weight and put E and s in the query")
         self.model = model
         self.E = E if isinstance(E, IntervalSet) else IntervalSet(E)
         self.s = float(s)

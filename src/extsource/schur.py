@@ -1,11 +1,13 @@
-"""Partitions, the elementary Schur polynomials h_j, and determinants of
-series, Laurent windows and exact rational matrices."""
+"""The elementary Schur polynomials h_j and determinants of series and
+Laurent windows."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
-from .series import TruncatedSeries
+from . import series
+from .series import TruncatedSeries, LaurentSlice
 
 
 class NearConfluent(ValueError):
@@ -13,44 +15,6 @@ class NearConfluent(ValueError):
 
 
 CONFLUENT_GAP = 1e-8
-
-
-class Partition:
-    """Weakly decreasing positive parts; the empty partition is allowed."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        self.parts = parts
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    def part(self, p):
-        """kappa_p with 1-based index, zero beyond the length."""
-        return self.parts[p - 1] if 1 <= p <= len(self.parts) else 0
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
 
 
 def _parts_desc(n, max_part, max_len):
@@ -62,19 +26,6 @@ def _parts_desc(n, max_part, max_len):
     for first in range(min(n, max_part), 0, -1):
         for rest in _parts_desc(n - first, first, max_len - 1):
             yield (first,) + rest
-
-
-def partitions_iter(max_len, max_weight):
-    """All partitions with length <= max_len and weight <= max_weight.
-
-    Deterministic order: increasing weight, then parts in descending
-    lexicographic order, e.g. weight 3 gives (3), (2,1), (1,1,1).
-    """
-    if max_len < 0 or max_weight < 0:
-        raise ValueError("bounds must be >= 0")
-    for w in range(max_weight + 1):
-        for parts in _parts_desc(w, w, max_len):
-            yield Partition(parts)
 
 
 def h_series(j, cap, nblocks=1, block=0):
@@ -111,55 +62,43 @@ def elementary_schur(j, cap, nblocks=1, block=0):
     return TruncatedSeries(cap, terms, nblocks)
 
 
-def det_series(rows):
-    """Determinant of a small matrix by cofactor expansion along the rows,
-    with each minor computed once.  The entries may be TruncatedSeries or
-    LaurentSlices (whose product is the full-support laurent_mul)."""
-    n = len(rows)
-    if n == 0:
+def det_series(rows, lo=None):
+    """Determinant of a small matrix by Laplace expansion, one row at a time:
+    the minors on the first k + 1 rows come from those on the first k, so
+    each minor is computed once, and only two levels of minors and one row
+    are held at a time (rows may be a generator).  The entries may be
+    TruncatedSeries or LaurentSlices (whose product is the full-support
+    laurent_mul).
+
+    With lo, every Laurent product keeps only its powers >= lo.  When no
+    entry carries a positive power, a product never raises a power, so the
+    powers >= lo of the determinant are exact; without the trim a minor of
+    size k carries powers down to k times the entries' lowest.
+    """
+    def mul(x, y):
+        if lo is None or not isinstance(x, LaurentSlice):
+            return x * y
+        # looked up on the module at call time, as LaurentSlice.__mul__
+        # does, so perfbench's wrapper there sees every product
+        return series.laurent_mul(x, y, keep=(max(lo, x.lo + y.lo), x.hi + y.hi))
+
+    rows = iter(rows)
+    first = next(rows, None)
+    if not first:
         raise ValueError("empty matrix")
-    memo = {}
-
-    def expand(row, cols):
-        if len(cols) == 1:
-            return rows[row][cols[0]]
-        key = (row, cols)
-        if key in memo:
-            return memo[key]
-        acc = None
-        sign = 1
-        for idx, c in enumerate(cols):
-            term = rows[row][c] * expand(row + 1, cols[:idx] + cols[idx + 1:])
-            term = term if sign > 0 else -term
-            acc = term if acc is None else acc + term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return expand(0, tuple(range(n)))
-
-
-def _det_numeric(M):
-    """Determinant by Gaussian elimination; exact for Fraction entries."""
-    n = len(M)
-    A = [list(row) for row in M]
-    exact = all(not isinstance(x, float) for row in A for x in row)
-    if exact:
-        A = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1) if exact else 1.0
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
-        if A[piv][col] == 0:
-            return det * 0
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = (Fraction(1) / A[col][col]) if exact else (1.0 / A[col][col])
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, n):
-                A[r][c] -= f * A[col][c]
-    return det
+    n = len(first)
+    minors = {(c,): x for c, x in enumerate(first)}
+    for k, row in enumerate(rows, 1):
+        # the minor on the first k + 1 rows and columns cols, expanded along
+        # its last row
+        nxt = {}
+        for cols in itertools.combinations(range(n), k + 1):
+            acc = None
+            for idx, c in enumerate(cols):
+                term = mul(row[c], minors[cols[:idx] + cols[idx + 1:]])
+                if (k + idx) % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            nxt[cols] = acc
+        minors = nxt
+    return minors[tuple(range(n))]

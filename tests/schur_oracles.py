@@ -1,19 +1,98 @@
-"""Schur functions and determinant identities that only the tests use.
+"""Partitions, exact elimination, Schur functions and determinant identities
+that only the tests use.
 
-Schur polynomials at scalar points by the Jacobi-Trudi and alternant routes,
-the Schur series s_kappa(t) as a Jacobi-Trudi determinant of h_j series, the
+Partitions and their enumeration, determinants by Gaussian elimination, Schur
+polynomials at scalar points by the Jacobi-Trudi and alternant routes, the
+Schur series s_kappa(t) as a Jacobi-Trudi determinant of h_j series, the
 truncated Schur expansion of the HCIZ-type kernel det[e^{a_j lam_k}], and the
-Desnanot-Jacobi minor identity.  `_det_numeric`, `NearConfluent` and
-`CONFLUENT_GAP` stay in `extsource.schur`, which the program uses.
+Desnanot-Jacobi minor identity.  `NearConfluent` and `CONFLUENT_GAP` stay in
+`extsource.schur`, which the program uses.
 """
 
 import math
+from fractions import Fraction
 
 from extsource.schur import (
-    CONFLUENT_GAP, NearConfluent, _det_numeric, det_series, elementary_schur,
-    partitions_iter,
+    CONFLUENT_GAP, NearConfluent, _parts_desc, det_series, elementary_schur,
 )
 from extsource.series import TruncatedSeries
+
+
+class Partition:
+    """Weakly decreasing positive parts; the empty partition is allowed."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts=()):
+        parts = tuple(int(p) for p in parts)
+        if any(p <= 0 for p in parts):
+            raise ValueError("parts must be positive")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError("parts must be weakly decreasing")
+        self.parts = parts
+
+    @property
+    def length(self):
+        return len(self.parts)
+
+    @property
+    def weight(self):
+        return sum(self.parts)
+
+    def part(self, p):
+        """kappa_p with 1-based index, zero beyond the length."""
+        return self.parts[p - 1] if 1 <= p <= len(self.parts) else 0
+
+    def __iter__(self):
+        return iter(self.parts)
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return f"Partition{self.parts}"
+
+
+def partitions_iter(max_len, max_weight):
+    """All partitions with length <= max_len and weight <= max_weight.
+
+    Deterministic order: increasing weight, then parts in descending
+    lexicographic order, e.g. weight 3 gives (3), (2,1), (1,1,1).
+    """
+    if max_len < 0 or max_weight < 0:
+        raise ValueError("bounds must be >= 0")
+    for w in range(max_weight + 1):
+        for parts in _parts_desc(w, w, max_len):
+            yield Partition(parts)
+
+
+def _det_numeric(M):
+    """Determinant by Gaussian elimination; exact for Fraction entries."""
+    n = len(M)
+    A = [list(row) for row in M]
+    exact = all(not isinstance(x, float) for row in A for x in row)
+    if exact:
+        A = [[Fraction(x) for x in row] for row in A]
+    det = Fraction(1) if exact else 1.0
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
+        if A[piv][col] == 0:
+            return det * 0
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        det *= A[col][col]
+        inv = (Fraction(1) / A[col][col]) if exact else (1.0 / A[col][col])
+        for r in range(col + 1, n):
+            f = A[r][col] * inv
+            if f == 0:
+                continue
+            for c in range(col, n):
+                A[r][c] -= f * A[col][c]
+    return det
 
 
 def schur_series(kappa, cap, nblocks=1, block=0):

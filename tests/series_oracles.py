@@ -5,14 +5,18 @@ The product and sum here are the original per-pair kernel of
 their result through the validating public constructor.  The graded kernel
 in `extsource.series` must agree with them structurally.  The remaining
 helpers are independent routes to quantities the package computes another
-way.
+way; among them the tau series as the Jacobi-Trudi sum over partitions that
+`extsource.dkp` contracts into one moment determinant.
 """
 
+import functools
+import math
 from fractions import Fraction
 
 from extsource.dkp import zhat_series
-from extsource.schur import elementary_schur
+from extsource.schur import det_series, elementary_schur, h_series
 from extsource.series import TruncatedSeries, LaurentSlice, _exact
+from schur_oracles import _det_numeric, partitions_iter
 
 
 def _weight(mono):
@@ -137,3 +141,76 @@ def fay_three_term(cfg, d, a, b, first_cfg=None):
     G0 = zhat_series(cfg, d - 1, nb)
     res = sa * Fa * Gb - sb * Fb * Ga - (sa - sb) * Fab * G0
     return res.substitute_point(2, Fraction(b)).substitute_point(1, Fraction(a))
+
+
+def partition_coeff(cfg, kappa, d):
+    """c_kappa = det[M_{kappa_p + d - p + q - 1}] / prod_p (kappa_p + d - p)!
+    by exact Fraction elimination."""
+    M = [[cfg.moment(kappa.part(p) + d - p + q - 1) for q in range(1, d + 1)]
+         for p in range(1, d + 1)]
+    denom = math.prod(math.factorial(kappa.part(p) + d - p) for p in range(1, d + 1))
+    return Fraction(_det_numeric(M)) / denom
+
+
+def partition_sum(cfg, d, max_weight, entry, total, lo=None):
+    """total + sum_kappa c_kappa det[entry(kappa_p - p + q)] over the
+    partitions of length <= d and weight <= max_weight, each Laurent term
+    cut to its powers >= lo when lo is given.  The determinant is taken at
+    size max(l(kappa), 1), so the empty partition gives entry(0) = h_0."""
+    entry = functools.cache(entry)
+    for kappa in partitions_iter(d, max_weight):
+        c = partition_coeff(cfg, kappa, d)
+        if c == 0:
+            continue
+        n = max(kappa.length, 1)
+        term = det_series([[entry(kappa.part(p) - p + q) for q in range(1, n + 1)]
+                           for p in range(1, n + 1)]) * c
+        if lo is not None and term.lo < lo:
+            term = LaurentSlice(lo, term.coeffs[lo - term.lo:])
+        total = total + term
+    return total
+
+
+def h_at_shifts(a, cap, nblocks, tblock, shift_blocks):
+    """h_a(t + [s_1] + ... + [s_k]) = sum_{i_0 + ... + i_k = a} h_{i_0}(t)
+    s_1^{i_1} ... s_k^{i_k}, the s_i weight-one symbols of their blocks."""
+    H = [h_series(b, cap, nblocks, tblock) for b in range(a + 1)]
+    for block in shift_blocks:
+        s = TruncatedSeries.variable(1, cap, block=block, nblocks=nblocks)
+        H = [sum((H[b - i] * s ** i for i in range(b + 1)),
+                 TruncatedSeries.zero(cap, nblocks)) for b in range(a + 1)]
+    return H[a] if a >= 0 else TruncatedSeries.zero(cap, nblocks)
+
+
+def zhat_by_partitions(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
+    """zhat_series(cfg, d, nblocks, tblock, shift_blocks) as a partition sum."""
+    cap = cfg.cap
+    return partition_sum(cfg, d, cap,
+                         lambda a: h_at_shifts(a, cap, nblocks, tblock, shift_blocks),
+                         TruncatedSeries.zero(cap, nblocks))
+
+
+def down_slice_by_partitions(cfg, d, nblocks=1, tblock=0):
+    """The series at t - [1/z] over powers -d..0 as a partition sum; each row
+    sheds at most one unit of weight, so weights up to cap + d enter."""
+    cap = cfg.cap
+    zero = TruncatedSeries.zero(cap, nblocks)
+    return partition_sum(
+        cfg, d, cap + d,
+        lambda a: LaurentSlice(-1, [-h_series(a - 1, cap, nblocks, tblock),
+                                    h_series(a, cap, nblocks, tblock)]),
+        LaurentSlice(-d, [zero] * (d + 1)), lo=-d)
+
+
+def up_slice_by_partitions(cfg, d, min_power, nblocks=1, tblock=0):
+    """The series at t + [1/z] over powers min_power..0 as a partition sum."""
+    cap = cfg.cap
+    zero = TruncatedSeries.zero(cap, nblocks)
+
+    def entry(a):
+        if a < 0:
+            return LaurentSlice(0, [zero])
+        return LaurentSlice(-a, [h_series(a - i, cap, nblocks, tblock)
+                                 for i in range(a, -1, -1)])
+    return partition_sum(cfg, d, cap - min_power, entry, LaurentSlice(0, [zero]),
+                         lo=min_power)

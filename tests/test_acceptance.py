@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from extsource.schur import partitions_iter
 from extsource.weights import (
     GaussianWeight, LaguerreWeight, ExpPolyWeight, IntervalSet,
     orthonormal_basis, domain_pieces, integrate_pieces,
@@ -27,7 +26,7 @@ from extsource.dkp import (
 )
 from extsource.mc import cross_check
 from extsource.harness import load_config, run
-from schur_oracles import schur_poly, dodgson_residual
+from schur_oracles import partitions_iter, schur_poly, dodgson_residual
 from series_oracles import miwa_eval
 
 GAUSS = GaussianWeight()

@@ -4,13 +4,17 @@ from fractions import Fraction
 import pytest
 
 from extsource.series import TruncatedSeries, LaurentSlice, WindowError
-from extsource.schur import Partition, elementary_schur, h_series, det_series, partitions_iter
+from extsource.schur import elementary_schur, h_series
 from extsource.weights import GaussianWeight, LaguerreWeight, ExpPolyWeight
 from extsource.dkp import (
     TauConfig, NuMeasure, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
     hirota_residual, fay_residual, fay_det_residual, _coeff, _h_shifted_entry,
+    _zhat_down_shifted_slice, _zhat_up_shifted_slice,
 )
-from series_oracles import fay_three_term, miwa_eval
+from series_oracles import (
+    down_slice_by_partitions, fay_three_term, miwa_eval, partition_sum,
+    up_slice_by_partitions, zhat_by_partitions,
+)
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -90,22 +94,13 @@ def test_vertex_miwa_two_routes():
     z0 = Fraction(2)
     X = vertex_apply(cfg, d)
     lhs = sum(miwa_eval(X.get(p), [(a, 1)]) * z0 ** p for p in X.powers())
-    # independent route: substitute z0 numerically first, then multiply;
-    # a shifted row sheds weight, so partitions up to cap + d contribute
+    # independent route: substitute z0 numerically first, then take the sum
+    # over partitions; a shifted row sheds weight, so weights up to cap + d
+    # contribute
     cap = cfg.cap
-    shifted = TruncatedSeries.zero(cap)
-    for kappa in partitions_iter(d, cap + d):
-        c = _coeff(cfg, kappa, d)
-        if c == 0:
-            continue
-        ell = kappa.length
-        if ell == 0:
-            shifted = shifted + TruncatedSeries.one(cap) * c
-            continue
-        rows = [[h_series(kappa.part(p) - p + q, cap)
-                 - h_series(kappa.part(p) - p + q - 1, cap) / z0
-                 for q in range(1, ell + 1)] for p in range(1, ell + 1)]
-        shifted = shifted + det_series(rows) * c
+    shifted = partition_sum(
+        cfg, d, cap + d, lambda a: h_series(a, cap) - h_series(a - 1, cap) / z0,
+        TruncatedSeries.zero(cap))
     pre = TruncatedSeries.zero(cap)
     for k in range(cap + 1):
         pre = pre + elementary_schur(k, cap) * z0 ** k
@@ -270,17 +265,44 @@ def test_zhat_evaluation_approaches_closed_form():
 
 
 def test_coeff_memo_is_per_config():
-    # kappa = (2), d = 2 reads M_0, M_1, M_3, M_4: the value is
-    # (M_3 M_1 - M_4 M_0) / (3! 0!)
+    # the table holds M_{l+j} / l! for l = 0..top and j = 0..d-1
     cfg = gauss_cfg(cap=4, dmax=3)
-    kappa = Partition((2,))
-    clean = _coeff(cfg, kappa, 2)
-    assert clean == Fraction(-3, 6)
+    clean = _coeff(cfg, 2, 4)
+    assert clean == [[cfg.moment(l + j) / math.factorial(l) for j in range(2)]
+                     for l in range(5)]
+    assert clean[3][1] == 4 * clean[4][0] == Fraction(3, 6)  # M_4 / 3!, 4 M_4 / 4!
+    assert _coeff(cfg, 2, 4) is clean
     changed = cfg.with_moment(4, 5)
-    assert _coeff(changed, kappa, 2) == Fraction(-5, 6)
-    assert _coeff(cfg, kappa, 2) == clean
-    # a partition that does not reach M_4 keeps its value in the copy
-    assert _coeff(changed, Partition(()), 2) == _coeff(cfg, Partition(()), 2)
+    table = _coeff(changed, 2, 4)
+    assert table is not clean
+    assert table[3][1] == Fraction(5, 6) and table[4][0] == Fraction(5, 24)
+    assert _coeff(cfg, 2, 4) is clean and clean[3][1] == Fraction(3, 6)
+    # entries that do not read M_4 keep their values in the copy
+    assert all(table[l][j] == clean[l][j]
+               for l in range(5) for j in range(2) if l + j != 4)
+
+
+@pytest.mark.parametrize("W", [GAUSS, LAG], ids=["gaussian", "laguerre"])
+@pytest.mark.parametrize("cap", [4, 5, 6])
+def test_moment_determinant_matches_partition_sum(W, cap):
+    # the d x d moment determinant against the Cauchy-Binet sum over
+    # partitions with its own Fraction-elimination c_kappa: every builder,
+    # two time blocks for the slices, and (at cap 4) a copy with one moment
+    # changed
+    base = TauConfig(W, cap, 4)
+    cfgs = [base] + ([base.with_moment(3, Fraction(7, 2))] if cap == 4 else [])
+    for cfg in cfgs:
+        for d in range(5):
+            assert zhat_series(cfg, d) == zhat_by_partitions(cfg, d)
+            assert (zhat_series(cfg, d, 3, 0, (1, 2))
+                    == zhat_by_partitions(cfg, d, 3, 0, (1, 2)))
+            got = _zhat_down_shifted_slice(cfg, d, 2, 1)
+            want = down_slice_by_partitions(cfg, d, 2, 1)
+            assert (got.lo, got.hi, got.coeffs) == (want.lo, want.hi, want.coeffs)
+            for min_power in (0, -4):
+                got = _zhat_up_shifted_slice(cfg, d, min_power, 2, 0)
+                want = up_slice_by_partitions(cfg, d, min_power, 2, 0)
+                assert (got.lo, got.hi, got.coeffs) == (want.lo, want.hi, want.coeffs)
 
 
 def test_h_shifted_entry_memo_is_shared_and_intact():

@@ -342,6 +342,18 @@ def test_z_ratio_exppoly_weight():
     assert rep.rel_err < 1e-8
 
 
+def test_query_rejects_a_deformed_model_weight():
+    # the query would replace the model's deformation while the rank-one
+    # Gamma coefficients read the base weight: a false fail at rel_err 8e-4
+    from extsource.weights import deform_weight
+    W = deform_weight(GAUSS, HALF, 0.5)
+    with pytest.raises(ValueError, match="already deformed"):
+        verify_main_identity(ExpectationQuery(
+            SourceModel(3, [(0.5, 1), (1.1, 1)], W), RIGHT1, 1.0))
+    # both sides of the z-ratio check read the one deformed weight
+    assert z_ratio_det_check(W, 3, [0.5, 1.1]).rel_err < 1e-8
+
+
 def test_exploratory_s_above_one():
     # determinant identities do not need a nonnegative weight; s = 1.5 works
     q = ExpectationQuery(SourceModel(3, [(0.5, 1), (1.0, 1)], GAUSS), RIGHT1, 1.5)

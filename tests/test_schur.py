@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from extsource.series import TruncatedSeries
-from extsource.schur import Partition, partitions_iter, elementary_schur, NearConfluent
+from extsource.series import TruncatedSeries, LaurentSlice
+from extsource.schur import det_series, elementary_schur, h_series, NearConfluent
 from schur_oracles import (
-    schur_series, schur_poly, complete_homogeneous, hciz_expansion_residual,
-    dodgson_residual,
+    Partition, partitions_iter, schur_series, schur_poly, complete_homogeneous,
+    hciz_expansion_residual, dodgson_residual,
 )
 from series_oracles import miwa_eval, partition_count_dp, h_shift_down, h_shift_up
 
@@ -232,3 +232,20 @@ def test_elementary_schur_memo_survives_ring_operations():
     assert elementary_schur(3, 6, 2, 1) is h
     assert h.terms == snapshot
     assert h.terms == elementary_schur.__wrapped__(3, 6, 2, 1).terms
+
+
+def test_trimmed_determinant_keeps_the_high_powers():
+    # up-shift entries h_a(t + [1/z]) = sum_i h_{a-i} z^{-i} carry no
+    # positive power, so trimming every product at lo leaves the powers
+    # >= lo of the determinant exact
+    cap, nb = 5, 2
+
+    def up(a):
+        return LaurentSlice(-a, [h_series(a - i, cap, nb, 0) for i in range(a, -1, -1)])
+    rows = [[up(max(kp - p + q, 0)) for q in range(3)] for p, kp in enumerate((4, 2, 1))]
+    full = det_series(rows)
+    assert (full.lo, full.hi) == (-8, 0)
+    for lo in (-8, -6, -3, -1, 0):
+        got = det_series(rows, lo)
+        assert (got.lo, got.hi) == (lo, 0)
+        assert got.coeffs == full.coeffs[lo - full.lo:]
