@@ -23,7 +23,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .series import TruncatedSeries, LaurentSlice, WindowError, laurent_mul
+from .series import (
+    TruncatedSeries, LaurentSlice, WindowError, laurent_mul, laurent_mul_sum, mul_sum)
 from .schur import elementary_schur, h_series, det_series
 
 
@@ -93,17 +94,13 @@ def _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks):
         return TruncatedSeries.zero(cap, nblocks)
     if not shift_blocks:
         return elementary_schur(a, cap, nblocks, tblock)
+    # h_a(t + [s] + rest) = sum_i h_{a-i}(t + rest) s^i; s^i is zero past the cap
     first, rest = shift_blocks[0], shift_blocks[1:]
-    out = TruncatedSeries.zero(cap, nblocks)
-    s = TruncatedSeries.variable(1, cap, block=first, nblocks=nblocks)
-    spow = TruncatedSeries.one(cap, nblocks)
-    for i in range(a + 1):
-        out = out + _h_shifted_entry(a - i, cap, nblocks, tblock, rest) * spow
-        if i < a:
-            spow = spow * s
-            if spow.is_zero():
-                break
-    return out
+    return mul_sum(
+        [(1, _h_shifted_entry(a - i, cap, nblocks, tblock, rest),
+          TruncatedSeries(cap, {tuple((i,) if b == first else () for b in range(nblocks)): 1},
+                          nblocks))
+         for i in range(min(a, cap) + 1)])
 
 
 def _moment_det(cfg, d, max_weight, entry, lo=None):
@@ -126,14 +123,15 @@ def _moment_det(cfg, d, max_weight, entry, lo=None):
         return entries[0]
     table = _coeff(cfg, d, max_weight + d - 1)
 
+    fused = mul_sum if lo is None else laurent_mul_sum
+
     def row(i):
-        # l = a + d - 1 - i; column j reads M_{l+j} / l!
-        out = [None] * d
-        for a, e in enumerate(entries):
-            for j, c in enumerate(table[a + d - 1 - i]):
-                if c or out[j] is None:
-                    out[j] = e * c if out[j] is None else out[j] + e * c
-        return out
+        # l = a + d - 1 - i; column j reads M_{l+j} / l!.  Zero coefficients
+        # are dropped, except at a = 0, whose entry fixes a column's cap and
+        # window when every coefficient vanishes
+        rows = table[d - 1 - i:]
+        return [fused([(1, e, rows[a][j]) for a, e in enumerate(entries) if rows[a][j] or not a])
+                for j in range(d)]
     return det_series((row(i) for i in range(d)), lo)
 
 
@@ -223,16 +221,8 @@ def nu_pair(cfg, d, X):
     if X.lo > -d:
         raise WindowError(f"window [{X.lo}, {X.hi}] misses powers down to {-d}")
     nu = NuMeasure(cfg, d)
-    out = None
-    for p in X.powers():
-        c = nu.coeff(-1 - p)
-        if c == 0:
-            continue
-        term = X.get(p) * c
-        out = term if out is None else out + term
-    if out is None:
-        out = TruncatedSeries.zero(cfg.cap)
-    return out
+    terms = [(1, X.get(p), c) for p in X.powers() if (c := nu.coeff(-1 - p))]
+    return mul_sum(terms) if terms else TruncatedSeries.zero(cfg.cap)
 
 
 def tau_ladder_step(cfg, d):
@@ -266,14 +256,10 @@ def hirota_residual(cfg, d1, d2, corrupt_first=None):
     # block 0 = t, block 1 = ttilde
     A = _zhat_down_shifted_slice(cfg1, d1, nblocks=2, tblock=1)
     B = _zhat_up_shifted_slice(cfg, d2 + 1, target - cap, nblocks=2, tblock=0)
-    pre = []
-    for k in range(cap + 1):
-        acc = TruncatedSeries.zero(cap, 2)
-        for i in range(k + 1):
-            hi_tilde = elementary_schur(i, cap, 2, 1)
-            hj_neg = elementary_schur(k - i, cap, 2, 0).flip_signs()
-            acc = acc + hi_tilde * hj_neg
-        pre.append(acc)
+    # e^{sum (ttilde_j - t_j) z^j} = sum_k z^k sum_i h_i(ttilde) h_{k-i}(-t)
+    pre = [mul_sum([(1, elementary_schur(i, cap, 2, 1),
+                     elementary_schur(k - i, cap, 2, 0).flip_signs()) for i in range(k + 1)])
+           for k in range(cap + 1)]
     C = LaurentSlice(0, pre)
     AB = laurent_mul(A, B, keep=(max(A.lo + B.lo, target - cap), min(A.hi + B.hi, target)))
     res = laurent_mul(AB, C, keep=(target, target)).get(target)

@@ -19,8 +19,6 @@ import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .schur import NearConfluent, CONFLUENT_GAP
 from .weights import (
     DeformedWeight, IntervalSet, HankelNotPD, QuadratureError,
@@ -203,6 +201,7 @@ def classify(report, rel_tol=1e-8):
 
 def _h_complete(nodes, N):
     """h_0..h_N of the node multiset (complete homogeneous sums)."""
+    import numpy as np
     h = np.zeros(N + 1)
     h[0] = 1.0
     for v in nodes:
@@ -216,6 +215,7 @@ def _h_complete(nodes, N):
 def _closed_groups(nodes):
     """Partial-fraction data of the divided difference of e^{x . } over the
     node multiset: list of (b, poly) with psi(x) = sum_b e^{b x} poly_b(x)."""
+    import numpy as np
     groups = {}
     for b in nodes:
         groups[b] = groups.get(b, 0) + 1
@@ -278,6 +278,7 @@ class DividedExpRow:
     __slots__ = ("nodes", "r", "maxnode", "series_coeffs", "groups")
 
     def __init__(self, nodes):
+        import numpy as np
         self.nodes = tuple(float(v) for v in nodes)
         if not self.nodes:
             raise ValueError("empty node prefix")
@@ -298,6 +299,7 @@ class DividedExpRow:
 
     def values_fused(self, x, logw):
         """psi(x) * e^{logw(x)} for an array x."""
+        import numpy as np
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         zone = np.ones(x.shape, dtype=bool) if self.maxnode == 0.0 else \
@@ -346,6 +348,7 @@ def _column_basis(weight, d):
 
 def _entry_vector(weight, basis, prefix):
     """Integrals of psi_prefix(x) * monic_q(x) against the weight, q < basis.n."""
+    import numpy as np
     def compute():
         row = DividedExpRow(prefix)
         tilt = max([0.0] + [v for v in prefix])
@@ -374,6 +377,7 @@ def _slogdet_with_cond(A):
     error commensurate with per-entry relative error.  cond is the
     first-order sensitivity of log det to relative entry perturbations.
     """
+    import numpy as np
     B = np.array(A, dtype=float)
     n = B.shape[0]
     shift = 0
@@ -405,6 +409,7 @@ def _partition_logdet(model, weight):
     The determinant is computed once per model: the key holds the weight,
     the column basis and the whole node sequence, so no two models share it.
     """
+    import numpy as np
     d = model.d
     basis = _column_basis(weight, d)
     nodes = model.nodes()
@@ -432,6 +437,7 @@ def partition_fn(model):
 
 def _gamma_vector(weight, a, n):
     """Gamma_j(a), j < n, from the orthonormal basis of the undeformed weight."""
+    import numpy as np
     base = weight.undeformed()
     a = float(a)
 
@@ -504,6 +510,7 @@ def _check_simple_sources(model, op):
 
 
 def _rank_reduction_rhs_with_diag(q):
+    import numpy as np
     model = q.model
     _check_simple_sources(model, "rank_reduction_rhs")
     d = model.d
@@ -550,6 +557,7 @@ def verify_main_identity(q):
 def z_ratio_det_check(weight, d, a):
     """Z_d(a_1..a_m)/Z_d against det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}]
     divided by Delta_m(a) = prod_{j<k} (a_j - a_k)."""
+    import numpy as np
     a = [float(v) for v in a]
     m = len(a)
     if m > d:

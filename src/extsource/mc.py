@@ -31,8 +31,6 @@ not independent.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .weights import GaussianWeight, IntervalSet
 from .matrix_model import SourceModel, ExpectationQuery, expectation
 
@@ -53,6 +51,7 @@ class CrossCheck(NamedTuple):
 
 
 def _rng_for_batch(seed, batch_index):
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed).jumped(batch_index))
 
 
@@ -63,6 +62,7 @@ def _hermitian_draws(rng, n, d):
     arrays, drawn in that order; the layout puts the n draws of one entry in
     a contiguous row.
     """
+    import numpy as np
     X = rng.standard_normal((n, d, d)).transpose(1, 2, 0)
     Y = rng.standard_normal((n, d, d)).transpose(1, 2, 0)
     real = np.empty((d, d, n))
@@ -84,6 +84,7 @@ def _count_below(real, imag, A, cuts):
     draws with a zero or non-finite pivot at some cut, whose count is not
     to be trusted.
     """
+    import numpy as np
     d, _, n = real.shape
     C = len(cuts)
     R = np.repeat(real[:, :, None, :], C, axis=2)
@@ -112,6 +113,7 @@ def _count_below(real, imag, A, cuts):
 
 def _inside_counts(real, imag, A, E):
     """Number of eigenvalues of A + H in the closed interval set E, per draw."""
+    import numpy as np
     d, _, n = real.shape
     cuts = sorted(set(E.finite_endpoints()))
     below, bad = _count_below(real, imag, A, cuts)
@@ -136,6 +138,7 @@ def _batch_values(d, As, E, s, seed, idx, take):
     Yields one array per source diagonal in As, all from one draw of H,
     which is dropped once the generator is exhausted.
     """
+    import numpy as np
     # the value of a draw with k eigenvalues in E, multiplied up factor by
     # factor as prod(1 - s chi) does, so the two agree bit for bit
     table = np.ones(d + 1)
@@ -147,6 +150,7 @@ def _batch_values(d, As, E, s, seed, idx, take):
 
 
 def _source_diagonal(d, a):
+    import numpy as np
     a = [float(v) for v in a]
     if len(a) > d:
         raise ValueError("more sources than dimensions")

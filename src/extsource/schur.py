@@ -6,8 +6,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from . import series
-from .series import TruncatedSeries, LaurentSlice
+from .series import TruncatedSeries, LaurentSlice, laurent_mul_sum, mul_sum
 
 
 class NearConfluent(ValueError):
@@ -63,42 +62,45 @@ def elementary_schur(j, cap, nblocks=1, block=0):
 
 
 def det_series(rows, lo=None):
-    """Determinant of a small matrix by Laplace expansion, one row at a time:
-    the minors on the first k + 1 rows come from those on the first k, so
-    each minor is computed once, and only two levels of minors and one row
-    are held at a time (rows may be a generator).  The entries may be
-    TruncatedSeries or LaurentSlices (whose product is the full-support
-    laurent_mul).
+    """Determinant of a small square matrix by Laplace expansion, one row at
+    a time: the minors on the first k + 1 rows come from those on the first
+    k, so each minor is computed once, and only two levels of minors and one
+    row are held at a time (rows may be a generator).  The entries may be
+    TruncatedSeries or exact scalars, or LaurentSlices of them; each minor
+    is one cofactor sum, fused by series.mul_sum (series.laurent_mul_sum
+    power by power for LaurentSlices).  A matrix that is not square raises
+    ValueError.
 
-    With lo, every Laurent product keeps only its powers >= lo.  When no
+    With lo, every Laurent minor keeps only its powers >= lo.  When no
     entry carries a positive power, a product never raises a power, so the
     powers >= lo of the determinant are exact; without the trim a minor of
     size k carries powers down to k times the entries' lowest.
     """
-    def mul(x, y):
-        if lo is None or not isinstance(x, LaurentSlice):
-            return x * y
-        # looked up on the module at call time, as LaurentSlice.__mul__
-        # does, so perfbench's wrapper there sees every product
-        return series.laurent_mul(x, y, keep=(max(lo, x.lo + y.lo), x.hi + y.hi))
-
     rows = iter(rows)
     first = next(rows, None)
     if not first:
         raise ValueError("empty matrix")
     n = len(first)
+    if isinstance(first[0], LaurentSlice):
+        def fused(terms):
+            return laurent_mul_sum(terms, lo)
+    else:
+        fused = mul_sum
     minors = {(c,): x for c, x in enumerate(first)}
+    k = 0
     for k, row in enumerate(rows, 1):
+        if len(row) != n:
+            raise ValueError(f"det_series needs a square matrix: row {k} has "
+                             f"{len(row)} entries, row 0 has {n}")
+        if k == n:
+            raise ValueError(f"det_series needs a square matrix, got "
+                             f"{n + 1 + sum(1 for _ in rows)} rows of {n} entries")
         # the minor on the first k + 1 rows and columns cols, expanded along
         # its last row
-        nxt = {}
-        for cols in itertools.combinations(range(n), k + 1):
-            acc = None
-            for idx, c in enumerate(cols):
-                term = mul(row[c], minors[cols[:idx] + cols[idx + 1:]])
-                if (k + idx) % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            nxt[cols] = acc
-        minors = nxt
+        minors = {cols: fused([(-1 if (k + idx) % 2 else 1, row[c],
+                                minors[cols[:idx] + cols[idx + 1:]])
+                               for idx, c in enumerate(cols)])
+                  for cols in itertools.combinations(range(n), k + 1)}
+    if k != n - 1:
+        raise ValueError(f"det_series needs a square matrix, got {k + 1} rows of {n} entries")
     return minors[tuple(range(n))]

@@ -19,9 +19,15 @@ canonical and equality is structural.
 
 The numerators are grouped by monomial weight, in increasing weight.  A
 product visits only the bucket pairs whose weights sum to at most the cap.
-Results are built by a trusted constructor that skips validation.  Series
-are immutable after construction (memoised builders share them); `terms`
-decodes them into a dict {monomial: int | Fraction} on first use.
+Every sum of products is one call of the fused multiply-accumulate kernel
+mul_sum: sum_i s_i x_i y_i over one common denominator, the lcm of the
+terms' denominators, accumulated into one dict per weight and canonicalised
+once, so a sum of n products builds one series, not n products and n - 1
+partial sums.  Products, sums and scalings are its one- and two-term
+cases, and laurent_mul_sum applies it to Laurent windows one power at a
+time.  Results are built by a trusted constructor that skips validation.
+Series are immutable after construction (memoised builders share them);
+`terms` decodes them into a dict {monomial: int | Fraction} on first use.
 """
 
 import functools
@@ -39,7 +45,7 @@ class WindowError(ValueError):
 
 def _exact(c):
     """c itself if it is an exact rational scalar, else FieldMismatch."""
-    if isinstance(c, (int, Fraction)):
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
     raise FieldMismatch(f"series coefficients must be int or Fraction, got {type(c).__name__}")
 
@@ -89,11 +95,6 @@ def _decode(packed, cap, nblocks):
     block = (1 << width) - 1
     return tuple(_strip([(q >> s) & m for s, m in slots])
                  for q in ((packed >> (b * width)) & block for b in range(nblocks)))
-
-
-def _scaled(nums, f):
-    """{packed: numerator * f} as a new dict, which the caller may fill."""
-    return dict(nums) if f == 1 else {m: c * f for m, c in nums.items()}
 
 
 class TruncatedSeries:
@@ -217,15 +218,6 @@ class TruncatedSeries:
                     for w, nums in self._graded if w <= cap}
         return TruncatedSeries._trusted(cap, nblocks, self._den, byweight)
 
-    def _operand(self, other):
-        """other as a series of the same block count: a scalar becomes a
-        constant series at this cap."""
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries.const(other, self.cap, self.nblocks)
-        if self.nblocks != other.nblocks:
-            raise ValueError("block count mismatch")
-        return other
-
     def is_zero(self):
         return not self._graded
 
@@ -257,65 +249,22 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _combine(self, other, sign):
-        other = self._operand(other)
-        cap = min(self.cap, other.cap)
-        a, b = self._at_cap(cap), other._at_cap(cap)
-        g = gcd(a._den, b._den)
-        fa, fb = b._den // g, sign * (a._den // g)
-        out = {w: _scaled(nums, fa) for w, nums in a._graded}
-        for w, nums in b._graded:
-            acc = out.get(w)
-            if acc is None:
-                out[w] = _scaled(nums, fb)
-            else:
-                get = acc.get
-                for m, c in nums.items():
-                    acc[m] = get(m, 0) + c * fb
-        return TruncatedSeries._trusted(cap, self.nblocks, a._den * fa, out)
-
     def __add__(self, other):
-        return self._combine(other, 1)
+        return mul_sum(((1, self, 1), (1, other, 1)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return mul_sum(((1, self, 1), (-1, other, 1)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return mul_sum(((1, other, 1), (-1, self, 1)))
 
     def __neg__(self):
-        return TruncatedSeries._trusted(
-            self.cap, self.nblocks, self._den,
-            {w: _scaled(nums, -1) for w, nums in self._graded})
+        return mul_sum(((-1, self, 1),))
 
     def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            c = _exact(other)
-            return TruncatedSeries._trusted(
-                self.cap, self.nblocks, self._den * c.denominator,
-                {w: _scaled(nums, c.numerator) for w, nums in self._graded} if c else {})
-        if self.nblocks != other.nblocks:
-            raise ValueError("block count mismatch")
-        cap = min(self.cap, other.cap)
-        a, b = self._at_cap(cap), other._at_cap(cap)
-        right = [(w, list(nums.items())) for w, nums in b._graded]
-        byweight = {}
-        for w1, left in a._graded:
-            for w2, right_items in right:
-                w = w1 + w2
-                if w > cap:
-                    break
-                acc = byweight.get(w)
-                if acc is None:
-                    acc = byweight[w] = {}
-                get = acc.get
-                for m1, c1 in left.items():
-                    for m2, c2 in right_items:
-                        m = m1 + m2
-                        acc[m] = get(m, 0) + c1 * c2
-        return TruncatedSeries._trusted(cap, self.nblocks, a._den * b._den, byweight)
+        return mul_sum(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -371,6 +320,87 @@ class TruncatedSeries:
             self.cap, self.nblocks - 1, self._den * q ** emax, byweight)
 
 
+def mul_sum(terms):
+    """s_1 x_1 y_1 + s_2 x_2 y_2 + ... over terms (s, x, y), in one pass.
+
+    s is an int (a sign); x and y are each a TruncatedSeries or an exact
+    scalar.  Every product goes over one common denominator, the lcm of the
+    terms' denominators; the numerators of all terms accumulate in one dict
+    per monomial weight, and the result is canonicalised once.  It equals
+    the left fold of * and + structurally: its cap is the least cap of the
+    series taking part, and with no series it is the exact scalar sum (0
+    for no terms).
+    """
+    parts = []  # (scalar numerator, scalar denominator, series, series or None)
+    const = 0  # the sum of the scalar-only products
+    cap = nblocks = None
+    for s, x, y in terms:
+        if not isinstance(x, TruncatedSeries):
+            x, y = y, x
+        if not isinstance(x, TruncatedSeries):
+            const += s * _exact(x) * _exact(y)
+            continue
+        if cap is None:
+            cap, nblocks = x.cap, x.nblocks
+        elif x.nblocks != nblocks:
+            raise ValueError("block count mismatch")
+        cap = min(cap, x.cap)
+        if isinstance(y, TruncatedSeries):
+            if y.nblocks != nblocks:
+                raise ValueError("block count mismatch")
+            cap = min(cap, y.cap)
+            parts.append((s, 1, x, y))
+        elif _exact(y):
+            parts.append((s * y.numerator, y.denominator, x, None))
+    if cap is None:
+        return const
+    # truncation can cancel a denominator, so the terms are cut to the cap
+    # before the common denominator is taken
+    cut = []
+    for k, kden, x, y in parts:
+        x = x._at_cap(cap)
+        if y is not None:
+            y = y._at_cap(cap)
+            kden *= y._den
+        cut.append((k, kden * x._den, x, y))
+    if const:
+        cut.append((const.numerator, const.denominator, None, None))
+    den = lcm(*(d for _, d, _, _ in cut))
+    byweight = {}
+    for k, d, x, y in cut:
+        f = k * (den // d)
+        if x is None:  # the constant monomial packs to 0 and weighs 0
+            acc = byweight.setdefault(0, {})
+            acc[0] = acc.get(0, 0) + f
+            continue
+        if y is None:
+            for w, nums in x._graded:
+                acc = byweight.get(w)
+                if acc is None:
+                    byweight[w] = {m: c * f for m, c in nums.items()}
+                else:
+                    get = acc.get
+                    for m, c in nums.items():
+                        acc[m] = get(m, 0) + c * f
+            continue
+        right = [(w, list(nums.items())) for w, nums in y._graded]
+        for w1, left in x._graded:
+            for w2, right_items in right:
+                w = w1 + w2
+                if w > cap:
+                    break
+                acc = byweight.get(w)
+                if acc is None:
+                    acc = byweight[w] = {}
+                get = acc.get
+                for m1, c1 in left.items():
+                    c1 *= f
+                    for m2, c2 in right_items:
+                        m = m1 + m2
+                        acc[m] = get(m, 0) + c1 * c2
+    return TruncatedSeries._trusted(cap, nblocks, den, byweight)
+
+
 class LaurentSlice:
     """Finite window of a formal Laurent series in z.
 
@@ -399,35 +429,56 @@ class LaurentSlice:
         return range(self.lo, self.hi + 1)
 
     def __add__(self, other):
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = []
-        for p in range(lo, hi + 1):
-            a = self.coeffs[p - self.lo] if self.lo <= p <= self.hi else None
-            b = other.coeffs[p - other.lo] if other.lo <= p <= other.hi else None
-            if a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append(a + b)
-        return LaurentSlice(lo, out)
-
-    def __neg__(self):
-        return LaurentSlice(self.lo, [-c for c in self.coeffs])
+        return laurent_mul_sum(((1, self, 1), (1, other, 1)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return laurent_mul_sum(((1, self, 1), (-1, other, 1)))
+
+    def __neg__(self):
+        return laurent_mul_sum(((-1, self, 1),))
 
     def __mul__(self, other):
         """Product over the full convolution support; a scalar or series
         factor multiplies every coefficient."""
         if not isinstance(other, LaurentSlice):
-            return LaurentSlice(self.lo, [c * other for c in self.coeffs])
+            return laurent_mul_sum(((1, self, other),))
         return laurent_mul(self, other)
 
     def __repr__(self):
         return f"<LaurentSlice [{self.lo}, {self.hi}]>"
+
+
+def _powers(terms, klo, khi):
+    """The slice over [klo, khi] of sum s X Y over terms (s, X, Y) of
+    LaurentSlices: each power is one mul_sum over every pair of
+    coefficients that meets there.  A power no pair reaches is zero, a zero
+    series when the slices hold series."""
+    out = []
+    for p in range(klo, khi + 1):
+        pairs = [(s, X.coeffs[i - X.lo], Y.coeffs[p - i - Y.lo])
+                 for s, X, Y in terms
+                 for i in range(max(X.lo, p - Y.hi), min(X.hi, p - Y.lo) + 1)]
+        if pairs:
+            out.append(mul_sum(pairs))
+            continue
+        like = next((c for _, X, Y in terms for c in X.coeffs + Y.coeffs
+                     if isinstance(c, TruncatedSeries)), None)
+        out.append(0 if like is None else TruncatedSeries.zero(like.cap, like.nblocks))
+    return LaurentSlice(klo, out)
+
+
+def laurent_mul_sum(terms, lo=None):
+    """sum s X Y over terms (s, X, Y), X a LaurentSlice and Y a LaurentSlice
+    or a coefficient (scalar or series) that multiplies every power.
+
+    The window is the union of the products' full supports, cut below at
+    lo; each of its powers is one mul_sum.
+    """
+    terms = [(s, X, Y if isinstance(Y, LaurentSlice) else LaurentSlice(0, [Y]))
+             for s, X, Y in terms]
+    klo = min(X.lo + Y.lo for _, X, Y in terms)
+    return _powers(terms, klo if lo is None else max(lo, klo),
+                   max(X.hi + Y.hi for _, X, Y in terms))
 
 
 def laurent_mul(A, B, keep=None):
@@ -446,19 +497,4 @@ def laurent_mul(A, B, keep=None):
     if klo < full_lo or khi > full_hi:
         raise WindowError(
             f"keep [{klo}, {khi}] exceeds convolution support [{full_lo}, {full_hi}]")
-    template = None
-    for c in list(A.coeffs) + list(B.coeffs):
-        if isinstance(c, TruncatedSeries):
-            template = c
-            break
-    out = []
-    for p in range(klo, khi + 1):
-        acc = None
-        for i in range(max(A.lo, p - B.hi), min(A.hi, p - B.lo) + 1):
-            term = A.coeffs[i - A.lo] * B.coeffs[p - i - B.lo]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = 0 if template is None else TruncatedSeries.zero(
-                template.cap, template.nblocks)
-        out.append(acc)
-    return LaurentSlice(klo, out)
+    return _powers(((1, A, B),), klo, khi)

@@ -22,14 +22,16 @@ halves in one call.
 Orthonormal polynomials come from a discretized Stieltjes procedure on the
 same domain pieces, in double precision with exactly rounded sums; no
 moment matrix is formed.
+
+numpy is imported inside the functions that use it, here and in
+matrix_model and mc, so it loads on the first float job and a run of exact
+suites alone never loads it.
 """
 
 import math
 import threading
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -77,6 +79,7 @@ class IntervalSet:
         return not self.intervals
 
     def indicator(self, x):
+        import numpy as np
         x = np.asarray(x)
         out = np.zeros(x.shape, dtype=bool)
         for lo, hi in self.intervals:
@@ -222,6 +225,7 @@ class ExpPolyWeight(Weight):
         return (-INF, INF)
 
     def log_density(self, x):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         acc = np.zeros_like(x)
         for c in reversed(self.coeffs):
@@ -317,6 +321,7 @@ _GL_CACHE = {}
 
 
 def _leggauss(n):
+    import numpy as np
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
@@ -333,6 +338,7 @@ def _jacobi_kronrod(n):
     follow from the mixed moments s, t of the algorithm, indexed from -1 as
     s[k + 1].
     """
+    import numpy as np
     a = np.zeros(2 * n + 1)
     b = np.zeros(2 * n + 1)
     i = np.arange(1.0, -(-3 * n // 2) + 1)  # 1..ceil(3n/2)
@@ -377,6 +383,7 @@ def _kronrod(n):
     numpy's leggauss weights.  Nodes and weights are then made exactly
     symmetric.  Built on first use.
     """
+    import numpy as np
     if n not in _KRONROD_CACHE:
         a, b = _jacobi_kronrod(n)
         root = np.sqrt(b)
@@ -427,6 +434,7 @@ def _panels_to_split(errs, thresh):
     remaining error within thresh.  A zero threshold makes every panel with
     error on that column rank first, so all of them split.
     """
+    import numpy as np
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(errs > 0.0, errs / thresh, 0.0)
     order = np.argsort(-ratio.max(axis=1), kind="stable")
@@ -457,6 +465,7 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
     errors leave the rest within every failing threshold (_panels_to_split).
     max_panels caps the total number of splits.
     """
+    import numpy as np
     live = [(lo, hi, mult) for lo, hi, mult in pieces if mult != 0.0 and hi > lo]
     if not live:
         return QuadResult(np.zeros(1), np.zeros(1))
@@ -522,6 +531,7 @@ def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     the peak.  log W is evaluated on the whole ladder x = side * 2^k in one
     call; the other two terms are added per point in Python floats.
     """
+    import numpy as np
     lo, hi = W.support()
     if side > 0 and hi != INF:
         return hi
@@ -600,6 +610,7 @@ class OrthoBasis:
     __slots__ = ("weight", "n", "alpha", "beta", "lead")
 
     def __init__(self, weight, n, alpha, beta):
+        import numpy as np
         self.weight = weight
         self.n = n
         self.alpha = alpha
@@ -608,6 +619,7 @@ class OrthoBasis:
 
     def eval_all(self, x, m=None):
         """Values of p_0..p_m at x, shape (npts, m+1)."""
+        import numpy as np
         if m is None:
             m = self.n - 1
         if m >= self.n:
@@ -651,6 +663,7 @@ def orthonormal_basis(W, n):
     of the moment matrix, so a norm that is not positive and finite raises
     HankelNotPD: the weight is degenerate (e.g. fully removed) or changes sign.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("need n >= 1")
     live = [p for p in domain_pieces(W, 0.0, 2 * n) if p[2] != 0.0 and p[1] > p[0]]

@@ -290,7 +290,10 @@ def test_threaded_run_counts_same_evaluations(tmp_path):
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
-def test_run_does_not_import_mpmath(tmp_path):
+def cold_run(cwd, args, *modules):
+    """`extsource run ARGS` in a fresh interpreter that imports nothing
+    else first; returns the exit code and, for each named module, whether
+    the run imported it."""
     import os
     import subprocess
     import sys
@@ -298,14 +301,42 @@ def test_run_does_not_import_mpmath(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(extsource.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    script = ("import sys\n"
+    script = ("import json, sys\n"
               "from extsource.cli import main\n"
-              f"code = main(['run', '--config', 'quick', '--out-dir', {str(tmp_path)!r}])\n"
-              "print(code, 'mpmath' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+              f"code = main({['run', *args]!r})\n"
+              f"print(json.dumps([code] + [m in sys.modules for m in {list(modules)!r}]))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split()[-2:] == ["0", "False"]
+    code, *imported = json.loads(out.stdout.splitlines()[-1])
+    return code, imported
+
+
+def test_run_does_not_import_mpmath(tmp_path):
+    assert cold_run(tmp_path, ["--config", "quick", "--out-dir", str(tmp_path)],
+                    "mpmath") == (0, [False])
+
+
+def test_exact_only_run_does_not_import_numpy(tmp_path):
+    raw = yaml.safe_load((REPO / "src" / "extsource" / "configs" / "quick.yaml").read_text())
+    raw["suites"] = {k: v for k, v in raw["suites"].items()
+                     if k in ("vertex-ladder", "hirota", "fay", "fay-det")}
+    assert len(raw["suites"]) == 4
+    config = tmp_path / "exact.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert cold_run(tmp_path, ["--config", str(config), "--out-dir", str(tmp_path / "out")],
+                    "numpy") == (0, [False])
+
+
+def test_cold_threaded_run_keeps_bytes(tmp_path):
+    # numpy is first imported by whichever worker thread reaches a float
+    # suite first
+    for workers in (1, 4):
+        out = tmp_path / f"w{workers}"
+        assert cold_run(tmp_path, ["--config", "quick", "--out-dir", str(out),
+                                   "--workers", str(workers)], "numpy") == (0, [True])
+    for name in ("results.ndjson", "results.csv"):
+        assert (tmp_path / "w4" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
 
 def test_mc_suite_starts_no_thread(tmp_path, monkeypatch):

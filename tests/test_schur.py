@@ -249,3 +249,20 @@ def test_trimmed_determinant_keeps_the_high_powers():
         got = det_series(rows, lo)
         assert (got.lo, got.hi) == (lo, 0)
         assert got.coeffs == full.coeffs[lo - full.lo:]
+
+
+def test_det_series_rejects_non_square():
+    def const(rows):
+        return [[TruncatedSeries.const(v, 3) for v in row] for row in rows]
+    # a longer later row used to be cut silently (this one gave -5)
+    with pytest.raises(ValueError, match="row 1 has 3 entries, row 0 has 2"):
+        det_series(const([[1, 2], [3, 1, 2]]))
+    with pytest.raises(ValueError, match="row 1 has 1 entries, row 0 has 2"):
+        det_series(const([[1, 2], [3]]))
+    with pytest.raises(ValueError, match="got 1 rows of 2 entries"):
+        det_series(const([[1, 2]]))
+    with pytest.raises(ValueError, match="got 4 rows of 2 entries"):
+        det_series(iter(const([[1, 2], [3, 4], [5, 6], [7, 8]])))
+    with pytest.raises(ValueError, match="row 2 has 2 entries, row 0 has 3"):
+        det_series([[LaurentSlice(0, [1])] * 3] * 2 + [[LaurentSlice(0, [1])] * 2])
+    assert det_series(const([[1, 2], [3, 1]])) == TruncatedSeries.const(-5, 3)

@@ -1,11 +1,12 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from extsource.series import (
-    TruncatedSeries, LaurentSlice, FieldMismatch, WindowError, laurent_mul,
+    TruncatedSeries, LaurentSlice, FieldMismatch, WindowError, laurent_mul, mul_sum,
     _decode, _encode,
 )
 from series_oracles import miwa_eval, reference_add, reference_mul
@@ -63,6 +64,13 @@ def test_field_mismatch_rejected():
         f / 2.0
     with pytest.raises(FieldMismatch):
         miwa_eval(f, [(0.5, 1)])
+    # bool is an int subclass, but True is not the coefficient 1
+    for make in (lambda: TruncatedSeries.const(True, 3), lambda: TruncatedSeries.one(3) * True,
+                 lambda: True * f, lambda: f + False, lambda: f - True, lambda: f / True,
+                 lambda: TruncatedSeries(3, {((1,),): True}),
+                 lambda: mul_sum([(1, f, False)]), lambda: mul_sum([(1, True, 2)])):
+        with pytest.raises(FieldMismatch):
+            make()
     with pytest.raises(ValueError, match="negative exponent"):
         TruncatedSeries(3, {((1, -1),): 1})
 
@@ -415,3 +423,79 @@ def test_kernel_associative_with_fraction_coefficients():
         f, g, h = (random_multiblock(rng, cap, nblocks) for _ in range(3))
         assert (f * g) * h == f * (g * h)
         assert ((f * g) * h).terms == reference_mul(f, reference_mul(g, h)).terms
+
+
+# -- the fused multiply-accumulate against the left fold ----------------------
+
+def random_factor(rng, cap, nblocks):
+    """A series (possibly at another cap) or an int, Fraction or zero scalar."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randrange(-5, 6)
+    if kind == 1:
+        return Fraction(rng.randrange(-7, 8), rng.choice([1, 2, 3, 6, 9]))
+    if kind == 2:
+        return 0
+    return random_edge_series(rng, cap + rng.choice([0, 0, 1, 3]), nblocks, max_terms=4)
+
+
+def left_fold(terms, mul, add):
+    out = 0
+    for s, x, y in terms:
+        out = add(out, mul(mul(s, x), y))
+    return out
+
+
+def on_series(series_op, scalar_op):
+    """series_op on two operands of which one is a series, the other
+    lifted to a constant series; scalar_op on two scalars."""
+    def apply(x, y):
+        like = next((v for v in (x, y) if isinstance(v, TruncatedSeries)), None)
+        if like is None:
+            return scalar_op(x, y)
+        return series_op(*(v if isinstance(v, TruncatedSeries)
+                           else TruncatedSeries.const(v, like.cap, like.nblocks) for v in (x, y)))
+    return apply
+
+
+@pytest.mark.parametrize("cap", range(1, 13))
+def test_mul_sum_matches_left_fold(cap):
+    rng = random.Random(1000 + cap)
+    for trial in range(12):
+        nblocks = rng.randrange(1, 6)
+        terms = []
+        for _ in range(rng.randrange(1, 7)):
+            s = rng.choice([1, -1])
+            x = random_edge_series(rng, cap + rng.choice([0, 0, 2]), nblocks, max_terms=5)
+            y = random_factor(rng, cap, nblocks)
+            terms.append((s, x, y) if rng.random() < 0.5 else (s, y, x))
+            if rng.random() < 0.3:
+                # a partner whose scalar completes the last one to an integer
+                # or cancels the term outright, so denominators cancel
+                if isinstance(y, TruncatedSeries):
+                    terms.append((-s, x, y))
+                else:
+                    terms.append((s, x, math.ceil(y) - y + rng.randrange(-1, 2)))
+        got = mul_sum(terms)
+        assert got == left_fold(terms, operator.mul, operator.add)
+        want = left_fold(terms, on_series(reference_mul, operator.mul),
+                         on_series(reference_add, operator.add))
+        assert got.terms == want.terms
+        assert got.cap == want.cap and got.nblocks == want.nblocks
+        assert_kernel_invariants(got)
+
+
+def test_mul_sum_scalars_and_cancellation():
+    cap = 4
+    x, y = t(1, cap, nblocks=2), t(1, cap, nblocks=2, block=1)
+    # scalar-only terms give the exact scalar sum, and no terms give 0
+    assert mul_sum([]) == 0
+    assert mul_sum([(1, 2, 3), (-1, Fraction(1, 2), 4)]) == 4
+    got = mul_sum([(1, x, Fraction(1, 3)), (1, Fraction(2, 3), x), (-1, 1, 1)])
+    assert got == x - 1 and got._den == 1
+    # a complete cancellation keeps the smaller cap and the block count
+    zero = mul_sum([(1, x, y), (-1, y, x * TruncatedSeries.one(2, 2))])
+    assert zero.is_zero() and (zero.cap, zero.nblocks) == (2, 2)
+    assert_kernel_invariants(zero)
+    with pytest.raises(ValueError, match="block count"):
+        mul_sum([(1, x, t(1, cap))])
