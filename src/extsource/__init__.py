@@ -15,7 +15,7 @@ from .weights import (
 )
 from .matrix_model import (
     SourceModel, ExpectationQuery, IdentityReport, partition_fn,
-    rank1_partition_fn, expectation, normalized_expectation,
+    expectation, normalized_expectation,
     rank_reduction_rhs, verify_main_identity, z_ratio_det_check, classify,
 )
 from .dkp import (

@@ -304,11 +304,11 @@ def fay_det_residual(cfg, d, m, a, corrupt_lead=None):
     syms = [TruncatedSeries.variable(1, cap, block=k + 1, nblocks=nb) for k in range(m)]
     rows = []
     for j in range(1, m + 1):
-        row = []
-        for k in range(m):
-            zk = zhat_series(cfg, d + 1 - j, nb, 0, (k + 1,))
-            row.append(zk * syms[k] ** (m - j))
-        rows.append(row)
+        # Z_{d+1-j}(t + [a_k]) is the shift-in-block-1 series with blocks 1
+        # and k + 1 exchanged
+        z1 = zhat_series(cfg, d + 1 - j, nb, 0, (1,))
+        rows.append([(z1.swap_blocks(1, k + 1) if k else z1) * syms[k] ** (m - j)
+                     for k in range(m)])
     det = det_series(rows)
     delta = TruncatedSeries.one(cap, nb)
     for j in range(m):

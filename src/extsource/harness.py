@@ -265,19 +265,18 @@ def _rank_grid(body):
 def _identity_jobs(cfg, body, W, mutate):
     tol = body["rel_tol"]
     svals = [(s, False) for s in body["s"]] + [(s, True) for s in body["exploratory_s"]]
-    for E in body["intervals"]:
-        for s, exploratory in svals:
-            for d, m, tup in _rank_grid(body):
-                yield ({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup),
-                        "tol": tol, "exploratory": exploratory},
-                       _float_thunk(W, tup, tol, mutate, _identity_report, W, E, s, d, tup))
+    cases = (({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup), "tol": tol,
+               "exploratory": exploratory}, (W, E, s, d, tup))
+             for E in body["intervals"] for s, exploratory in svals
+             for d, m, tup in _rank_grid(body))
+    return _float_jobs(W, tol, mutate, cases, _plan_identity, _identity_report)
 
 
 def _zratio_jobs(cfg, body, W, mutate):
     tol = body["rel_tol"]
-    for d, m, tup in _rank_grid(body):
-        yield ({"d": d, "m": m, "sources": list(tup), "tol": tol},
-               _float_thunk(W, tup, tol, mutate, mm.z_ratio_det_check, W, d, list(tup)))
+    cases = (({"d": d, "m": m, "sources": list(tup), "tol": tol}, (W, d, list(tup)))
+             for d, m, tup in _rank_grid(body))
+    return _float_jobs(W, tol, mutate, cases, mm.plan_z_ratio, mm.z_ratio_det_check)
 
 
 def _ladder_jobs(cfg, body, W, mutate):
@@ -335,14 +334,35 @@ def _mc_jobs(cfg, body, W, mutate):
 # thunks return dict fragments merged into the record
 
 
-def _float_thunk(W, sources, tol, mutate, report, *args):
+def _float_jobs(W, tol, mutate, cases, register, report):
+    """One record per case (params, args), judged by report(*args) at
+    relative tol; args[-1] holds the sources.  The first record of the
+    weight to run fills, as one plan, the tables that register(plan, *args)
+    names for every feasible case, and the others wait for it; each
+    record's report then only reads them.  Records run after the whole
+    job list is built, so the plan sees every case."""
+    feasible = []
+    prepared = _once(lambda: mm.prepare(register, feasible))
+    for params, args in cases:
+        if _infeasible(W, args[-1]) is None:
+            feasible.append(args)
+        yield params, _float_thunk(W, tol, mutate, prepared, report, *args)
+
+
+def _infeasible(W, sources):
+    """The first source whose tilt the weight cannot integrate, or None."""
+    return next((a for a in sources if a >= W.max_tilt()), None)
+
+
+def _float_thunk(W, tol, mutate, prepared, report, *args):
     """Skip infeasible sources, else judge report(*args) at relative tol."""
     def thunk():
-        bad = [a for a in sources if a >= W.max_tilt()]
-        if bad:
+        bad = _infeasible(W, args[-1])
+        if bad is not None:
             return {"status": "skipped",
-                    "reason": f"source {bad[0]} is not integrable against the "
+                    "reason": f"source {bad} is not integrable against the "
                               f"{W.kind} weight (tilt bound {W.max_tilt()})"}
+        prepared()
         rep = report(*args)
         if mutate:
             lhs = rep.lhs * (1 + 1e-4)
@@ -361,9 +381,16 @@ def _float_thunk(W, sources, tol, mutate, report, *args):
     return thunk
 
 
-def _identity_report(W, E, s, d, sources):
-    return mm.verify_main_identity(
-        mm.ExpectationQuery(mm.SourceModel(d, [(a, 1) for a in sources], W), E, s))
+def _identity_query(W, E, s, d, sources):
+    return mm.ExpectationQuery(mm.SourceModel(d, [(a, 1) for a in sources], W), E, s)
+
+
+def _plan_identity(plan, *args):
+    return mm.plan_identity(plan, _identity_query(*args))
+
+
+def _identity_report(*args):
+    return mm.verify_main_identity(_identity_query(*args))
 
 
 def _exact_thunk(W, cap, dmax, moment, mutate, residual, *args):

@@ -12,6 +12,17 @@ determinant well conditioned in floating point:
 * column functions are the monic orthonormal polynomials of the integration
   weight itself instead of raw monomials (any monic family leaves the
   determinant unchanged).
+
+Every check runs in two phases through a Plan: it first registers the keys
+it will read (model determinants, Gamma vectors, rank-one Ebar values),
+then reads them from run-wide tables.  Between the phases Plan.fill
+computes the missing keys of every check in the plan together: entry
+quadratures that start on the same nodes share their integrand work there
+(_entry_vectors), and the model matrices are factored in one stack per size
+(_slogdet_with_cond).  A library call is a plan of one; the harness fills
+one plan per suite and weight.  Sharing never mixes the two sides of an
+identity: each entry vector and each determinant is bitwise what it is when
+computed alone.
 """
 
 import math
@@ -22,8 +33,8 @@ from dataclasses import dataclass, field
 from .schur import NearConfluent, CONFLUENT_GAP
 from .weights import (
     DeformedWeight, IntervalSet, HankelNotPD, QuadratureError,
-    deform_weight, domain_pieces, integrate_pieces, orthonormal_basis,
-    _EvalCounter,
+    deform_weight, domain_pieces, integrate_pieces, live_pieces, orthonormal_basis,
+    panel_nodes, _EvalCounter,
 )
 
 ENTRY_REL_TOL = 1e-13
@@ -38,45 +49,79 @@ _MIN_BASIS = 12
 MAX_DIMENSION = 10
 
 _LOCK = threading.Lock()
+# run-wide tables of a value or the _Failed its computation met; the first
+# four are filled by _compute_once, the last two by Plan.fill
 _BASIS_CACHE = {}
+_ROW_CACHE = {}
 _ENTRY_CACHE = {}
 _GAMMA_CACHE = {}
 _LOGDET_CACHE = {}
+_EBAR_CACHE = {}
 EVALS = _EvalCounter()
+# the errors a computation can meet on valid input, stored under its key
+_STORED = (QuadratureError, ValueError, ArithmeticError)
 
 
 def clear_caches():
     with _LOCK:
-        _BASIS_CACHE.clear()
-        _ENTRY_CACHE.clear()
-        _GAMMA_CACHE.clear()
-        _LOGDET_CACHE.clear()
+        for table in (_BASIS_CACHE, _ROW_CACHE, _ENTRY_CACHE, _GAMMA_CACHE,
+                      _LOGDET_CACHE, _EBAR_CACHE):
+            table.clear()
+
+
+class _Failed:
+    """The type and arguments of a stored error.  Every reader raises a
+    fresh exception, so no traceback, nor the arrays its frames hold,
+    outlives the computation, and no two threads raise one object."""
+
+    __slots__ = ("kind", "args")
+
+    def __init__(self, exc):
+        self.kind, self.args = type(exc), exc.args
+
+    def reraise(self):
+        raise self.kind(*self.args)
+
+
+def _read(table, key):
+    """table[key], raising the error stored there instead of a value."""
+    value = table[key]
+    if isinstance(value, _Failed):
+        value.reraise()
+    return value
 
 
 def _compute_once(cache, key, compute):
     """cache[key], computed by the first caller while later callers wait.
 
-    A HankelNotPD is cached as its message and raised afresh on every hit;
-    any other error leaves the key uncached for the next caller.
+    While the key is computed the cache holds a Future that later callers
+    wait on; the value then replaces it.  An error of _STORED is stored
+    under the key and raised to every caller; any other leaves the key
+    uncached for the next caller.
     """
     with _LOCK:
-        slot = cache.get(key)
-        owner = slot is None
+        value = cache.get(key)
+        owner = value is None
         if owner:
-            slot = cache[key] = Future()
+            slot = value = cache[key] = Future()
     if owner:
         try:
-            slot.set_result(compute())
-        except HankelNotPD as exc:
-            slot.set_result(str(exc))
+            value = compute()
+        except _STORED as exc:
+            value = _Failed(exc)
         except BaseException as exc:
             with _LOCK:
                 del cache[key]
             slot.set_exception(exc)
             raise
-    value = slot.result()
-    if isinstance(value, str):
-        raise HankelNotPD(value)
+        with _LOCK:
+            if cache.get(key) is slot:
+                cache[key] = value
+        slot.set_result(value)
+    elif isinstance(value, Future):
+        value = value.result()
+    if isinstance(value, _Failed):
+        value.reraise()
     return value
 
 
@@ -325,7 +370,7 @@ class DividedExpRow:
 
 
 # ---------------------------------------------------------------------------
-# matrix assembly
+# plans: the tables a group of checks reads, filled as stacks
 
 
 def _basis_for(weight, min_n):
@@ -346,21 +391,54 @@ def _column_basis(weight, d):
         raise
 
 
-def _entry_vector(weight, basis, prefix):
-    """Integrals of psi_prefix(x) * monic_q(x) against the weight, q < basis.n."""
+def _row(prefix):
+    """The one DividedExpRow of a node prefix."""
+    row = _ROW_CACHE.get(prefix)
+    return row if row is not None else _ROW_CACHE.setdefault(prefix, DividedExpRow(prefix))
+
+
+class _PointSet:
+    """The round-0 nodes of one layout of live pieces, and what every entry
+    quadrature starting there shares: the log-density, the row values of
+    each prefix and the monic values of each basis, each computed once, on
+    first use."""
+
+    __slots__ = ("weight", "live", "x", "logw", "rows", "monic")
+
+    def __init__(self, weight, live):
+        self.weight, self.live = weight, live
+        self.x = self.logw = None
+        self.rows, self.monic = {}, {}
+
+    def values(self, row, basis):
+        import numpy as np
+        if self.x is None:
+            self.x = panel_nodes(self.live)
+            self.logw = np.asarray(self.weight.log_density(self.x), dtype=float)
+        vals = self.rows.get(row.nodes)
+        if vals is None:
+            vals = self.rows[row.nodes] = row.values_fused(self.x, self.logw)
+        monic = self.monic.get(basis)
+        if monic is None:
+            monic = self.monic[basis] = basis.eval_monic(self.x)
+        return vals[:, None] * monic
+
+
+def _entry_vector(weight, basis, prefix, pieces, points):
+    """Integrals of psi_prefix(x) * monic_q(x) against the weight over
+    pieces, q < basis.n; the round-0 integrand values come from points."""
     import numpy as np
+
     def compute():
-        row = DividedExpRow(prefix)
-        tilt = max([0.0] + [v for v in prefix])
-        deg = len(prefix) + basis.n + 4
+        row = _row(prefix)
+        first = [points]
 
         def fv(x):
+            if first:  # integrate_pieces calls f first on the round-0 nodes
+                return first.pop().values(row, basis)
             logw = np.asarray(weight.log_density(x), dtype=float)
-            base_vals = row.values_fused(x, logw)
-            monic = basis.eval_monic(x)
-            return base_vals[:, None] * monic
+            return row.values_fused(x, logw)[:, None] * basis.eval_monic(x)
 
-        pieces = domain_pieces(weight, tilt, deg)
         res = integrate_pieces(fv, pieces, rel_tol=ENTRY_REL_TOL, counter=EVALS)
         return np.asarray(res.value)
 
@@ -368,70 +446,201 @@ def _entry_vector(weight, basis, prefix):
     return _compute_once(_ENTRY_CACHE, key, compute)
 
 
+def _entry_vectors(entries):
+    """{entry key: vector, or the _Failed that stopped it} for entries
+    {key: (weight, basis, prefix)}.  Entries whose round-0 quadrature
+    nodes coincide are computed together, sharing one _PointSet, which is
+    dropped before the next layout."""
+    out, layouts = {}, {}
+    for key, (weight, basis, prefix) in entries.items():
+        pieces = live = None
+        if key not in _ENTRY_CACHE:
+            tilt = max([0.0] + [v for v in prefix])
+            try:
+                pieces = domain_pieces(weight, tilt, len(prefix) + basis.n + 4)
+            except _STORED as exc:
+                out[key] = _Failed(exc)
+                continue
+            live = tuple((lo, hi) for lo, hi, _ in live_pieces(pieces))
+        layouts.setdefault((weight.undeformed().key(), live), []).append(
+            (key, weight, basis, prefix, pieces))
+    for (_, live), members in layouts.items():
+        points = _PointSet(members[0][1], live)
+        for key, weight, basis, prefix, pieces in members:
+            try:
+                out[key] = _entry_vector(weight, basis, prefix, pieces, points)
+            except _STORED as exc:
+                out[key] = _Failed(exc)
+    return out
+
+
 def _slogdet_with_cond(A):
-    """(sign, log|det|, cond) with power-of-two row/column equilibration.
+    """[(sign, log|det|, cond)] for each matrix of a (k, n, n) stack, with
+    power-of-two row/column equilibration.
 
     Entry magnitudes can span tens of orders (high moments against slowly
     decaying weights); plain LU then loses digits to backward error at the
     global scale.  Scaling by exact powers of two keeps the factorization
     error commensurate with per-entry relative error.  cond is the
     first-order sensitivity of log det to relative entry perturbations.
+    Every matrix gets the same three rounds of row then column scaling; a
+    matrix with a zero row or column, or a zero pivot, is (0, -inf, inf).
+    One slogdet and one inv cover the stack, and each matrix's triple is
+    bitwise what a stack of one gives.
     """
     import numpy as np
     B = np.array(A, dtype=float)
-    n = B.shape[0]
-    shift = 0
+    shift = np.zeros(len(B), dtype=int)
+    dead = np.zeros(len(B), dtype=bool)
     for _ in range(3):
-        rmax = np.max(np.abs(B), axis=1)
-        if np.any(rmax == 0.0):
-            return 0.0, -math.inf, math.inf
-        re = np.round(np.log2(rmax)).astype(int)
-        B /= np.exp2(re)[:, None]
-        cmax = np.max(np.abs(B), axis=0)
-        if np.any(cmax == 0.0):
-            return 0.0, -math.inf, math.inf
-        ce = np.round(np.log2(cmax)).astype(int)
-        B /= np.exp2(ce)[None, :]
-        shift += int(re.sum()) + int(ce.sum())
+        for axis in (2, 1):  # row maxima, then column maxima
+            peak = np.abs(B).max(axis=axis)
+            zero = peak == 0.0
+            dead |= zero.any(axis=1)
+            peak[zero] = 1.0
+            e = np.round(np.log2(peak)).astype(int)
+            B /= np.exp2(e)[:, :, None] if axis == 2 else np.exp2(e)[:, None, :]
+            shift += e.sum(axis=1)
     sign, logabs = np.linalg.slogdet(B)
-    if sign == 0:
-        return 0.0, -math.inf, math.inf
-    inv = np.linalg.inv(B)
-    cond = float(np.sum(np.abs(B) * np.abs(inv.T)))
-    return float(sign), float(logabs) + shift * math.log(2), cond
+    ok = ~dead & (sign != 0)
+    cond = np.full(len(B), math.inf)
+    if ok.any():
+        L = B[ok]
+        prod = np.abs(L) * np.abs(np.swapaxes(np.linalg.inv(L), 1, 2))
+        cond[ok] = prod.reshape(len(L), -1).sum(axis=1)
+    return [(float(sg), float(la) + int(sh) * math.log(2), float(c)) if good
+            else (0.0, -math.inf, math.inf)
+            for sg, la, sh, c, good in zip(sign, logabs, shift, cond, ok)]
 
 
-def _partition_logdet(model, weight):
-    """(sign, log|Z|, diag) for the partition function of `model` computed
-    against `weight` (the model's own weight or its deformation); the
-    convention fixes every d-dependent constant to one and includes d!.
+class Plan:
+    """The tables a group of checks reads, filled in two phases.
 
-    The determinant is computed once per model: the key holds the weight,
-    the column basis and the whole node sequence, so no two models share it.
+    First each check registers what it will read: model determinants
+    (weight, node sequence), rank-one-ladder values Ebar, and Gamma vectors.
+    Then fill() computes what the run-wide tables lack: the entry vectors
+    per point set (_entry_vectors), every missing model matrix factored in
+    one stack per size, the Gamma vectors, and the Ebar values.  An error is
+    stored under the key whose computation met it and raised to whoever
+    reads that key; a key's value never depends on what else is in the plan.
     """
-    import numpy as np
-    d = model.d
-    basis = _column_basis(weight, d)
-    nodes = model.nodes()
 
-    def compute():
-        A = np.empty((d, d))
-        for r in range(1, d + 1):
-            A[r - 1, :] = _entry_vector(weight, basis, nodes[:r])[:d]
-        return _slogdet_with_cond(A)
+    def __init__(self):
+        self.models = {}  # (weight key, nodes) -> weight
+        self.ebars = {}  # Ebar key -> the four model keys it divides
+        self.gammas = set()
 
-    key = (weight.key(), basis.weight.key(), basis.n, nodes)
-    sign, logabs, cond = _compute_once(_LOGDET_CACHE, key, compute)
-    diag = {"cond": cond, "logdet": logabs}
-    return sign, logabs + math.log(math.factorial(d)), diag
+    def model(self, model, weight):
+        """Register Z of the model against weight; returns its table key."""
+        key = (weight.key(), model.nodes())
+        if key not in _LOGDET_CACHE:
+            self.models[key] = weight
+        return key
+
+    def expectation(self, q):
+        """Register the numerator and denominator keys of E(q)."""
+        return self.model(q.model, q.deformed_weight()), self.model(q.model, q.model.weight)
+
+    def ebar(self, q):
+        """Register Ebar(q) = E(q) / E(q with no sources); returns its key."""
+        key = (q.model.weight.key(), q.E.intervals, q.s, q.model.nodes())
+        if key not in _EBAR_CACHE and key not in self.ebars:
+            zero = ExpectationQuery(SourceModel(q.model.d, [], q.model.weight), q.E, q.s)
+            self.ebars[key] = self.expectation(q) + self.expectation(zero)
+        return key
+
+    def gamma(self, weight, a, n):
+        self.gammas.add((weight.undeformed(), float(a), n))
+
+    def fill(self):
+        import numpy as np
+        rows, entries = {}, {}
+        for key, weight in self.models.items():
+            nodes = key[1]
+            try:
+                basis = _column_basis(weight, len(nodes))
+            except _STORED as exc:
+                _LOGDET_CACHE[key] = _Failed(exc)
+                continue
+            rows[key] = [(weight.key(), basis.weight.key(), basis.n, nodes[:r])
+                         for r in range(1, len(nodes) + 1)]
+            for ekey in rows[key]:
+                entries[ekey] = (weight, basis, ekey[3])
+        vectors = _entry_vectors(entries)
+        stacks = {}
+        for key, ekeys in rows.items():
+            d = len(ekeys)
+            A = np.empty((d, d))
+            for r, ekey in enumerate(ekeys):
+                vec = vectors[ekey]
+                if isinstance(vec, _Failed):
+                    _LOGDET_CACHE[key] = vec
+                    break
+                A[r, :] = vec[:d]
+            else:
+                stacks.setdefault(d, []).append((key, A))
+        for d, items in stacks.items():
+            dets = _slogdet_with_cond(np.array([A for _, A in items]))
+            for (key, _), (sign, logabs, cond) in zip(items, dets):
+                _LOGDET_CACHE[key] = (sign, logabs + math.log(math.factorial(d)), cond)
+        for weight, a, n in self.gammas:
+            try:
+                _gamma_vector(weight, a, n)
+            except _STORED:
+                pass  # stored under its key; the reader raises it
+        for key, (num, den, num0, den0) in self.ebars.items():
+            try:
+                val, c_num, c_den = _expectation(num, den)
+                ref, c_num0, c_den0 = _expectation(num0, den0)
+                if ref == 0.0:
+                    raise ZeroDivisionError("zero-source expectation vanished (e.g. s=1, E=R)")
+                _EBAR_CACHE[key] = (val / ref, c_num + c_den + c_num0 + c_den0)
+            except _STORED as exc:
+                _EBAR_CACHE[key] = _Failed(exc)
+
+
+def prepare(register, arglist):
+    """Fill, as one plan, the tables that register(plan, *args) names for
+    every args of arglist, so that each check run afterwards only reads.
+    A check whose inputs are rejected while registering adds nothing: its
+    own run raises the same error."""
+    plan = Plan()
+    for args in arglist:
+        try:
+            register(plan, *args)
+        except ValueError:
+            pass
+    plan.fill()
+
+
+def _filled(register):
+    """A plan of one: register(plan)'s result, once the plan is filled."""
+    plan = Plan()
+    out = register(plan)
+    plan.fill()
+    return out
+
+
+# ---------------------------------------------------------------------------
+# partition functions, expectations and the identity checks
+
+
+def _expectation(num, den):
+    """(Z_num / Z_den, cond_num, cond_den) from two model keys."""
+    s_num, log_num, c_num = _read(_LOGDET_CACHE, num)
+    s_den, log_den, c_den = _read(_LOGDET_CACHE, den)
+    if s_den == 0.0:
+        raise ZeroDivisionError("original partition function vanished")
+    return s_num * s_den * math.exp(log_num - log_den), c_num, c_den
 
 
 def partition_fn(model):
     """Z_d for the model's weight, up to d-dependent constants (set to one).
 
-    Every consumer identity is a ratio in which those constants cancel.
+    The convention fixes every d-dependent constant to one and includes d!;
+    every consumer identity is a ratio in which those constants cancel.
     """
-    sign, logz, _ = _partition_logdet(model, model.weight)
+    sign, logz, _ = _read(_LOGDET_CACHE, _filled(lambda plan: plan.model(model, model.weight)))
     return sign * math.exp(logz)
 
 
@@ -456,50 +665,14 @@ def _gamma_vector(weight, a, n):
     return _compute_once(_GAMMA_CACHE, (base.key(), a, n), compute)
 
 
-def rank1_partition_fn(weight, l, a):
-    """Z_l for a single source a via the orthonormal-polynomial route:
-    l! a^{-(l-1)} Gamma_{l-1}(a).  Agrees with partition_fn up to an
-    a-independent factor (different normalization of the last column)."""
-    if a == 0:
-        raise ValueError("a must be nonzero")
-    g = _gamma_vector(weight, a, l)[l - 1]
-    return math.factorial(l) * float(a) ** (-(l - 1)) * g
-
-
-# ---------------------------------------------------------------------------
-# expectations and the identity checks
-
-
-def _expectation_with_diag(q):
-    model = q.model
-    wdef = q.deformed_weight()
-    s_num, log_num, diag_n = _partition_logdet(model, wdef)
-    s_den, log_den, diag_d = _partition_logdet(model, model.weight)
-    if s_den == 0.0:
-        raise ZeroDivisionError("original partition function vanished")
-    val = s_num * s_den * math.exp(log_num - log_den)
-    return val, {"cond_num": diag_n["cond"], "cond_den": diag_d["cond"]}
-
-
 def expectation(q):
     """E_d(a_1..a_m; E; s): deformed partition function over the original."""
-    return _expectation_with_diag(q)[0]
-
-
-def _normalized_expectation_with_diag(q):
-    val, diag = _expectation_with_diag(q)
-    zero_q = ExpectationQuery(SourceModel(q.model.d, [], q.model.weight), q.E, q.s)
-    ref, diag0 = _expectation_with_diag(zero_q)
-    if ref == 0.0:
-        raise ZeroDivisionError("zero-source expectation vanished (e.g. s=1, E=R)")
-    out = val / ref
-    cond = diag["cond_num"] + diag["cond_den"] + diag0["cond_num"] + diag0["cond_den"]
-    return out, {"cond_sum": cond}
+    return _expectation(*_filled(lambda plan: plan.expectation(q)))[0]
 
 
 def normalized_expectation(q):
     """Ebar: expectation divided by the all-zero-source expectation."""
-    return _normalized_expectation_with_diag(q)[0]
+    return _read(_EBAR_CACHE, _filled(lambda plan: plan.ebar(q)))[0]
 
 
 def _check_simple_sources(model, op):
@@ -509,82 +682,105 @@ def _check_simple_sources(model, op):
         raise ValueError(f"{op} requires at least one nonzero source")
 
 
-def _rank_reduction_rhs_with_diag(q):
+def _plan_ladder(plan, q):
+    """Register the rank-one ladder of q; returns the reader of its value
+    and summed conditioning."""
     import numpy as np
     model = q.model
     _check_simple_sources(model, "rank_reduction_rhs")
-    d = model.d
+    d, W = model.d, model.weight
     a = [v for v, _ in model.sources]
     m = len(a)
-    num = np.empty((m, m))
-    den = np.empty((m, m))
-    cond_sum = 0.0
-    for k, ak in enumerate(a):
-        gam = _gamma_vector(model.weight, ak, d)
-        for j in range(1, m + 1):
-            g = gam[d - j]
-            sub = ExpectationQuery(
-                SourceModel(d - j + 1, [(ak, 1)], model.weight), q.E, q.s)
-            eb, diag = _normalized_expectation_with_diag(sub)
-            cond_sum += diag["cond_sum"]
-            num[j - 1, k] = g * eb
-            den[j - 1, k] = g
-    sd, logd, cond_d = _slogdet_with_cond(den)
-    if sd == 0.0:
-        raise ZeroDivisionError("Gamma determinant vanished")
-    sn, logn, cond_n = _slogdet_with_cond(num)
-    val = sn * sd * math.exp(logn - logd) if sn != 0.0 else 0.0
-    return val, {"cond_sum": cond_sum + cond_d + cond_n}
+    rungs = []
+    for ak in a:
+        plan.gamma(W, ak, d)
+        rungs.append([plan.ebar(ExpectationQuery(SourceModel(d - j + 1, [(ak, 1)], W), q.E, q.s))
+                      for j in range(1, m + 1)])
+
+    def read():
+        num = np.empty((m, m))
+        den = np.empty((m, m))
+        cond_sum = 0.0
+        for k, ak in enumerate(a):
+            gam = _gamma_vector(W, ak, d)
+            for j in range(1, m + 1):
+                g = gam[d - j]
+                eb, cond = _read(_EBAR_CACHE, rungs[k][j - 1])
+                cond_sum += cond
+                num[j - 1, k] = g * eb
+                den[j - 1, k] = g
+        (sd, logd, cond_d), (sn, logn, cond_n) = _slogdet_with_cond(np.array([den, num]))
+        if sd == 0.0:
+            raise ZeroDivisionError("Gamma determinant vanished")
+        val = sn * sd * math.exp(logn - logd) if sn != 0.0 else 0.0
+        return val, cond_sum + cond_d + cond_n
+    return read
 
 
 def rank_reduction_rhs(q):
     """det[Gamma_{d-j}(a_k) Ebar_{d-j+1}(a_k)] / det[Gamma_{d-j}(a_k)],
     with every Ebar a rank-one normalized expectation at dimension d-j+1."""
-    return _rank_reduction_rhs_with_diag(q)[0]
+    return _filled(lambda plan: _plan_ladder(plan, q))()[0]
+
+
+def plan_identity(plan, q):
+    """Register both sides of the rank-reduction identity of q; returns the
+    reader of its report."""
+    model = q.model
+    _check_simple_sources(model, "verify_main_identity")
+    lhs = plan.ebar(q)
+    rhs = _plan_ladder(plan, q)
+
+    def read():
+        val, cond = _read(_EBAR_CACHE, lhs)
+        rval, rcond = rhs()
+        return _make_report(val, rval, [v for v, _ in model.sources], cond + rcond)
+    return read
 
 
 def verify_main_identity(q):
     """Both sides of the rank-reduction identity through disjoint pipelines:
     the m-source Andreief determinant versus the rank-one ladder."""
-    model = q.model
-    _check_simple_sources(model, "verify_main_identity")
-    lhs, dl = _normalized_expectation_with_diag(q)
-    rhs, dr = _rank_reduction_rhs_with_diag(q)
-    return _make_report(lhs, rhs, [v for v, _ in model.sources],
-                        dl["cond_sum"] + dr["cond_sum"])
+    return _filled(lambda plan: plan_identity(plan, q))()
 
 
-def z_ratio_det_check(weight, d, a):
-    """Z_d(a_1..a_m)/Z_d against det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}]
-    divided by Delta_m(a) = prod_{j<k} (a_j - a_k)."""
+def plan_z_ratio(plan, weight, d, a):
+    """Register the z-ratio check of sources a at dimension d; returns the
+    reader of its report."""
     import numpy as np
     a = [float(v) for v in a]
     m = len(a)
     if m > d:
         raise ValueError("need m <= d")
     base = SourceModel(d, [], weight)
-
-    def zratio(dim, val):
-        num = SourceModel(dim, [(val, 1)], weight)
-        sn, ln_, dn = _partition_logdet(num, weight)
-        sdn, ld, dd = _partition_logdet(SourceModel(dim, [], weight), weight)
-        return sn * sdn * math.exp(ln_ - ld), dn["cond"] + dd["cond"]
-
     model = SourceModel(d, [(v, 1) for v in a], weight)
-    sl, ll, diag_l = _partition_logdet(model, weight)
-    sb, lb, diag_b = _partition_logdet(base, weight)
-    lhs = sl * sb * math.exp(ll - lb)
-    cond = diag_l["cond"] + diag_b["cond"]
-    M = np.empty((m, m))
-    for k in range(m):
-        for j in range(1, m + 1):
-            zr, c = zratio(d + 1 - j, a[k])
-            cond += c
-            M[j - 1, k] = a[k] ** (m - j) * zr
-    delta = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            delta *= a[i] - a[j]
-    sM, logM, cond_M = _slogdet_with_cond(M)
-    rhs = (sM * math.exp(logM) if sM != 0.0 else 0.0) / delta
-    return _make_report(lhs, rhs, a, cond + cond_M)
+    lhs = plan.model(model, weight), plan.model(base, weight)
+    rungs = [[(plan.model(SourceModel(d + 1 - j, [(ak, 1)], weight), weight),
+               plan.model(SourceModel(d + 1 - j, [], weight), weight))
+              for j in range(1, m + 1)] for ak in a]
+
+    def read():
+        sl, ll, cond_l = _read(_LOGDET_CACHE, lhs[0])
+        sb, lb, cond_b = _read(_LOGDET_CACHE, lhs[1])
+        cond = cond_l + cond_b
+        M = np.empty((m, m))
+        for k in range(m):
+            for j in range(1, m + 1):
+                sn, ln_, cn = _read(_LOGDET_CACHE, rungs[k][j - 1][0])
+                sdn, ld, cd = _read(_LOGDET_CACHE, rungs[k][j - 1][1])
+                cond += cn + cd
+                M[j - 1, k] = a[k] ** (m - j) * (sn * sdn * math.exp(ln_ - ld))
+        delta = 1.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                delta *= a[i] - a[j]
+        ((sM, logM, cond_M),) = _slogdet_with_cond(M[None])
+        rhs = (sM * math.exp(logM) if sM != 0.0 else 0.0) / delta
+        return _make_report(sl * sb * math.exp(ll - lb), rhs, a, cond + cond_M)
+    return read
+
+
+def z_ratio_det_check(weight, d, a):
+    """Z_d(a_1..a_m)/Z_d against det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}]
+    divided by Delta_m(a) = prod_{j<k} (a_j - a_k)."""
+    return _filled(lambda plan: plan_z_ratio(plan, weight, d, a))()

@@ -32,7 +32,7 @@ import math
 from typing import NamedTuple
 
 from .weights import GaussianWeight, IntervalSet
-from .matrix_model import SourceModel, ExpectationQuery, expectation
+from .matrix_model import Plan, SourceModel, ExpectationQuery, expectation
 
 BATCH = 20000
 
@@ -192,9 +192,13 @@ def cross_check(d, sources, E, s, N, seed, quads=None):
     """
     ests = estimate_expectation(d, sources, E, s, N, seed)
     if quads is None:
-        quads = [expectation(ExpectationQuery(
-                     SourceModel(d, [(v, 1) for v in a], GaussianWeight()), E, s))
-                 for a in sources]
+        queries = [ExpectationQuery(SourceModel(d, [(v, 1) for v in a], GaussianWeight()), E, s)
+                   for a in sources]
+        plan = Plan()  # the tuples' models, factored together
+        for q in queries:
+            plan.expectation(q)
+        plan.fill()
+        quads = [expectation(q) for q in queries]
     out = []
     for est, quad in zip(ests, quads, strict=True):
         diff = abs(est.mean - quad)

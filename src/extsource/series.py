@@ -289,6 +289,24 @@ class TruncatedSeries:
             {w: {m: -c if sum(map(sum, _decode(m, cap, nblocks))) % 2 else c
                  for m, c in nums.items()} for w, nums in self._graded})
 
+    def swap_blocks(self, b1, b2):
+        """The series with blocks b1 and b2 exchanged.  A relabelling keeps
+        every monomial's weight, so each bucket keeps its place."""
+        for b in (b1, b2):
+            if not 0 <= b < self.nblocks:
+                raise ValueError(f"block {b} out of range")
+        width = _slots(self.cap)[1]
+        step = abs(b2 - b1) * width
+        mask = ((1 << width) - 1) << (min(b1, b2) * width)
+
+        def swap(m):
+            low, high = m & mask, (m >> step) & mask
+            return m ^ low ^ high ^ (low << step) ^ (high << step)
+
+        return TruncatedSeries._trusted(
+            self.cap, self.nblocks, self._den,
+            {w: {swap(m): c for m, c in nums.items()} for w, nums in self._graded})
+
     def substitute_point(self, block, value):
         """Evaluate a point-symbol block at a scalar, dropping that block.
 

@@ -425,6 +425,19 @@ class _EvalCounter:
 _GAUSS_ORDER = 20  # Gauss-Legendre order of the pair; the Kronrod rule has 41 points
 
 
+def live_pieces(pieces):
+    """The pieces a quadrature measures: nonzero multiplier, positive length."""
+    return [(lo, hi, mult) for lo, hi, mult in pieces if mult != 0.0 and hi > lo]
+
+
+def panel_nodes(panels):
+    """The Kronrod nodes of every panel (lo, hi, ...), panel by panel: the
+    points of one integrand call of integrate_pieces."""
+    import numpy as np
+    lo, hi = (np.array(col, dtype=float)[:, None] for col in list(zip(*panels))[:2])
+    return (0.5 * (lo + hi) + 0.5 * (hi - lo) * _kronrod(_GAUSS_ORDER)[0]).ravel()
+
+
 def _panels_to_split(errs, thresh):
     """Indices, in ascending order, of the fewest panels to split.
 
@@ -458,15 +471,16 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
     Each panel is measured on the 41 nodes of the Gauss-Kronrod extension of
     the 20-point Gauss-Legendre rule: its value is the 41-point sum, and its
     error |K41 - G20|, where G20 reuses the 20 values at the Gauss nodes.
-    f is called once per refinement round: once on the nodes of every
-    initial piece, then once on the nodes of both halves of every panel
-    split in the round.  A round splits the fewest panels, ranked by
-    their largest error-to-threshold ratio over the failing components, whose
-    errors leave the rest within every failing threshold (_panels_to_split).
+    f is called once per refinement round: first on
+    panel_nodes(live_pieces(pieces)), then once on the nodes of both halves
+    of every panel split in the round.  A round splits the fewest panels,
+    ranked by their largest error-to-threshold ratio over the failing
+    components, whose errors leave the rest within every failing threshold
+    (_panels_to_split).
     max_panels caps the total number of splits.
     """
     import numpy as np
-    live = [(lo, hi, mult) for lo, hi, mult in pieces if mult != 0.0 and hi > lo]
+    live = live_pieces(pieces)
     if not live:
         return QuadResult(np.zeros(1), np.zeros(1))
 
@@ -476,8 +490,8 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
         """Kronrod values and |Kronrod - Gauss| errors, one row per panel,
         from a single call of f on the Kronrod nodes of every panel."""
         lo, hi, mult = (np.array(col, dtype=float)[:, None] for col in zip(*panels))
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = np.asarray(f((mid + half * nodes).ravel()))
+        half = 0.5 * (hi - lo)
+        vals = np.asarray(f(panel_nodes(panels)))
         if counter is not None:
             counter.add(len(nodes) * len(panels))
         vals = vals.reshape(len(panels), len(nodes), -1)
@@ -666,7 +680,7 @@ def orthonormal_basis(W, n):
     import numpy as np
     if n < 1:
         raise ValueError("need n >= 1")
-    live = [p for p in domain_pieces(W, 0.0, 2 * n) if p[2] != 0.0 and p[1] > p[0]]
+    live = live_pieces(domain_pieces(W, 0.0, 2 * n))
     if not live:
         raise HankelNotPD(f"moment matrix of {W.key()} not PD: the weight vanishes")
     x0, w0 = _leggauss(_STIELTJES_ORDER)

@@ -1,17 +1,18 @@
-"""The literal Andreief form of the partition function, which only the tests use.
+"""Partition-function oracles that only the tests use.
 
-It integrates raw confluent rows {x^i} u {x^p e^{a_k x}} against monomial
+partition_fn_raw is the literal Andreief form.  It integrates raw confluent rows {x^i} u {x^p e^{a_k x}} against monomial
 columns and divides by the confluent Vandermonde.  That is much worse
 conditioned than `extsource.matrix_model.partition_fn`, but shares neither its
 divided-difference rows nor its orthonormal columns, so it cross-checks them
-at small d.
+at small d.  rank1_partition_fn is the rank-one orthonormal-polynomial
+route through the Gamma coefficients.
 """
 
 import math
 
 import numpy as np
 
-from extsource.matrix_model import ENTRY_REL_TOL
+from extsource.matrix_model import ENTRY_REL_TOL, _gamma_vector
 from extsource.weights import domain_pieces, integrate_pieces
 
 
@@ -51,3 +52,13 @@ def partition_fn_raw(model):
             bj, mj = groups[j]
             cv *= (bj - bi) ** (mi * mj)
     return math.factorial(d) * det / cv
+
+
+def rank1_partition_fn(weight, l, a):
+    """Z_l for a single source a via the orthonormal-polynomial route:
+    l! a^{-(l-1)} Gamma_{l-1}(a).  Agrees with partition_fn up to an
+    a-independent factor (different normalization of the last column)."""
+    if a == 0:
+        raise ValueError("a must be nonzero")
+    g = _gamma_vector(weight, a, l)[l - 1]
+    return math.factorial(l) * float(a) ** (-(l - 1)) * g

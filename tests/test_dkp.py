@@ -215,6 +215,17 @@ def test_fay_det_m2_matches_pairwise_form():
             assert fay_det_residual(cfg, d, 2, [a, b]) == want
 
 
+@pytest.mark.parametrize("W", [GAUSS, LAG], ids=["gaussian", "laguerre"])
+def test_swapped_shift_block_is_the_shifted_series(W):
+    # fay_det_residual builds Z(t + [s_1]) once per degree and moves the
+    # shift to block k by exchanging blocks 1 and k
+    cfg = TauConfig(W, 5, 3)
+    for d in range(4):
+        z1 = zhat_series(cfg, d, 4, 0, (1,))
+        for k in (2, 3):
+            assert z1.swap_blocks(1, k) == zhat_series(cfg, d, 4, 0, (k,))
+
+
 def test_fay_det_depth_bounds():
     cfg = gauss_cfg(cap=4, dmax=3)
     pts = [Fraction(1), Fraction(1, 2), Fraction(1, 3)]

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,14 @@ def test_benchmark_trace_hooks_find_their_targets(tmp_path):
     rep = json.loads(report.read_text())
     assert rep["exit_code"] == 0
     assert len(TRACED_SPANS) == 27 and TRACED_SPANS <= set(rep["spans"])
+    # the wrapped integrand sees every point the run counts, the ones whose
+    # values a point set shares included, and tracing changes no record
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert f"integrand evaluations: {rep['counts']['integrand_points']}\n" in summary
+    assert 0 < rep["counts"]["entry_computed"] <= rep["spans"]["matrix_model.entry_vector"][0]
+    run(load_config("quick"), tmp_path / "plain")
+    for name in ("results.ndjson", "results.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_schema_required():
@@ -288,6 +297,84 @@ def test_threaded_run_counts_same_evaluations(tmp_path):
         run(load_config("quick"), tmp_path / str(i), workers=workers)
         counts.append(mm.EVALS.n - before)
     assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
+@pytest.mark.parametrize("config", ["quick", str(REPO / "perfbench/workloads/float-sweep.yaml")])
+def test_float_plans_keep_bytes_and_counts_across_workers(tmp_path, config):
+    # one plan per (suite, weight), built by whichever worker runs first;
+    # from cold caches the records, the evaluation count and every summary
+    # line but the wall time are the same at 1 and 4 workers
+    import sys
+    from extsource import matrix_model as mm
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # workers interleave inside the shared tables
+    try:
+        for workers in (1, 4):
+            mm.clear_caches()
+            out = tmp_path / f"w{workers}"
+            run(load_config(config), out, workers=workers)
+            outs.append(out)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("results.ndjson", "results.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    summaries = [(out / "summary.txt").read_text().splitlines() for out in outs]
+    times = [re.sub(r"wall time: [0-9.]+ s", "", lines[-1]) for lines in summaries]
+    assert summaries[0][:-1] == summaries[1][:-1] and times[0] == times[1]
+    assert "integrand evaluations: 0" not in times[0]
+
+
+PREFIX_FAILURE = """
+schema: 1
+weights:
+  gaussian: {kind: gaussian}
+suites:
+  identity:
+    weights: [gaussian]
+    d: [3]
+    m: [1, 2]
+    sources: [0.3, 0.9]
+    intervals:
+      - [[1, inf]]
+    s: [0.5]
+  z-ratio:
+    weights: [gaussian]
+    d: [3]
+    m: [1, 2]
+    sources: [0.3, 0.9]
+"""
+
+
+def test_failed_prefix_errors_only_its_records(tmp_path, monkeypatch):
+    # the entry quadrature of the node prefix (0, 0.3) fails; it belongs to
+    # the models (0, 0.3, 0.9) and (0, 0.3), so only the two-source records
+    # read it, and every other record of the plan is as in a clean run
+    from extsource import matrix_model as mm
+    from extsource.weights import QuadratureError
+    cfg = RunConfig(yaml.safe_load(PREFIX_FAILURE))
+    mm.clear_caches()
+    run(cfg, tmp_path / "clean")
+    real = mm.DividedExpRow.values_fused
+
+    def failing(row, x, logw):
+        if row.nodes == (0.0, 0.3):
+            raise QuadratureError("injected failure")
+        return real(row, x, logw)
+
+    monkeypatch.setattr(mm.DividedExpRow, "values_fused", failing)
+    mm.clear_caches()
+    code, _ = run(cfg, tmp_path / "failed")
+    mm.clear_caches()
+    assert code == 1
+    clean, failed = ([json.loads(x) for x in (tmp_path / d / "results.ndjson").read_text().splitlines()]
+                     for d in ("clean", "failed"))
+    assert len(clean) == len(failed) == 6
+    for c, f in zip(clean, failed):
+        if c["m"] == 2:
+            assert f["status"] == "error" and f["reason"] == "QuadratureError: injected failure"
+        else:
+            assert c["status"] == "pass" and f == c
 
 
 def cold_run(cwd, args, *modules):

@@ -8,11 +8,11 @@ from extsource.schur import NearConfluent
 from extsource.weights import GaussianWeight, LaguerreWeight, IntervalSet
 from extsource.matrix_model import (
     SERIES_ZONE, SourceModel, ExpectationQuery, DividedExpRow, _SERIES_CUT,
-    partition_fn, rank1_partition_fn,
+    partition_fn,
     expectation, normalized_expectation, rank_reduction_rhs,
     verify_main_identity, z_ratio_det_check, classify,
 )
-from matrix_oracles import partition_fn_raw
+from matrix_oracles import partition_fn_raw, rank1_partition_fn
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -416,16 +416,77 @@ def test_failed_basis_build_is_cached(monkeypatch):
     mm.clear_caches()
 
 
-# -- determinant memo --------------------------------------------------------
+# -- determinant stacks and plans ---------------------------------------------
+
+def slogdet_one(A):
+    """One matrix at a time, as matrix_model factored each determinant
+    before determinants came in stacks: the reference for the stacked
+    _slogdet_with_cond."""
+    B = np.array(A, dtype=float)
+    shift = 0
+    for _ in range(3):
+        rmax = np.max(np.abs(B), axis=1)
+        if np.any(rmax == 0.0):
+            return 0.0, -math.inf, math.inf
+        re = np.round(np.log2(rmax)).astype(int)
+        B /= np.exp2(re)[:, None]
+        cmax = np.max(np.abs(B), axis=0)
+        if np.any(cmax == 0.0):
+            return 0.0, -math.inf, math.inf
+        ce = np.round(np.log2(cmax)).astype(int)
+        B /= np.exp2(ce)[None, :]
+        shift += int(re.sum()) + int(ce.sum())
+    sign, logabs = np.linalg.slogdet(B)
+    if sign == 0:
+        return 0.0, -math.inf, math.inf
+    inv = np.linalg.inv(B)
+    cond = float(np.sum(np.abs(B) * np.abs(inv.T)))
+    return float(sign), float(logabs) + shift * math.log(2), cond
+
+
+def ill_scaled(rng, n):
+    """A random n x n matrix whose rows and columns span ~40 orders."""
+    A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-20, 20, n)[:, None]
+    A *= 10.0 ** rng.uniform(-20, 20, n)[None, :]
+    kind = rng.integers(6)
+    if kind == 1:
+        A[rng.integers(n), :] = 0.0
+    elif kind == 2:
+        A[:, rng.integers(n)] = 0.0
+    elif kind == 3 and n > 1:  # exactly singular: a repeated row
+        A[rng.integers(1, n)] = A[0]
+    elif kind == 4:  # a column of entries 2^-1070 below the rest
+        A[:, rng.integers(n)] *= 2.0 ** -1070
+    elif kind == 5:  # entrywise scales, which every round rescales anew
+        A *= 10.0 ** rng.uniform(-15, 15, (n, n))
+    return A
+
+
+def test_stacked_slogdet_is_bitwise_one_at_a_time():
+    from extsource.matrix_model import _slogdet_with_cond
+    rng = np.random.default_rng(17)
+    seen = set()
+    for n in range(1, 11):
+        stack = np.array([ill_scaled(rng, n) for _ in range(40)])
+        before = stack.copy()
+        got = _slogdet_with_cond(stack)
+        assert np.array_equal(stack, before)  # the caller's stack is not scaled
+        want = [slogdet_one(A) for A in stack]
+        alone = [_slogdet_with_cond(A[None])[0] for A in stack]
+        assert got == want == alone, n
+        seen |= {"dead" if t[0] == 0.0 else "live" for t in got}
+    assert seen == {"dead", "live"}
+    assert _slogdet_with_cond(np.zeros((0, 3, 3))) == []
+
 
 def test_one_determinant_per_model(monkeypatch):
     from extsource import matrix_model as mm
     mm.clear_caches()
-    shapes = []
+    stacks = []
     slogdet = mm._slogdet_with_cond
 
     def counted(A):
-        shapes.append(np.shape(A))
+        stacks.append(np.shape(A))
         return slogdet(A)
 
     monkeypatch.setattr(mm, "_slogdet_with_cond", counted)
@@ -442,13 +503,39 @@ def test_one_determinant_per_model(monkeypatch):
     expected = {(w.key(), (0.0,) * (dim - len(src)) + src)
                 for dim, src in models for w in (GAUSS, q.deformed_weight())}
     assert len(expected) == 26
-    assert {(key[0], key[3]) for key in mm._LOGDET_CACHE} == expected
-    # one determinant per model key, plus the numerator and denominator of
-    # the 3 x 3 ladder
-    assert len(shapes) == len(expected) + 2
-    assert shapes.count((3, 3)) == 2
-    # a second check finds every model determinant in the memo
+    assert set(mm._LOGDET_CACHE) == expected
+    # one matrix per model key, in one stack per size, then the numerator
+    # and denominator of the 3 x 3 ladder in one stack
+    assert sorted(stacks[:-1]) == [(8, 6, 6), (8, 7, 7), (10, 8, 8)]
+    assert stacks[-1] == (2, 3, 3)
+    assert sum(k for k, _, _ in stacks) == len(expected) + 2
+    # a second check reads every model determinant from the tables
     assert verify_main_identity(q).rel_err == report.rel_err
-    assert len(shapes) == len(expected) + 4
+    assert stacks[4:] == [(2, 3, 3)]
     mm.clear_caches()
     assert not mm._LOGDET_CACHE
+
+
+def test_entries_shared_per_point_set_are_bitwise_alone():
+    # entries computed together share their round-0 integrand values; each
+    # vector must equal the one computed with nothing else in its plan
+    from extsource import matrix_model as mm
+    from extsource.weights import deform_weight
+    # the deformed weight and its base have different column bases; with
+    # s = 0.5 and E = [1, inf) their pieces can still share every node
+    prefixes = [(0.0,) * r for r in range(1, 7)] + [(0.0,) * r + (0.9,) for r in range(6)]
+    entries, layouts = {}, set()
+    for W in (GAUSS, deform_weight(GAUSS, RIGHT1, 0.5)):
+        basis = mm._column_basis(W, 6)
+        for p in prefixes:
+            entries[(W.key(), basis.weight.key(), basis.n, p)] = (W, basis, p)
+            pieces = mm.domain_pieces(W, max(0.0, *p), len(p) + basis.n + 4)
+            layouts.add(tuple((lo, hi) for lo, hi, _ in mm.live_pieces(pieces)))
+    assert len(layouts) < len(prefixes)  # some entries do share a point set
+    mm.clear_caches()
+    together = mm._entry_vectors(entries)
+    for key, item in entries.items():
+        mm.clear_caches()
+        alone = mm._entry_vectors({key: item})[key]
+        assert np.array_equal(alone, together[key]), key
+    mm.clear_caches()

@@ -134,6 +134,21 @@ def test_substitute_point_block():
         (f + t(2, cap, nblocks=2, block=1)).substitute_point(1, 1)
 
 
+def test_swap_blocks_relabels():
+    cap, nb = 5, 3
+    x, y, z = (t(1, cap, nblocks=nb, block=b) for b in range(nb))
+    f = x * y * Fraction(2, 3) + t(2, cap, nblocks=nb, block=0) * z ** 2 + y ** 3 - 7
+    g = f.swap_blocks(1, 2)
+    assert g == x * z * Fraction(2, 3) + t(2, cap, nblocks=nb, block=0) * y ** 2 + z ** 3 - 7
+    assert g.swap_blocks(2, 1) == f and f.swap_blocks(1, 1) == f
+    assert f.swap_blocks(0, 2) == z * y * Fraction(2, 3) + t(2, cap, nblocks=nb, block=2) * x ** 2 \
+        + y ** 3 - 7
+    # a relabelling keeps each monomial's weight
+    assert [w for w, _ in g._graded] == [w for w, _ in f._graded]
+    with pytest.raises(ValueError, match="out of range"):
+        f.swap_blocks(0, 3)
+
+
 def test_flip_signs():
     cap = 4
     f = t(1, cap) + t(2, cap) * t(1, cap) + 5
