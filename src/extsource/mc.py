@@ -12,9 +12,20 @@ counts them instead of computing them.  By Sylvester's law of inertia the
 number of eigenvalues of M below c is the number of negative pivots of the
 LDL^H factorisation of M - cI (Parlett, The Symmetric Eigenvalue Problem,
 1998, section 3.3).  The factorisation is a loop over the dimension,
-vectorised over the draws of a batch and over the finite endpoints of E, in
-real arithmetic on the real and imaginary parts of the lower triangle.  A
-draw with a zero or non-finite pivot is recounted from its eigenvalues.
+vectorised over the draws of a batch, in real arithmetic on the real and
+imaginary parts of the lower triangle of H, one contiguous array per
+entry.  A draw with a zero or non-finite pivot is recounted from its
+eigenvalues.
+
+The pivots run from the source-free end: a source of m nonzero entries
+touches only the leading m diagonal entries, so the trailing d - m pivots
+and the m x m Schur complement S_m they leave do not depend on it.  By
+Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) the inertia
+of M is that of its trailing block plus that of S_m, so each batch is swept
+once per cut for the whole group; when the sweep reaches size m, every
+source of extent m adds itself to the diagonal of S_m and factors that
+block alone.  The inertia does not depend on the pivot order, so neither
+do the integer counts, nor any estimate built from them.
 
 Streams use the counter-based Philox generator with jumped substreams per
 batch, so estimates are bit-reproducible for a given seed.
@@ -56,80 +67,138 @@ def _rng_for_batch(seed, batch_index):
 
 
 def _hermitian_draws(rng, n, d):
-    """Real and imaginary parts of H for n draws, each of shape (d, d, n).
+    """H for n draws, as its lower triangle: one contiguous (n,) array per
+    entry.
 
     H = (X + X^T)/2 + i (Y - Y^T)/2 from two standard normal (n, d, d)
-    arrays, drawn in that order; the layout puts the n draws of one entry in
-    a contiguous row.
+    arrays, drawn in that order (the diagonal of Y is unused).  Returns
+    (re, im) with re[i][j] = Re H_ij for j <= i and im[i][j] = Im H_ij for
+    j < i.
+    """
+    X = rng.standard_normal((n, d, d))
+    re = [[X[:, i, j] + X[:, j, i] for j in range(i + 1)] for i in range(d)]
+    del X
+    Y = rng.standard_normal((n, d, d))
+    im = [[Y[:, i, j] - Y[:, j, i] for j in range(i)] for i in range(d)]
+    for row in re + im:
+        for t in row:
+            t /= 2
+    return re, im
+
+
+def _dense(draws, A, mask):
+    """A + H for the masked draws as an (k, d, d) complex array, assembled
+    with the arithmetic of the eigvalsh oracle, so bit for bit its matrix."""
+    import numpy as np
+    re, im = draws
+    d = len(re)
+    k = int(np.count_nonzero(mask))
+    real = np.empty((k, d, d))
+    imag = np.zeros((k, d, d))
+    for i in range(d):
+        for j in range(i + 1):
+            real[:, i, j] = real[:, j, i] = re[i][j][mask]
+            if j < i:
+                imag[:, i, j] = im[i][j][mask]
+                imag[:, j, i] = -imag[:, i, j]
+    H = real + 1j * imag
+    H += np.diag(A)[None, :, :]
+    return H
+
+
+def _pivot(R, I, k, p, neg, bad):
+    """Count the pivot p of index k into neg and bad, then replace the
+    leading k x k block of (R, I) by its Schur complement.
+
+    R[i][j] (j <= i) and I[i][j] (j < i) are the real and imaginary parts of
+    the lower triangle; entries are replaced, never written into, so a
+    caller's arrays stay intact.
     """
     import numpy as np
-    X = rng.standard_normal((n, d, d)).transpose(1, 2, 0)
-    Y = rng.standard_normal((n, d, d)).transpose(1, 2, 0)
-    real = np.empty((d, d, n))
-    imag = np.empty((d, d, n))
-    np.add(X, X.transpose(1, 0, 2), out=real)
-    np.subtract(Y, Y.transpose(1, 0, 2), out=imag)
-    real /= 2
-    imag /= 2
-    return real, imag
+    neg += p < 0
+    bad |= ~np.isfinite(p)
+    bad |= p == 0
+    a, b = R[k], I[k]
+    # M_ij -= conj(M_ki) M_kj / p for j <= i < k
+    for j in range(k):
+        ap, bp = a[j] / p, b[j] / p
+        for i in range(j, k):
+            t = a[i] * ap
+            t += b[i] * bp
+            R[i][j] = np.subtract(R[i][j], t, out=t)
+            if i > j:
+                t = a[i] * bp
+                t -= b[i] * ap
+                I[i][j] = np.subtract(I[i][j], t, out=t)
 
 
-def _count_below(real, imag, A, cuts):
-    """Eigenvalues of A + H below each cut, per draw, by the inertia of LDL^H.
+def _extent(A):
+    """Number of leading diagonal entries up to the last nonzero source."""
+    m = len(A)
+    while m and A[m - 1] == 0:
+        m -= 1
+    return m
 
-    real, imag: (d, d, n) parts of the draws of H, of which only the lower
-    triangle is read; A: the d diagonal entries of the source; cuts: C
-    floats.  The diagonal is formed as (h + a) - c.
-    Returns (below, bad): below is (C, n) int, and bad is an (n,) mask of
-    draws with a zero or non-finite pivot at some cut, whose count is not
-    to be trusted.
+
+def _count_below(draws, As, cuts):
+    """Eigenvalues of A + H below each cut, per draw, by the inertia of LDL^H,
+    for every source diagonal A in As.
+
+    draws: the (re, im) lower triangle of H from _hermitian_draws; As: the
+    d diagonal entries of each source; cuts: C floats.  Pivots run from
+    index d - 1 down to 0.  Entries past a source's extent m are source
+    free, so the trailing d - m pivots and the leading m x m Schur
+    complement they leave are shared by every source of extent m; each
+    source then adds its entries to that block's diagonal and factors it.
+    A source-carrying diagonal entry is formed as (h + a) - c.
+    Returns one (below, bad) per A: below is (C, n) int, and bad is an (n,)
+    mask of draws with a zero or non-finite pivot at some cut, shared or
+    the source's own, whose count is not to be trusted.
     """
     import numpy as np
-    d, _, n = real.shape
-    C = len(cuts)
-    R = np.repeat(real[:, :, None, :], C, axis=2)
-    I = np.repeat(imag[:, :, None, :], C, axis=2)
-    diag = np.arange(d), np.arange(d)
-    R[diag] += A[:, None, None]
-    R[diag] -= np.asarray(cuts, dtype=float)[:, None]
-    below = np.zeros((C, n), dtype=np.intp)
-    bad = np.zeros((C, n), dtype=bool)
+    re, im = draws
+    d, n = len(re), len(re[0][0])
+    ext = [_extent(A) for A in As]
+    count = np.min_scalar_type(d)  # counts range over 0..d
+    out = [(np.empty((len(cuts), n), dtype=count), np.zeros(n, dtype=bool)) for _ in As]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(d):
-            p = R[k, k]
-            below += p < 0
-            bad |= ~np.isfinite(p) | (p == 0)
-            if k == d - 1:
-                break
-            # Schur complement: M_ij -= M_ik conj(M_jk) / p for i >= j > k
-            a, b = R[k + 1:, k], I[k + 1:, k]
-            ap, bp = a / p, b / p
-            for j in range(k + 1, d):
-                r = j - k - 1
-                R[j:, j] -= a[r:] * ap[r] + b[r:] * bp[r]
-                I[j:, j] -= b[r:] * ap[r] - a[r:] * bp[r]
-    return below, bad.any(axis=0)
+        for col, c in enumerate(cuts):
+            R, I = [list(row) for row in re], [list(row) for row in im]
+            neg, bad = np.zeros(n, dtype=count), np.zeros(n, dtype=bool)
+            for m in range(d, min(ext, default=d) - 1, -1):
+                if m < d:
+                    _pivot(R, I, m, R[m][m] - c, neg, bad)
+                # R, I now hold the Schur complement S_m of the trailing pivots
+                for A, e, (below, any_bad) in zip(As, ext, out):
+                    if e != m:
+                        continue
+                    Rt, It = [list(row) for row in R[:m]], [list(row) for row in I[:m]]
+                    neg_t, bad_t = neg.copy(), bad.copy()
+                    for k in range(m - 1, -1, -1):
+                        _pivot(Rt, It, k, (Rt[k][k] + A[k]) - c, neg_t, bad_t)
+                    below[col] = neg_t
+                    any_bad |= bad_t
+    return out
 
 
-def _inside_counts(real, imag, A, E):
-    """Number of eigenvalues of A + H in the closed interval set E, per draw."""
+def _inside_counts(draws, As, E):
+    """Number of eigenvalues of A + H in the closed interval set E, per draw,
+    for each source diagonal A in As in turn."""
     import numpy as np
-    d, _, n = real.shape
+    d, n = len(draws[0]), len(draws[0][0][0])
     cuts = sorted(set(E.finite_endpoints()))
-    below, bad = _count_below(real, imag, A, cuts)
-    col = dict(zip(cuts, below))
-    inside = np.zeros(n, dtype=np.intp)
-    for lo, hi in E.intervals:
-        # an eigenvalue on a cut gives a zero pivot, so < and <= agree
-        inside += col[hi] if math.isfinite(hi) else d
-        if math.isfinite(lo):
-            inside -= col[lo]
-    if bad.any():
-        R = real[:, :, bad]
-        R[np.arange(d), np.arange(d)] += A[:, None]
-        H = (R + 1j * imag[:, :, bad]).transpose(2, 0, 1)
-        inside[bad] = E.indicator(np.linalg.eigvalsh(H)).sum(axis=1)
-    return inside
+    for A, (below, bad) in zip(As, _count_below(draws, As, cuts)):
+        col = dict(zip(cuts, below))
+        # an unsigned count may wrap between the terms, never in the total
+        inside = np.zeros(n, dtype=below.dtype)
+        for lo, hi in E.intervals:
+            # an eigenvalue on a cut gives a zero pivot, so < and <= agree
+            inside += col[hi] if math.isfinite(hi) else d
+            if math.isfinite(lo):
+                inside -= col[lo]
+        if bad.any():
+            inside[bad] = E.indicator(np.linalg.eigvalsh(_dense(draws, A, bad))).sum(axis=1)
+        yield inside
 
 
 def _batch_values(d, As, E, s, seed, idx, take):
@@ -144,9 +213,9 @@ def _batch_values(d, As, E, s, seed, idx, take):
     table = np.ones(d + 1)
     for k in range(1, d + 1):
         table[k] = table[k - 1] * (1.0 - s)
-    real, imag = _hermitian_draws(_rng_for_batch(seed, idx), take, d)
-    for A in As:
-        yield table[_inside_counts(real, imag, A, E)]
+    draws = _hermitian_draws(_rng_for_batch(seed, idx), take, d)
+    for inside in _inside_counts(draws, As, E):
+        yield table[inside]
 
 
 def _source_diagonal(d, a):

@@ -86,6 +86,10 @@ class IntervalSet:
             out |= (x >= lo) & (x <= hi)
         return out
 
+    def contains(self, x):
+        """Whether the float x lies in the set; indicator for one scalar."""
+        return any(lo <= x <= hi for lo, hi in self.intervals)
+
     def finite_endpoints(self):
         pts = []
         for lo, hi in self.intervals:
@@ -605,7 +609,7 @@ def domain_pieces(W, tilt=0.0, deg=0):
     E = W.deform_set
     for a, b in zip(pts[:-1], pts[1:]):
         midpt = 0.5 * (a + b)
-        mult = 1.0 - s if (s != 0.0 and bool(E.indicator(midpt))) else 1.0
+        mult = 1.0 - s if (s != 0.0 and E.contains(midpt)) else 1.0
         pieces.append((a, b, mult))
     return pieces
 

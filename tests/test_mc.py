@@ -33,8 +33,8 @@ def test_d1_shift():
 def test_trace_second_moment():
     # E[sum lambda^2] = d^2 at this normalization
     d, n = 2, 4000
-    real, imag = mc._hermitian_draws(mc._rng_for_batch(7, 0), n, d)
-    lam = np.linalg.eigvalsh((real + 1j * imag).transpose(2, 0, 1))
+    draws = mc._hermitian_draws(mc._rng_for_batch(7, 0), n, d)
+    lam = np.linalg.eigvalsh(mc._dense(draws, np.zeros(d), np.ones(n, dtype=bool)))
     tot = (lam ** 2).sum(axis=1)
     assert abs(tot.mean() - d * d) < 4 * tot.std() / math.sqrt(n)
 
@@ -164,16 +164,55 @@ def test_grouped_call_holds_one_batch_at_a_time():
 def test_zero_pivot_is_recounted():
     # a cut placed exactly on the eigenvalue h + a of a 1 x 1 draw: the
     # pivot is 0, which the inertia count alone would read as "not below";
-    # the recount must add the source too, or h = c - a falls outside E
-    for a in (0.0, -0.7):
+    # the recount must add the source too, or h = c - a falls outside E;
+    # at a = 0.3 the pivot is zero only if formed as (h + a) - c
+    for a in (0.0, -0.7, 0.3):
         rng = mc._rng_for_batch(5, 0)
         c = float(rng.standard_normal((1, 1, 1))[0, 0, 0]) + a
         E = IntervalSet([["-inf", c]])
         A = np.array([a])
-        real, imag = mc._hermitian_draws(mc._rng_for_batch(5, 0), 1000, 1)
-        below, bad = mc._count_below(real, imag, A, [c])
+        draws = mc._hermitian_draws(mc._rng_for_batch(5, 0), 1000, 1)
+        [(below, bad)] = mc._count_below(draws, [A], [c])
         assert bad[0] and below[0, 0] == 0
         [got] = mc._batch_values(1, [A], E, 0.6, 5, 0, 1000)
         want = batch_values(1, A, E, 0.6, 5, 0, 1000)
         assert got[0] == 1.0 - 0.6, a
         assert got.tobytes() == want.tobytes(), a
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_grouped_sweep_equals_alone(d):
+    # a group that mixes every source extent from 0 to min(d, 3), several
+    # tuples per extent: each tuple finishes the shared sweep on its own
+    # Schur complement, and its values equal the eigvalsh oracle's and those
+    # of a call with the tuple alone, to the last bit
+    group = [tup for m in range(min(d, 3) + 1)
+             for tup in itertools.combinations((0.9, -0.7, 1.4, 0.3), m)]
+    As = [mc._source_diagonal(d, tup) for tup in group]
+    E = IntervalSet([[-0.5, 0.7], [2, "inf"]])
+    for s in (0.6, 1.0):
+        got = mc._batch_values(d, As, E, s, 300 + d, 2, 4000)
+        for A, v in zip(As, got, strict=True):
+            want = batch_values(d, A, E, s, 300 + d, 2, 4000)
+            [alone] = mc._batch_values(d, [A], E, s, 300 + d, 2, 4000)
+            assert v.tobytes() == want.tobytes() == alone.tobytes(), (s, A)
+
+
+def test_zero_pivot_in_shared_block_is_recounted():
+    # at d = 2 the first pivot, index 1, is source free for every tuple of
+    # extent 0 or 1: a cut on H_11 of draw 0 zeroes it, so every such tuple
+    # must flag draw 0 and recount it (the tuple of extent 0 has no pivot of
+    # its own to flag it); a tuple of extent 2 carries its source on that
+    # pivot and keeps the draw
+    rng = mc._rng_for_batch(8, 0)
+    c = float(rng.standard_normal((1, 2, 2))[0, 1, 1])
+    E = IntervalSet([[c, "inf"]])
+    group = [(), (0.3,), (0.9,), (-0.7,), (1.4,), (0.3, 0.9)]
+    As = [mc._source_diagonal(2, tup) for tup in group]
+    draws = mc._hermitian_draws(mc._rng_for_batch(8, 0), 1000, 2)
+    counts = mc._count_below(draws, As, [c])
+    assert [bool(bad[0]) for _, bad in counts] == [True] * 5 + [False]
+    got = mc._batch_values(2, As, E, 0.6, 8, 0, 1000)
+    for A, v in zip(As, got, strict=True):
+        want = batch_values(2, A, E, 0.6, 8, 0, 1000)
+        assert v.tobytes() == want.tobytes(), A

@@ -43,6 +43,10 @@ def test_interval_indicator():
     E = IntervalSet([[-1, 1]])
     x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     assert list(E.indicator(x)) == [False, True, True, True, False]
+    # the scalar form agrees, on several intervals with infinite ends too
+    x = np.array([-np.inf, -3.0, -2.0, 0.5, 1.0, 4.0, 5.0, np.inf, np.nan])
+    for E in (E, IntervalSet([["-inf", -2], [1, 4], [5, "inf"]]), IntervalSet([])):
+        assert [E.contains(float(v)) for v in x] == list(E.indicator(x))
 
 
 def test_gaussian_exact_moments():
