@@ -19,6 +19,7 @@ Without that, truncation at a finite weight would contaminate low-order
 coefficients and the residuals would not vanish identically.
 """
 
+import copy
 import functools
 import math
 from fractions import Fraction
@@ -32,43 +33,34 @@ class TauConfig:
     """Exact-moment weight, truncation cap and ladder depth; every
     d-dependent normalisation constant is one."""
 
-    def __init__(self, weight, cap, dmax, moments=None, _extendable=None):
+    def __init__(self, weight, cap, dmax):
         if cap < 1 or dmax < 1:
             raise ValueError("cap and dmax must be >= 1")
-        if moments is None and not weight.exact_moments:
-            raise ValueError(f"{weight.kind} weight has no exact moments; "
-                             "pass an explicit rational moment list")
+        if not weight.exact_moments:
+            raise ValueError(f"{weight.kind} weight has no exact moments")
         self.weight = weight
         self.cap = cap
         self.dmax = dmax
         self._coeffs = {}  # _coeff memo, (d, top) -> table
-        jmax = 2 * dmax + cap + 2
-        if moments is None:
-            self._moments = [Fraction(weight.moment_exact(j)) for j in range(jmax + 1)]
-            self._extendable = True
-        else:
-            self._moments = [Fraction(m) for m in moments]
-            if len(self._moments) < jmax + 1:
-                raise ValueError(f"need moments up to index {jmax}")
-            self._extendable = bool(_extendable) and weight.exact_moments
+        self._override = None  # (j, value) of one replaced moment
+        self._moments = [Fraction(weight.moment_exact(j)) for j in range(2 * dmax + cap + 3)]
 
     def moment(self, j):
+        if self._override is not None and j == self._override[0]:
+            return self._override[1]
         # the shift expansions reach indices beyond the seeded range (the
         # inverse powers shed weight), so the table grows on demand
         while j >= len(self._moments):
-            if not self._extendable:
-                raise ValueError(f"moment index {j} beyond the supplied list")
             self._moments.append(Fraction(self.weight.moment_exact(len(self._moments))))
         return self._moments[j]
 
     def with_moment(self, j, value):
-        """Copy with one moment replaced (checker sensitivity tests); indices
-        beyond the copy keep following the clean weight."""
-        self.moment(j)
-        moms = list(self._moments)
-        moms[j] = Fraction(value)
-        return TauConfig(self.weight, self.cap, self.dmax,
-                         moments=moms, _extendable=self._extendable)
+        """Copy with moment j replaced (checker sensitivity tests); every
+        other moment follows the clean weight."""
+        out = copy.copy(self)
+        out._coeffs = {}
+        out._override = (j, Fraction(value))
+        return out
 
 
 def _coeff(cfg, d, top):

@@ -20,7 +20,6 @@ import math
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -74,14 +73,20 @@ def _typed(kind, what):
     return parse
 
 
-def _integer(lo=None):
+def _integer(lo=None, below=None):
     def parse(v, path):
         if type(v) is not int:  # bool is an int subclass
             raise ConfigError(f"{path} must be an integer, got {v!r}")
         if lo is not None and v < lo:
             raise ConfigError(f"{path} must be >= {lo}, got {v}")
+        if below is not None and v >= below:
+            raise ConfigError(f"{path} must be < {below}, got {v}")
         return v
     return parse
+
+
+# the mc sampler keys Philox with the seed, which must lie in [0, 2**128)
+_SEED = _integer(0, 2**128)
 
 
 def _number(v, path):
@@ -164,7 +169,7 @@ class RunConfig:
         schema = _get(raw, "schema", _integer())
         if schema != 1:
             raise ConfigError(f"unsupported schema {schema!r} (expected 1)")
-        self.seed = _get(raw, "seed", _integer(), 0)
+        self.seed = _get(raw, "seed", _SEED, 0)
         self.workers = _get(raw, "workers", _integer(1), 1)
         self.out_dir = _get(raw, "out_dir", _typed(str, "a string path"), None)
         mapping = _typed(dict, "a mapping")
@@ -574,14 +579,12 @@ SUITES = {
 
 def run(cfg, out_dir, workers=None, seed=None, mutate=False):
     """Execute the configured suites; returns (exit_code, summary_text)."""
+    if seed is not None:
+        cfg.seed = _SEED(seed, "seed")
+    if workers is not None:
+        cfg.workers = _integer(1)(workers, "workers")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if seed is not None:
-        cfg.seed = seed
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
-        cfg.workers = workers
     start = time.monotonic()
     evals0 = mm.EVALS.n
     jobs = build_jobs(cfg, mutate=mutate)
@@ -597,11 +600,7 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
             rec["reason"] = f"{type(exc).__name__}: {exc}"
         return rec
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            records = list(ex.map(execute, jobs))
-    else:
-        records = [execute(j) for j in jobs]
+    records = _run_jobs(execute, jobs, cfg.workers)
 
     records = [{"seed": cfg.seed, **r} for r in records]
     _write_ndjson(out / "results.ndjson", records)
@@ -612,6 +611,30 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
     counted = [r for r in records if not r.get("exploratory")]
     nfail = sum(1 for r in counted if r["status"] in ("fail", "error"))
     return (1 if nfail else 0), summary
+
+
+def _run_jobs(execute, jobs, workers):
+    """[execute(job) for job in jobs]; job i runs on worker i % workers,
+    worker 0 being the calling thread.  An error that escapes execute is
+    raised once every worker has stopped."""
+    out, errors = [None] * len(jobs), []
+
+    def work(k):
+        try:
+            for i in range(k, len(jobs), workers):
+                out[i] = execute(jobs[i])
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _canonical(rec):

@@ -16,18 +16,22 @@ determinant well conditioned in floating point:
 Every check runs in two phases through a Plan: it first registers the keys
 it will read (model determinants, Gamma vectors, rank-one Ebar values),
 then reads them from run-wide tables.  Between the phases Plan.fill
-computes the missing keys of every check in the plan together: entry
-quadratures that start on the same nodes share their integrand work there
-(_entry_vectors), and the model matrices are factored in one stack per size
-(_slogdet_with_cond).  A library call is a plan of one; the harness fills
-one plan per suite and weight.  Sharing never mixes the two sides of an
-identity: each entry vector and each determinant is bitwise what it is when
-computed alone.
+computes the keys the tables lack for every check in the plan together:
+entry quadratures that start on the same nodes share their integrand work
+there (_entry_vectors), and the model matrices are factored in one stack
+per size (_slogdet_with_cond).  A library call is a plan of one; the
+harness fills one plan per suite and weight.  Sharing never mixes the two
+sides of an identity: each entry vector and each determinant is bitwise
+what it is when computed alone.
+
+Plan.fill is the one writer of the run-wide tables.  It holds the module
+lock _FILL for its whole run, so each key is computed once, by one fill,
+and a stored value is final; readers only read (_read), after their own
+plan is filled.
 """
 
 import math
 import threading
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 from .schur import NearConfluent, CONFLUENT_GAP
@@ -48,9 +52,10 @@ _MIN_BASIS = 12
 # tolerance; raise it explicitly to explore anyway
 MAX_DIMENSION = 10
 
-_LOCK = threading.Lock()
+# held by Plan.fill for its whole run: the one writer of the tables below
+_FILL = threading.Lock()
 # run-wide tables of a value or the _Failed its computation met; the first
-# four are filled by _compute_once, the last two by Plan.fill
+# four are memos of _compute_once, the last two are written by Plan.fill
 _BASIS_CACHE = {}
 _ROW_CACHE = {}
 _ENTRY_CACHE = {}
@@ -63,7 +68,7 @@ _STORED = (QuadratureError, ValueError, ArithmeticError)
 
 
 def clear_caches():
-    with _LOCK:
+    with _FILL:
         for table in (_BASIS_CACHE, _ROW_CACHE, _ENTRY_CACHE, _GAMMA_CACHE,
                       _LOGDET_CACHE, _EBAR_CACHE):
             table.clear()
@@ -92,37 +97,15 @@ def _read(table, key):
 
 
 def _compute_once(cache, key, compute):
-    """cache[key], computed by the first caller while later callers wait.
-
-    While the key is computed the cache holds a Future that later callers
-    wait on; the value then replaces it.  An error of _STORED is stored
-    under the key and raised to every caller; any other leaves the key
-    uncached for the next caller.
-    """
-    with _LOCK:
-        value = cache.get(key)
-        owner = value is None
-        if owner:
-            slot = value = cache[key] = Future()
-    if owner:
+    """cache[key], computed and stored on first use.  An error of _STORED
+    is stored under the key and raised to every caller; any other leaves
+    the key unset.  Callers hold _FILL, or run alone."""
+    if key not in cache:
         try:
-            value = compute()
+            cache[key] = compute()
         except _STORED as exc:
-            value = _Failed(exc)
-        except BaseException as exc:
-            with _LOCK:
-                del cache[key]
-            slot.set_exception(exc)
-            raise
-        with _LOCK:
-            if cache.get(key) is slot:
-                cache[key] = value
-        slot.set_result(value)
-    elif isinstance(value, Future):
-        value = value.result()
-    if isinstance(value, _Failed):
-        value.reraise()
-    return value
+            cache[key] = _Failed(exc)
+    return _read(cache, key)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +376,7 @@ def _column_basis(weight, d):
 
 def _row(prefix):
     """The one DividedExpRow of a node prefix."""
-    row = _ROW_CACHE.get(prefix)
-    return row if row is not None else _ROW_CACHE.setdefault(prefix, DividedExpRow(prefix))
+    return _compute_once(_ROW_CACHE, prefix, lambda: DividedExpRow(prefix))
 
 
 class _PointSet:
@@ -533,8 +515,7 @@ class Plan:
     def model(self, model, weight):
         """Register Z of the model against weight; returns its table key."""
         key = (weight.key(), model.nodes())
-        if key not in _LOGDET_CACHE:
-            self.models[key] = weight
+        self.models[key] = weight
         return key
 
     def expectation(self, q):
@@ -549,54 +530,64 @@ class Plan:
             self.ebars[key] = self.expectation(q) + self.expectation(zero)
         return key
 
-    def gamma(self, weight, a, n):
-        self.gammas.add((weight.undeformed(), float(a), n))
+    def gamma(self, base, a, n):
+        """Register Gamma_j(a), j < n, of the undeformed weight base;
+        returns its key."""
+        self.gammas.add((base, float(a), n))
+        return base.key(), float(a), n
 
     def fill(self):
+        """Compute and store, under _FILL, every registered key that its
+        table lacks; a key that is there, from any fill, is not recomputed."""
         import numpy as np
-        rows, entries = {}, {}
-        for key, weight in self.models.items():
-            nodes = key[1]
-            try:
-                basis = _column_basis(weight, len(nodes))
-            except _STORED as exc:
-                _LOGDET_CACHE[key] = _Failed(exc)
-                continue
-            rows[key] = [(weight.key(), basis.weight.key(), basis.n, nodes[:r])
-                         for r in range(1, len(nodes) + 1)]
-            for ekey in rows[key]:
-                entries[ekey] = (weight, basis, ekey[3])
-        vectors = _entry_vectors(entries)
-        stacks = {}
-        for key, ekeys in rows.items():
-            d = len(ekeys)
-            A = np.empty((d, d))
-            for r, ekey in enumerate(ekeys):
-                vec = vectors[ekey]
-                if isinstance(vec, _Failed):
-                    _LOGDET_CACHE[key] = vec
-                    break
-                A[r, :] = vec[:d]
-            else:
-                stacks.setdefault(d, []).append((key, A))
-        for d, items in stacks.items():
-            dets = _slogdet_with_cond(np.array([A for _, A in items]))
-            for (key, _), (sign, logabs, cond) in zip(items, dets):
-                _LOGDET_CACHE[key] = (sign, logabs + math.log(math.factorial(d)), cond)
-        for weight, a, n in self.gammas:
-            try:
-                _gamma_vector(weight, a, n)
-            except _STORED:
-                pass  # stored under its key; the reader raises it
-        for key, (num, den, num0, den0) in self.ebars.items():
-            try:
-                val, c_num, c_den = _expectation(num, den)
-                ref, c_num0, c_den0 = _expectation(num0, den0)
-                if ref == 0.0:
-                    raise ZeroDivisionError("zero-source expectation vanished (e.g. s=1, E=R)")
-                _EBAR_CACHE[key] = (val / ref, c_num + c_den + c_num0 + c_den0)
-            except _STORED as exc:
-                _EBAR_CACHE[key] = _Failed(exc)
+        with _FILL:
+            rows, entries = {}, {}
+            for key, weight in self.models.items():
+                if key in _LOGDET_CACHE:
+                    continue
+                nodes = key[1]
+                try:
+                    basis = _column_basis(weight, len(nodes))
+                except _STORED as exc:
+                    _LOGDET_CACHE[key] = _Failed(exc)
+                    continue
+                rows[key] = [(weight.key(), basis.weight.key(), basis.n, nodes[:r])
+                             for r in range(1, len(nodes) + 1)]
+                for ekey in rows[key]:
+                    entries[ekey] = (weight, basis, ekey[3])
+            vectors = _entry_vectors(entries)
+            stacks = {}
+            for key, ekeys in rows.items():
+                d = len(ekeys)
+                A = np.empty((d, d))
+                for r, ekey in enumerate(ekeys):
+                    vec = vectors[ekey]
+                    if isinstance(vec, _Failed):
+                        _LOGDET_CACHE[key] = vec
+                        break
+                    A[r, :] = vec[:d]
+                else:
+                    stacks.setdefault(d, []).append((key, A))
+            for d, items in stacks.items():
+                dets = _slogdet_with_cond(np.array([A for _, A in items]))
+                for (key, _), (sign, logabs, cond) in zip(items, dets):
+                    _LOGDET_CACHE[key] = (sign, logabs + math.log(math.factorial(d)), cond)
+            for base, a, n in self.gammas:
+                try:
+                    _gamma_vector(base, a, n)
+                except _STORED:
+                    pass  # stored under its key; the reader raises it
+            for key, (num, den, num0, den0) in self.ebars.items():
+                if key in _EBAR_CACHE:
+                    continue
+                try:
+                    val, c_num, c_den = _expectation(num, den)
+                    ref, c_num0, c_den0 = _expectation(num0, den0)
+                    if ref == 0.0:
+                        raise ZeroDivisionError("zero-source expectation vanished (e.g. s=1, E=R)")
+                    _EBAR_CACHE[key] = (val / ref, c_num + c_den + c_num0 + c_den0)
+                except _STORED as exc:
+                    _EBAR_CACHE[key] = _Failed(exc)
 
 
 def prepare(register, arglist):
@@ -644,10 +635,10 @@ def partition_fn(model):
     return sign * math.exp(logz)
 
 
-def _gamma_vector(weight, a, n):
-    """Gamma_j(a), j < n, from the orthonormal basis of the undeformed weight."""
+def _gamma_vector(base, a, n):
+    """Gamma_j(a), j < n, from the orthonormal basis of the undeformed
+    weight base; its key is the one Plan.gamma returns."""
     import numpy as np
-    base = weight.undeformed()
     a = float(a)
 
     def compute():
@@ -691,18 +682,16 @@ def _plan_ladder(plan, q):
     d, W = model.d, model.weight
     a = [v for v, _ in model.sources]
     m = len(a)
-    rungs = []
-    for ak in a:
-        plan.gamma(W, ak, d)
-        rungs.append([plan.ebar(ExpectationQuery(SourceModel(d - j + 1, [(ak, 1)], W), q.E, q.s))
-                      for j in range(1, m + 1)])
+    gammas = [plan.gamma(W, ak, d) for ak in a]
+    rungs = [[plan.ebar(ExpectationQuery(SourceModel(d - j + 1, [(ak, 1)], W), q.E, q.s))
+              for j in range(1, m + 1)] for ak in a]
 
     def read():
         num = np.empty((m, m))
         den = np.empty((m, m))
         cond_sum = 0.0
-        for k, ak in enumerate(a):
-            gam = _gamma_vector(W, ak, d)
+        for k in range(m):
+            gam = _read(_GAMMA_CACHE, gammas[k])
             for j in range(1, m + 1):
                 g = gam[d - j]
                 eb, cond = _read(_EBAR_CACHE, rungs[k][j - 1])

@@ -251,25 +251,20 @@ def estimate_expectation(d, sources, E, s, N, seed):
     return out
 
 
-def cross_check(d, sources, E, s, N, seed, quads=None):
+def cross_check(d, sources, E, s, N, seed):
     """|mc - quadrature| in units of the Monte Carlo standard error, one
-    CrossCheck per source tuple of sources.
-
-    quads may supply one value per tuple to compare against a precomputed
-    (or deliberately corrupted) value; by default each is the
-    determinant-pipeline expectation.
-    """
+    CrossCheck per source tuple of sources, against the
+    determinant-pipeline expectation."""
     ests = estimate_expectation(d, sources, E, s, N, seed)
-    if quads is None:
-        queries = [ExpectationQuery(SourceModel(d, [(v, 1) for v in a], GaussianWeight()), E, s)
-                   for a in sources]
-        plan = Plan()  # the tuples' models, factored together
-        for q in queries:
-            plan.expectation(q)
-        plan.fill()
-        quads = [expectation(q) for q in queries]
+    queries = [ExpectationQuery(SourceModel(d, [(v, 1) for v in a], GaussianWeight()), E, s)
+               for a in sources]
+    plan = Plan()  # the tuples' models, factored together
+    for q in queries:
+        plan.expectation(q)
+    plan.fill()
     out = []
-    for est, quad in zip(ests, quads, strict=True):
+    for est, q in zip(ests, queries):
+        quad = expectation(q)
         diff = abs(est.mean - quad)
         if est.stderr == 0.0:
             z = 0.0 if diff == 0.0 else math.inf

@@ -62,6 +62,8 @@ class IntervalSet:
         ivs = []
         for lo, hi in pairs:
             lo, hi = _as_float(lo), _as_float(hi)
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError(f"interval [{lo}, {hi}] has a NaN endpoint")
             if hi < lo:
                 raise ValueError(f"interval [{lo}, {hi}] is empty")
             ivs.append((lo, hi))
@@ -500,6 +502,8 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
             counter.add(len(nodes) * len(panels))
         vals = vals.reshape(len(panels), len(nodes), -1)
         k41 = half * (kronrod[:, None] * vals).sum(axis=1) * mult
+        if not np.isfinite(k41).all():
+            raise QuadratureError("non-finite integrand value on a panel")
         g20 = half * (gauss[:, None] * vals[:, 1::2]).sum(axis=1) * mult
         return k41, np.abs(k41 - g20)
 

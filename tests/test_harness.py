@@ -325,6 +325,21 @@ def test_float_plans_keep_bytes_and_counts_across_workers(tmp_path, config):
     assert "integrand evaluations: 0" not in times[0]
 
 
+def test_workers_keep_job_order_and_raise_an_escaped_error():
+    from extsource.harness import _run_jobs
+    for workers in (1, 3):
+        assert _run_jobs(lambda j: j * j, list(range(10)), workers) == [j * j for j in range(10)]
+
+    def execute(j):
+        if j == 4:  # a fault of the program, not an error a record stores
+            raise TypeError("fault in job 4")
+        return j
+
+    for workers in (1, 3):
+        with pytest.raises(TypeError, match="fault in job 4"):
+            _run_jobs(execute, list(range(10)), workers)
+
+
 PREFIX_FAILURE = """
 schema: 1
 weights:
@@ -375,6 +390,46 @@ def test_failed_prefix_errors_only_its_records(tmp_path, monkeypatch):
             assert f["status"] == "error" and f["reason"] == "QuadratureError: injected failure"
         else:
             assert c["status"] == "pass" and f == c
+
+
+OVERFLOW = """
+schema: 1
+weights:
+  gaussian: {kind: gaussian}
+suites:
+  identity:
+    weights: [gaussian]
+    d: [2, 3]
+    m: [1, 2]
+    sources: [30.0, 40.0]
+    intervals:
+      - [[1, inf]]
+    s: [0.5]
+  z-ratio:
+    weights: [gaussian]
+    d: [2, 3]
+    m: [1, 2]
+    sources: [30.0, 40.0]
+"""
+
+
+def test_non_finite_integrand_errors_only_its_records(tmp_path):
+    # at a = 40 the entry and Gamma integrands overflow to inf; the records
+    # that read them are errors, and the run still writes every file
+    import warnings
+    cfg = RunConfig(yaml.safe_load(OVERFLOW))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, _ = run(cfg, tmp_path)
+    assert code == 1
+    records = [json.loads(x) for x in (tmp_path / "results.ndjson").read_text().splitlines()]
+    assert len(records) == 12 and (tmp_path / "results.csv").exists()
+    for rec in records:
+        if 40.0 in rec["sources"]:
+            assert rec["status"] == "error", rec["id"]
+            assert rec["reason"].startswith("QuadratureError: non-finite"), rec["id"]
+        else:
+            assert rec["status"] == "pass", rec["id"]
 
 
 def cold_run(cwd, args, *modules):
@@ -594,6 +649,11 @@ BAD_FIELDS = [
     ("fay", "points", '["1/2", "1/3", "1/5"]', "suites.fay.points"),
     ("fay-det", "m", "[3]", "suites.fay-det.points"),
     (None, "seeed", "3", "seeed"),
+    # the mc sampler keys Philox with the seed: [0, 2**128) only
+    (None, "seed", "-1", "seed"),
+    (None, "seed", str(2**128), "seed"),
+    ("identity", "intervals", "[[[.nan, 1]]]", "suites.identity.intervals[0]"),
+    ("mc", "intervals", "[[[1, 2], [3, .nan]]]", "suites.mc.intervals[0]"),
     (None, "out-dir", '"x"', "out-dir"),
     ("weights.gaussian", "sigma", "2.0", "weights.gaussian.sigma"),
     ("weights.gaussian", "coeffs", "[0, 0, 1]", "weights.gaussian.coeffs"),
@@ -623,6 +683,18 @@ def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, suite, field,
     err = capsys.readouterr().err
     assert path in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_override_out_of_range_exits_2(tmp_path, capsys, seed):
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(yaml.safe_dump({**VALID, "suites": {"mc": VALID["suites"]["mc"]}}))
+    assert main(["run", "--config", str(cfg), "--seed", seed,
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "seed must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--config", str(cfg), "--seed", str(2**128 - 1),
+                 "--out-dir", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("suite,fields", [

@@ -539,3 +539,81 @@ def test_entries_shared_per_point_set_are_bitwise_alone():
         alone = mm._entry_vectors({key: item})[key]
         assert np.array_equal(alone, together[key]), key
     mm.clear_caches()
+
+
+def _overlapping_plans(mm):
+    """Two plans that share models, a Gamma vector and Ebar keys: the
+    identities of the sources (0.3, 0.9) and (0.3, 1.4) at d = 4, the
+    second plan also with the z-ratio check of (0.3, 0.9)."""
+    plans = [mm.Plan(), mm.Plan()]
+    for plan, b in zip(plans, (0.9, 1.4)):
+        model = SourceModel(4, [(0.3, 1), (b, 1)], GAUSS)
+        mm.plan_identity(plan, ExpectationQuery(model, RIGHT1, 0.5))
+    mm.plan_z_ratio(plans[1], GAUSS, 4, [0.3, 0.9])
+    return plans
+
+
+def _table_bytes(mm):
+    tables = {"logdet": mm._LOGDET_CACHE, "ebar": mm._EBAR_CACHE,
+              "gamma": mm._GAMMA_CACHE, "entry": mm._ENTRY_CACHE}
+    return {(name, key): np.asarray(value, dtype=float).tobytes()
+            for name, table in tables.items() for key, value in table.items()}
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_overlapping_plans_fill_each_key_once(monkeypatch, threaded):
+    # Plan.fill is the one writer: a key that one fill stores is not
+    # factored, integrated or divided again by another fill that registered
+    # it too, whether the fills run one after the other or race in two
+    # threads
+    import sys
+    import threading
+    from extsource import matrix_model as mm
+    alone = {}
+    for k in range(2):
+        mm.clear_caches()
+        _overlapping_plans(mm)[k].fill()
+        for key, value in _table_bytes(mm).items():
+            assert alone.setdefault(key, value) == value, key
+    matrices, computed, ratios = [], [], []
+    slogdet, entry, ratio = mm._slogdet_with_cond, mm._entry_vector, mm._expectation
+
+    def counted_slogdet(A):
+        matrices.extend(M.tobytes() for M in np.asarray(A))
+        return slogdet(A)
+
+    def counted_entry(weight, basis, prefix, *args):
+        key = (weight.key(), basis.weight.key(), basis.n, prefix)
+        if key not in mm._ENTRY_CACHE:
+            computed.append(key)
+        return entry(weight, basis, prefix, *args)
+
+    def counted_ratio(num, den):
+        ratios.append((num, den))
+        return ratio(num, den)
+
+    monkeypatch.setattr(mm, "_slogdet_with_cond", counted_slogdet)
+    monkeypatch.setattr(mm, "_entry_vector", counted_entry)
+    monkeypatch.setattr(mm, "_expectation", counted_ratio)
+    mm.clear_caches()
+    plans = _overlapping_plans(mm)  # both registered before either fills
+    if threaded:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan.fill) for plan in plans]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+    else:
+        for plan in plans:
+            plan.fill()
+    assert len(matrices) == len(set(matrices)) == len(mm._LOGDET_CACHE)
+    assert len(computed) == len(set(computed)) and set(computed) == set(mm._ENTRY_CACHE)
+    assert len(ratios) == 2 * len(mm._EBAR_CACHE)  # E and its zero-source E, once per Ebar
+    assert _table_bytes(mm) == alone
+    mm.clear_caches()
