@@ -143,6 +143,8 @@ class Suite:
     of one weight in a fixed order; params may set `suite` to another record
     suite, explained by `more_explain`.  `weight_issue(W)` and `check(body)`
     return what makes a weight or a whole body unusable, or None.
+    `min_cap(body)` is the lowest series cap at which the corrupted moment
+    reaches the residual of every record of the body.
     """
 
     summary: str
@@ -152,6 +154,7 @@ class Suite:
     weight_issue: Callable = None
     check: Callable = None
     more_explain: dict = field(default_factory=dict)
+    min_cap: Callable = None
 
 
 TOP_LEVEL_FIELDS = ["schema", "seed", "workers", "out_dir", "weights", "suites"]
@@ -206,6 +209,11 @@ class RunConfig:
         if next(suite.jobs(self, out, self.weights[out["weights"][0]], False), None) is None:
             raise ConfigError(f"suites.{name}: the grid is empty (every m exceeds "
                               "each d or the number of sources); nothing would be checked")
+        low = suite.min_cap and suite.min_cap(out)
+        if low and out["cap"] < low:
+            raise ConfigError(f"{p}cap must be >= {low} for this grid, got {out['cap']}: "
+                              "below it the corrupted moment of --mutate and of "
+                              "hirota-sensitivity misses the truncated residual of some record")
         return out
 
 
@@ -499,6 +507,41 @@ _GAP_FIELDS = {**_RANK_FIELDS, "intervals": (_INTERVALS, _REQUIRED),
                "s": (_nonempty_list(_number), _REQUIRED)}
 _CAP = (_integer(1), 4)
 
+
+# The lowest cap of an exact suite is the truncation weight at which the
+# moment that --mutate raises first reaches each record's residual; below
+# it the record cannot fail.  Z_D's coefficient of the one-row Schur
+# function s_(w) is det[M_{l_p+q-1} / l_p!] with l_1 = w + D - 1
+# (dkp._moment_det), whose entry (1, D) is M_{w+2D-2}, so moment k enters
+# Z_D at weight max(0, k - 2(D - 1)); when that is positive it enters there
+# once, times a cofactor that is a Hankel determinant of the weight, which
+# is nonzero.
+
+def _moment_weight(k, D):
+    return max(0, k - 2 * (D - 1))
+
+
+def _ladder_min_cap(body):
+    # record d compares Z_{d+1} built from corrupted and clean moments; d = 0
+    # is in every grid
+    return _moment_weight(MUTATE_MOMENT, 1)
+
+
+def _hirota_min_cap(body):
+    # the records at d1 = 1 (hirota-sensitivity among them) corrupt
+    # Z_1(t~ - [1/z]), whose z^-1 term -h_{k-1}(t~) M_k / k! sheds one unit
+    # of weight into the residue; larger d1 reach lower weights
+    return _moment_weight(MUTATE_MOMENT, 1) - 1
+
+
+def _fay_min_cap(dms):
+    # the corrupted lead Z_d(t+[a_1]+..+[a_m]) enters multiplied by
+    # Delta_m(a), m(m-1)/2 weight-one symbols, and by Z(t) factors of
+    # nonzero weight-zero part
+    return max((_moment_weight(FAY_MUTATE_MOMENT, d) + m * (m - 1) // 2 for d, m in dms),
+               default=0)
+
+
 SUITES = {
     "identity": Suite(
         summary="rank-reduction identity for normalized gap expectations",
@@ -529,6 +572,7 @@ SUITES = {
             "truncation weight."),
         fields={"cap": _CAP, "d": (_COUNTS, [1]), "points": (_RATIONALS, _REQUIRED)},
         jobs=_fay_jobs, weight_issue=_needs_exact_moments,
+        min_cap=lambda body: _fay_min_cap((d, 2) for d in body["d"]),
         check=lambda body: None if len(body["points"]) == 2 else "points must be two rationals"),
     "fay-det": Suite(
         summary="determinant generalization of the shift identity (exact)",
@@ -539,6 +583,8 @@ SUITES = {
         fields={"cap": _CAP, "d": (_COUNTS, [2]), "m": (_COUNTS, [2]),
                 "points": (_RATIONALS, _REQUIRED)},
         jobs=_fay_det_jobs, weight_issue=_needs_exact_moments,
+        min_cap=lambda body: _fay_min_cap((d, m) for d in body["d"] for m in body["m"]
+                                          if m <= d),
         check=lambda body: None if len(body["points"]) >= max(body["m"]) else
         f"points must cover the largest m ({max(body['m'])})"),
     "hirota": Suite(
@@ -548,7 +594,7 @@ SUITES = {
             "Z_{d1}(t~ - [1/z]) Z_{d2+1}(t + [1/z]) e^{sum (t~_j - t_j) z^j}\n"
             "z^{d1-d2-1} vanishes identically for d1 > d2 >= 0."),
         fields={"cap": _CAP, "max_d": (_integer(1), 3)},
-        jobs=_hirota_jobs, weight_issue=_needs_exact_moments,
+        jobs=_hirota_jobs, weight_issue=_needs_exact_moments, min_cap=_hirota_min_cap,
         more_explain={"hirota-sensitivity": (
             "Checker self-test: corrupting one moment on one side of the\n"
             "bilinear identity must produce violations (a consistent change\n"
@@ -560,7 +606,7 @@ SUITES = {
             "measure (formal z^-1 coefficient) reproduces Z_{d+1}(t) with exact\n"
             "rational coefficients."),
         fields={"cap": _CAP, "max_d": (_integer(0), 3)},
-        jobs=_ladder_jobs, weight_issue=_needs_exact_moments),
+        jobs=_ladder_jobs, weight_issue=_needs_exact_moments, min_cap=_ladder_min_cap),
     "mc": Suite(
         summary="Monte Carlo spiked-ensemble cross-check of the expectations",
         explain=(

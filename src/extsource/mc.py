@@ -5,7 +5,10 @@ density is proportional to e^{-Tr(M-A)^2/2}, so sampling is A plus a
 Hermitian matrix with standard normal diagonal and complex off-diagonal
 entries of variance one half per real part.  Only the Gaussian weight is
 supported; any other weight would need an MCMC sampler whose own convergence
-would have to be validated, defeating the point of an oracle.
+would have to be validated, defeating the point of an oracle.  A batch of n
+draws of H is one standard normal (d^2, n) array: one contiguous row per
+real degree of freedom, that is per diagonal entry and per real and
+imaginary part of each entry below it.
 
 The estimator only needs how many eigenvalues of each draw lie in E, so it
 counts them instead of computing them.  By Sylvester's law of inertia the
@@ -13,8 +16,8 @@ number of eigenvalues of M below c is the number of negative pivots of the
 LDL^H factorisation of M - cI (Parlett, The Symmetric Eigenvalue Problem,
 1998, section 3.3).  The factorisation is a loop over the dimension,
 vectorised over the draws of a batch, in real arithmetic on the real and
-imaginary parts of the lower triangle of H, one contiguous array per
-entry.  A draw with a zero or non-finite pivot is recounted from its
+imaginary parts of the lower triangle of H, which are the rows of the
+batch.  A draw with a zero or non-finite pivot is recounted from its
 eigenvalues.
 
 The pivots run from the source-free end: a source of m nonzero entries
@@ -70,38 +73,38 @@ def _hermitian_draws(rng, n, d):
     """H for n draws, as its lower triangle: one contiguous (n,) array per
     entry.
 
-    H = (X + X^T)/2 + i (Y - Y^T)/2 from two standard normal (n, d, d)
-    arrays, drawn in that order (the diagonal of Y is unused).  Returns
-    (re, im) with re[i][j] = Re H_ij for j <= i and im[i][j] = Im H_ij for
-    j < i.
+    One standard normal (d*d, n) array Z, one row per real degree of
+    freedom: rows 0..d-1 are the diagonal H_ii (variance 1), the next
+    d(d-1)/2 rows Re H_ij and the last d(d-1)/2 rows Im H_ij, for j < i row
+    by row, all off-diagonal rows scaled by sqrt(1/2).  Returns (re, im)
+    with re[i][j] = Re H_ij for j <= i and im[i][j] = Im H_ij for j < i,
+    views of the rows of Z.
     """
-    X = rng.standard_normal((n, d, d))
-    re = [[X[:, i, j] + X[:, j, i] for j in range(i + 1)] for i in range(d)]
-    del X
-    Y = rng.standard_normal((n, d, d))
-    im = [[Y[:, i, j] - Y[:, j, i] for j in range(i)] for i in range(d)]
-    for row in re + im:
-        for t in row:
-            t /= 2
+    Z = rng.standard_normal((d * d, n))
+    Z[d:] *= math.sqrt(0.5)
+    half = d * (d - 1) // 2
+    re = [[Z[d + i * (i - 1) // 2 + j] for j in range(i)] + [Z[i]] for i in range(d)]
+    im = [[Z[d + half + i * (i - 1) // 2 + j] for j in range(i)] for i in range(d)]
     return re, im
 
 
 def _dense(draws, A, mask):
-    """A + H for the masked draws as an (k, d, d) complex array, assembled
-    with the arithmetic of the eigvalsh oracle, so bit for bit its matrix."""
+    """A + H for the masked draws as an (k, d, d) complex array.
+
+    The parts of H are copied, not computed, and the diagonal of A is then
+    added, as the eigvalsh oracle does, so the matrix is bit for bit the
+    oracle's."""
     import numpy as np
     re, im = draws
     d = len(re)
     k = int(np.count_nonzero(mask))
-    real = np.empty((k, d, d))
-    imag = np.zeros((k, d, d))
+    H = np.zeros((k, d, d), dtype=complex)
     for i in range(d):
         for j in range(i + 1):
-            real[:, i, j] = real[:, j, i] = re[i][j][mask]
+            H.real[:, i, j] = H.real[:, j, i] = re[i][j][mask]
             if j < i:
-                imag[:, i, j] = im[i][j][mask]
-                imag[:, j, i] = -imag[:, i, j]
-    H = real + 1j * imag
+                H.imag[:, i, j] = im[i][j][mask]
+                H.imag[:, j, i] = -H.imag[:, i, j]
     H += np.diag(A)[None, :, :]
     return H
 
@@ -160,7 +163,9 @@ def _count_below(draws, As, cuts):
     d, n = len(re), len(re[0][0])
     ext = [_extent(A) for A in As]
     count = np.min_scalar_type(d)  # counts range over 0..d
-    out = [(np.empty((len(cuts), n), dtype=count), np.zeros(n, dtype=bool)) for _ in As]
+    # each source's outputs are allocated when the sweep first reaches its
+    # extent, so the deep shared pivots run before any of them is held
+    out = [None] * len(As)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for col, c in enumerate(cuts):
             R, I = [list(row) for row in re], [list(row) for row in im]
@@ -169,16 +174,20 @@ def _count_below(draws, As, cuts):
                 if m < d:
                     _pivot(R, I, m, R[m][m] - c, neg, bad)
                 # R, I now hold the Schur complement S_m of the trailing pivots
-                for A, e, (below, any_bad) in zip(As, ext, out):
+                for t, (A, e) in enumerate(zip(As, ext)):
                     if e != m:
                         continue
+                    if out[t] is None:
+                        out[t] = (np.empty((len(cuts), n), dtype=count), np.zeros(n, dtype=bool))
+                    below, any_bad = out[t]
                     Rt, It = [list(row) for row in R[:m]], [list(row) for row in I[:m]]
                     neg_t, bad_t = neg.copy(), bad.copy()
                     for k in range(m - 1, -1, -1):
                         _pivot(Rt, It, k, (Rt[k][k] + A[k]) - c, neg_t, bad_t)
                     below[col] = neg_t
                     any_bad |= bad_t
-    return out
+    # with no finite cut the sweep never ran
+    return [o or (np.empty((0, n), dtype=count), np.zeros(n, dtype=bool)) for o in out]
 
 
 def _inside_counts(draws, As, E):

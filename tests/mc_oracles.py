@@ -2,7 +2,8 @@
 
 `extsource.mc` counts the eigenvalues of each draw in E by the inertia of an
 LDL^H factorisation.  This module keeps the direct route it replaced: the
-same Philox draws assembled into complex Hermitian matrices, batched
+same Philox draws, one row of d^2 standard normals per real degree of
+freedom, assembled by their own loop into complex Hermitian matrices, batched
 `numpy.linalg.eigvalsh` on A + H for every source tuple, and
 prod_j (1 - s chi_E(lambda_j)) per draw.  The tests require the two to agree
 bit for bit.
@@ -17,11 +18,21 @@ from extsource.weights import IntervalSet
 
 
 def hermitian_batch(rng, n, d):
-    X = rng.standard_normal((n, d, d))
-    Y = rng.standard_normal((n, d, d))
-    Xt = np.swapaxes(X, 1, 2)
-    Yt = np.swapaxes(Y, 1, 2)
-    return (X + Xt) / 2 + 1j * (Y - Yt) / 2
+    """n complex Hermitian d x d matrices from one standard normal (d*d, n)
+    array Z: H_ii = Z[i]; for the k-th pair j < i, taken row by row,
+    Re H_ij = Z[d + k] and Im H_ij = Z[d + d(d-1)/2 + k], both scaled by
+    sqrt(1/2)."""
+    Z = rng.standard_normal((d * d, n))
+    Z[d:] *= math.sqrt(0.5)
+    pairs = [(i, j) for i in range(d) for j in range(i)]
+    H = np.zeros((n, d, d), dtype=complex)
+    for i in range(d):
+        H.real[:, i, i] = Z[i]
+    for k, (i, j) in enumerate(pairs):
+        x, y = Z[d + k], Z[d + len(pairs) + k]
+        H.real[:, i, j] = H.real[:, j, i] = x
+        H.imag[:, i, j], H.imag[:, j, i] = y, -y
+    return H
 
 
 def sample_spiked_eigenvalues(d, a, seed):

@@ -32,7 +32,7 @@ suites:
     rel_tol: 1.0e-8
   vertex-ladder:
     weights: [gaussian]
-    cap: 3
+    cap: 4
     max_d: 1
 """
 
@@ -605,10 +605,10 @@ suites:
   identity: {weights: [gaussian], d: [2], m: [1], sources: [0.5],
              intervals: [[[1, inf]]], s: [1.0]}
   z-ratio: {weights: [gaussian], d: [2], m: [1], sources: [0.5]}
-  fay: {weights: [gaussian], cap: 2, d: [1], points: ["1/2", "1/3"]}
+  fay: {weights: [gaussian], cap: 3, d: [1], points: ["1/2", "1/3"]}
   fay-det: {weights: [gaussian], cap: 2, d: [2], m: [2], points: ["1/2", "1/3"]}
-  hirota: {weights: [gaussian], cap: 2, max_d: 1}
-  vertex-ladder: {weights: [gaussian], cap: 2, max_d: 1}
+  hirota: {weights: [gaussian], cap: 3, max_d: 1}
+  vertex-ladder: {weights: [gaussian], cap: 4, max_d: 1}
   mc: {weights: [gaussian], d: [2], m: [1], sources: [0.5],
        intervals: [[[1, inf]]], s: [1.0], n: 1000, zmax: 6.0}
 """)
@@ -710,6 +710,29 @@ def test_empty_grid_exits_2_naming_its_suite(tmp_path, capsys, suite, fields):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     assert f"suites.{suite}: the grid is empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite,fields,lowest", [
+    ("vertex-ladder", {}, 4),
+    ("hirota", {}, 3),
+    ("fay", {}, 3),
+    ("fay-det", {"d": [1, 3], "m": [1, 3], "points": ["1", "1/2", "1/3"]}, 3),
+])
+def test_cap_below_the_mutation_reach_exits_2(tmp_path, capsys, suite, fields, lowest):
+    # below the lowest cap the corrupted moment reaches no residual of some
+    # record, which then cannot fail; at it, every mutated record fails
+    body = {**VALID["suites"][suite], **fields, "cap": lowest - 1}
+    cfg = tmp_path / "cap.yaml"
+    cfg.write_text(yaml.safe_dump({**VALID, "suites": {suite: body}}))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "low")]) == 2
+    assert f"suites.{suite}.cap must be >= {lowest} for this grid" in capsys.readouterr().err
+    assert not (tmp_path / "low").exists()
+    raw = {**VALID, "suites": {suite: {**body, "cap": lowest}}}
+    assert run(RunConfig(copy.deepcopy(raw)), tmp_path / "clean")[0] == 0
+    assert run(RunConfig(raw), tmp_path / "mutated", mutate=True)[0] == 1
+    for line in (tmp_path / "mutated" / "results.ndjson").read_text().splitlines():
+        r = json.loads(line)
+        assert r["status"] == ("pass" if r["suite"] == "hirota-sensitivity" else "fail"), r["id"]
 
 
 def test_exponent_without_point_gets_spelling_hint(tmp_path, capsys):

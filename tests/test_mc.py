@@ -146,7 +146,7 @@ def test_group_returns_one_result_per_tuple(monkeypatch):
 def test_grouped_call_holds_one_batch_at_a_time():
     # seven tuples over five batches peak no higher than one tuple over one
     # batch: each batch of H is dropped before the next is drawn (holding
-    # the previous one while drawing adds about 3 MB at d = 4)
+    # the previous one while drawing adds 2.56 MB at d = 4)
     def peak(group, N):
         tracemalloc.start()
         try:
@@ -205,7 +205,7 @@ def test_zero_pivot_in_shared_block_is_recounted():
     # its own to flag it); a tuple of extent 2 carries its source on that
     # pivot and keeps the draw
     rng = mc._rng_for_batch(8, 0)
-    c = float(rng.standard_normal((1, 2, 2))[0, 1, 1])
+    c = float(rng.standard_normal((4, 1000))[1, 0])
     E = IntervalSet([[c, "inf"]])
     group = [(), (0.3,), (0.9,), (-0.7,), (1.4,), (0.3, 0.9)]
     As = [mc._source_diagonal(2, tup) for tup in group]
@@ -216,3 +216,35 @@ def test_zero_pivot_in_shared_block_is_recounted():
     for A, v in zip(As, got, strict=True):
         want = batch_values(2, A, E, 0.6, 8, 0, 1000)
         assert v.tobytes() == want.tobytes(), A
+
+
+def test_draws_have_the_gue_entry_moments_and_stay_intact():
+    # each entry of H against e^{-Tr H^2/2}: H_ii ~ N(0, 1), Re H_ij and
+    # Im H_ij ~ N(0, 1/2) and uncorrelated, every sample moment within 5
+    # standard errors; the rows are views of one (d^2, n) array, so the
+    # counters must replace entries, never write into them
+    d, n = 4, 20000
+    re, im = draws = mc._hermitian_draws(mc._rng_for_batch(11, 0), n, d)
+    Z = re[0][0].base
+    assert Z.shape == (d * d, n) and Z.flags.c_contiguous
+    rows = [t for row in re + im for t in row]
+    assert len(rows) == d * d and all(t.base is Z for t in rows)
+    for i in range(d):
+        for j in range(i + 1):
+            parts = [re[i][j]] if i == j else [re[i][j], im[i][j]]
+            var = 1.0 if i == j else 0.5
+            for x in parts:
+                assert abs(x.mean()) < 5 * math.sqrt(var / n), (i, j)
+                # Var(x^2) = 2 var^2 for a centred normal
+                assert abs((x * x).mean() - var) < 5 * var * math.sqrt(2 / n), (i, j)
+            if i != j:
+                # Var(xy) = var^2 for independent centred normals
+                assert abs((re[i][j] * im[i][j]).mean()) < 5 * var / math.sqrt(n), (i, j)
+    before = Z.tobytes()
+    As = [mc._source_diagonal(d, tup) for tup in [(), (0.9,), (0.3, 1.4), (0.9, -0.7, 1.4)]]
+    mc._count_below(draws, As, [-0.5, 0.7, 2.0])
+    # a cut on an entry of draw 0 forces the eigvalsh recount through _dense
+    E = IntervalSet([[float(re[3][3][0]), "inf"]])
+    for _ in mc._inside_counts(draws, As, E):
+        pass
+    assert Z.tobytes() == before
