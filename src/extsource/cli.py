@@ -30,8 +30,11 @@ def main(argv=None):
     p_run.add_argument("--seed", type=int, default=None,
                        help="seed override")
     p_run.add_argument("--mutate", action="store_true",
-                       help="inject one-sided corruptions; all checks should "
-                            "then fail (checker sensitivity demonstration)")
+                       help="inject one-sided corruptions (checker sensitivity "
+                            "demonstration): every identity, z-ratio and exact "
+                            "record should then fail; hirota-sensitivity passes "
+                            "by design, and mc records that cannot resolve a 5%% "
+                            "error still pass")
 
     p_exp = sub.add_parser("explain", help="describe one recorded check")
     p_exp.add_argument("check_id")

@@ -34,7 +34,6 @@ from .dkp import (
     TauConfig, zhat_series, tau_ladder_step, hirota_residual, fay_det_residual,
 )
 from .weights import IntervalSet, UnknownField, weight_from_spec, QuadratureError
-from .schur import NearConfluent
 
 
 class ConfigError(ValueError):
@@ -87,6 +86,15 @@ def _integer(lo=None, below=None):
 
 # the mc sampler keys Philox with the seed, which must lie in [0, 2**128)
 _SEED = _integer(0, 2**128)
+
+
+def _dimension(v, path):
+    # MAX_DIMENSION is read here, not at import, so raising it still overrides
+    d = _integer(1)(v, path)
+    if d > mm.MAX_DIMENSION:
+        raise ConfigError(f"{path} must be <= matrix_model.MAX_DIMENSION "
+                          f"({mm.MAX_DIMENSION}), got {d}")
+    return d
 
 
 def _number(v, path):
@@ -501,7 +509,7 @@ _COUNTS = _nonempty_list(_integer(1))
 _INTERVALS = _nonempty_list(_built(IntervalSet, ValueError, TypeError))
 _RATIONALS = _nonempty_list(_built(lambda v: Fraction(str(v)), ValueError, ZeroDivisionError),
                             distinct=True)
-_RANK_FIELDS = {"d": (_COUNTS, _REQUIRED), "m": (_COUNTS, _REQUIRED),
+_RANK_FIELDS = {"d": (_nonempty_list(_dimension), _REQUIRED), "m": (_COUNTS, _REQUIRED),
                 "sources": (_nonempty_list(_nonzero, distinct=True), _REQUIRED)}
 _GAP_FIELDS = {**_RANK_FIELDS, "intervals": (_INTERVALS, _REQUIRED),
                "s": (_nonempty_list(_number), _REQUIRED)}
@@ -630,7 +638,11 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
     if workers is not None:
         cfg.workers = _integer(1)(workers, "workers")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"output directory {str(out)!r} cannot be made: "
+                          f"{exc.strerror}") from None
     start = time.monotonic()
     evals0 = mm.EVALS.n
     jobs = build_jobs(cfg, mutate=mutate)
@@ -640,8 +652,7 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
         rec = dict(rec)
         try:
             rec.update(thunk())
-        except (QuadratureError, NearConfluent, ValueError,
-                ZeroDivisionError, ArithmeticError) as exc:
+        except (QuadratureError, ValueError, ArithmeticError) as exc:
             rec["status"] = "error"
             rec["reason"] = f"{type(exc).__name__}: {exc}"
         return rec

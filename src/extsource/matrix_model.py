@@ -613,7 +613,7 @@ def _filled(register):
 
 
 # ---------------------------------------------------------------------------
-# partition functions, expectations and the identity checks
+# expectations and the identity checks
 
 
 def _expectation(num, den):
@@ -623,16 +623,6 @@ def _expectation(num, den):
     if s_den == 0.0:
         raise ZeroDivisionError("original partition function vanished")
     return s_num * s_den * math.exp(log_num - log_den), c_num, c_den
-
-
-def partition_fn(model):
-    """Z_d for the model's weight, up to d-dependent constants (set to one).
-
-    The convention fixes every d-dependent constant to one and includes d!;
-    every consumer identity is a ratio in which those constants cancel.
-    """
-    sign, logz, _ = _read(_LOGDET_CACHE, _filled(lambda plan: plan.model(model, model.weight)))
-    return sign * math.exp(logz)
 
 
 def _gamma_vector(base, a, n):
@@ -661,24 +651,13 @@ def expectation(q):
     return _expectation(*_filled(lambda plan: plan.expectation(q)))[0]
 
 
-def normalized_expectation(q):
-    """Ebar: expectation divided by the all-zero-source expectation."""
-    return _read(_EBAR_CACHE, _filled(lambda plan: plan.ebar(q)))[0]
-
-
-def _check_simple_sources(model, op):
-    if any(m != 1 for _, m in model.sources):
-        raise ValueError(f"{op} requires multiplicity-one sources")
-    if model.rank < 1:
-        raise ValueError(f"{op} requires at least one nonzero source")
-
-
 def _plan_ladder(plan, q):
-    """Register the rank-one ladder of q; returns the reader of its value
-    and summed conditioning."""
+    """Register the rank-one ladder of q, det[Gamma_{d-j}(a_k)
+    Ebar_{d-j+1}(a_k)] / det[Gamma_{d-j}(a_k)] with every Ebar a rank-one
+    normalized expectation; returns the reader of its value and summed
+    conditioning."""
     import numpy as np
     model = q.model
-    _check_simple_sources(model, "rank_reduction_rhs")
     d, W = model.d, model.weight
     a = [v for v, _ in model.sources]
     m = len(a)
@@ -706,17 +685,14 @@ def _plan_ladder(plan, q):
     return read
 
 
-def rank_reduction_rhs(q):
-    """det[Gamma_{d-j}(a_k) Ebar_{d-j+1}(a_k)] / det[Gamma_{d-j}(a_k)],
-    with every Ebar a rank-one normalized expectation at dimension d-j+1."""
-    return _filled(lambda plan: _plan_ladder(plan, q))()[0]
-
-
 def plan_identity(plan, q):
     """Register both sides of the rank-reduction identity of q; returns the
     reader of its report."""
     model = q.model
-    _check_simple_sources(model, "verify_main_identity")
+    if any(m != 1 for _, m in model.sources):
+        raise ValueError("verify_main_identity requires multiplicity-one sources")
+    if model.rank < 1:
+        raise ValueError("verify_main_identity requires at least one nonzero source")
     lhs = plan.ebar(q)
     rhs = _plan_ladder(plan, q)
 

@@ -46,7 +46,7 @@ import math
 from typing import NamedTuple
 
 from .weights import GaussianWeight, IntervalSet
-from .matrix_model import Plan, SourceModel, ExpectationQuery, expectation
+from .matrix_model import SourceModel, ExpectationQuery, expectation, prepare
 
 BATCH = 20000
 
@@ -264,13 +264,11 @@ def cross_check(d, sources, E, s, N, seed):
     """|mc - quadrature| in units of the Monte Carlo standard error, one
     CrossCheck per source tuple of sources, against the
     determinant-pipeline expectation."""
-    ests = estimate_expectation(d, sources, E, s, N, seed)
+    # built first, so a model the quadrature rejects costs no sampling
     queries = [ExpectationQuery(SourceModel(d, [(v, 1) for v in a], GaussianWeight()), E, s)
                for a in sources]
-    plan = Plan()  # the tuples' models, factored together
-    for q in queries:
-        plan.expectation(q)
-    plan.fill()
+    ests = estimate_expectation(d, sources, E, s, N, seed)
+    prepare(lambda plan, q: plan.expectation(q), [(q,) for q in queries])
     out = []
     for est, q in zip(ests, queries):
         quad = expectation(q)

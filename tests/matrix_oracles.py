@@ -1,19 +1,33 @@
 """Partition-function oracles that only the tests use.
 
-partition_fn_raw is the literal Andreief form.  It integrates raw confluent rows {x^i} u {x^p e^{a_k x}} against monomial
-columns and divides by the confluent Vandermonde.  That is much worse
-conditioned than `extsource.matrix_model.partition_fn`, but shares neither its
-divided-difference rows nor its orthonormal columns, so it cross-checks them
-at small d.  rank1_partition_fn is the rank-one orthonormal-polynomial
-route through the Gamma coefficients.
+partition_fn reads Z_d from the program's own model-determinant table; the
+program itself reads Z_d only inside its ratios.
+partition_fn_raw is the literal Andreief form.  It integrates raw confluent
+rows {x^i} u {x^p e^{a_k x}} against monomial columns and divides by the
+confluent Vandermonde.  That is much worse conditioned than partition_fn,
+but shares neither its divided-difference rows nor its orthonormal columns,
+so it cross-checks them at small d.  rank1_partition_fn is the rank-one
+orthonormal-polynomial route through the Gamma coefficients.
 """
 
 import math
 
 import numpy as np
 
+from extsource import matrix_model as mm
 from extsource.matrix_model import ENTRY_REL_TOL, _gamma_vector
 from extsource.weights import domain_pieces, integrate_pieces
+
+
+def partition_fn(model):
+    """Z_d for the model's weight, up to d-dependent constants (set to one).
+
+    The convention fixes every d-dependent constant to one and includes d!;
+    every consumer identity is a ratio in which those constants cancel.
+    """
+    key = mm._filled(lambda plan: plan.model(model, model.weight))
+    sign, logz, _ = mm._read(mm._LOGDET_CACHE, key)
+    return sign * math.exp(logz)
 
 
 def partition_fn_raw(model):

@@ -18,7 +18,7 @@ from extsource.weights import (
 )
 from extsource.matrix_model import (
     SourceModel, ExpectationQuery, verify_main_identity, z_ratio_det_check,
-    partition_fn, classify, clear_caches,
+    classify, clear_caches,
 )
 from extsource.dkp import (
     TauConfig, zhat_series, tau_ladder_step, hirota_residual,
@@ -26,6 +26,7 @@ from extsource.dkp import (
 )
 from extsource.mc import cross_check
 from extsource.harness import load_config, run
+from matrix_oracles import partition_fn
 from schur_oracles import partitions_iter, schur_poly, dodgson_residual
 from series_oracles import miwa_eval
 

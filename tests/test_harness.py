@@ -109,6 +109,17 @@ def test_readme_library_sketch_runs():
     scope = {}
     exec(compile(sketch, "README.md:Library sketch", "exec"), scope)
     assert scope["report"].rel_err < 1e-8
+    # and it is the whole package surface: every other name is imported
+    # from its own module, so the top level cannot grow back silently
+    import ast
+    import types
+    import extsource
+    imported = {alias.name for node in ast.walk(ast.parse(sketch))
+                if isinstance(node, ast.ImportFrom) and node.module == "extsource"
+                for alias in node.names}
+    public = {name for name, value in vars(extsource).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == imported
 
 
 TRACED_SPANS = {
@@ -208,6 +219,23 @@ def test_out_dir_from_config(tmp_path):
     raw["out_dir"] = str(tmp_path / "from-config")
     cfg = RunConfig(raw)
     assert cfg.out_dir == str(tmp_path / "from-config")
+
+
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, where):
+    from extsource import harness
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    raw = yaml.safe_load(MINI)
+    args = ["--out-dir", str(blocker)] if where == "option" else []
+    if where == "config":
+        raw["out_dir"] = str(blocker)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    monkeypatch.setattr(harness, "build_jobs", lambda *a, **k: pytest.fail("records ran"))
+    assert main(["run", "--config", str(cfg), *args]) == 2
+    assert f"output directory {str(blocker)!r}" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_job_ids_are_per_suite_and_unique():
@@ -625,6 +653,10 @@ BAD_FIELDS = [
     ("z-ratio", "d", '["x"]', "suites.z-ratio.d[0]"),
     ("z-ratio", "d", "[2.7]", "suites.z-ratio.d[0]"),
     ("identity", "d", "[true]", "suites.identity.d[0]"),
+    # above matrix_model.MAX_DIMENSION (10) no record could run
+    ("identity", "d", "[2, 11]", "suites.identity.d[1]"),
+    ("z-ratio", "d", "[11]", "suites.z-ratio.d[0]"),
+    ("mc", "d", "[2, 11]", "suites.mc.d[1]"),
     ("identity", "s", "[true]", "suites.identity.s[0]"),
     ("identity", "rel_tol", "abc", "suites.identity.rel_tol"),
     ("identity", "rel_tol", "1e-9", "suites.identity.rel_tol"),

@@ -8,11 +8,9 @@ from extsource.schur import NearConfluent
 from extsource.weights import GaussianWeight, LaguerreWeight, IntervalSet
 from extsource.matrix_model import (
     SERIES_ZONE, SourceModel, ExpectationQuery, DividedExpRow, _SERIES_CUT,
-    partition_fn,
-    expectation, normalized_expectation, rank_reduction_rhs,
-    verify_main_identity, z_ratio_det_check, classify,
+    expectation, verify_main_identity, z_ratio_det_check, classify,
 )
-from matrix_oracles import partition_fn_raw, rank1_partition_fn
+from matrix_oracles import partition_fn, partition_fn_raw, rank1_partition_fn
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -200,7 +198,7 @@ def test_expectations_symmetric_in_sources():
     qa = ExpectationQuery(SourceModel(3, [(0.5, 1), (1.2, 1)], GAUSS), RIGHT1, 1.0)
     qb = ExpectationQuery(SourceModel(3, [(1.2, 1), (0.5, 1)], GAUSS), RIGHT1, 1.0)
     assert expectation(qa) == expectation(qb)
-    assert normalized_expectation(qa) == normalized_expectation(qb)
+    assert verify_main_identity(qa).lhs == verify_main_identity(qb).lhs
 
 
 def test_dimension_cap_guard():
@@ -281,17 +279,17 @@ def test_expectation_d1_affine_in_s():
 
 
 def test_normalized_expectation_trivia():
-    q = ExpectationQuery(SourceModel(3, [], GAUSS), RIGHT1, 1.0)
-    assert abs(normalized_expectation(q) - 1.0) < 1e-12
+    # at s = 0 every expectation is one, on both sides of the identity
     qs0 = ExpectationQuery(SourceModel(3, [(0.5, 1)], GAUSS), RIGHT1, 0.0)
-    assert abs(normalized_expectation(qs0) - 1.0) < 1e-12
+    rep = verify_main_identity(qs0)
+    assert abs(rep.lhs - 1.0) < 1e-12
+    assert abs(rep.rhs - 1.0) < 1e-12
 
 
 def test_rank_reduction_m1_is_identity():
     q = ExpectationQuery(SourceModel(3, [(0.7, 1)], GAUSS), RIGHT1, 1.0)
-    lhs = normalized_expectation(q)
-    rhs = rank_reduction_rhs(q)
-    assert abs(lhs - rhs) < 1e-10
+    rep = verify_main_identity(q)
+    assert abs(rep.lhs - rep.rhs) < 1e-10
 
 
 def test_main_identity_gaussian_d3_m2():

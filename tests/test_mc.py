@@ -88,6 +88,12 @@ def test_cross_check_detects_corruption(monkeypatch):
     assert bad.z > 3.0
 
 
+def test_cross_check_rejects_a_model_before_sampling(monkeypatch):
+    monkeypatch.setattr(mc, "estimate_expectation", lambda *a: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="cap"):
+        cross_check(11, [[0.5]], RIGHT1, 1.0, 1000, seed=0)
+
+
 def test_estimate_requires_minimum_samples():
     with pytest.raises(ValueError):
         estimate_expectation(2, [[0.5]], RIGHT1, 1.0, 10, seed=0)
