@@ -9,6 +9,10 @@ the machine-readable files, which must be reproducible byte for byte).
 Exit code contract: 0 all checks passed, 1 any failed or errored
 (inconclusive and infeasible-skipped records do not affect it), 2 bad
 configuration.
+
+The suite modules (matrix_model and mc for the float suites, dkp for the
+exact ones) are imported inside the functions that use them, so a run
+loads only the modules its suites call.
 """
 
 import csv
@@ -28,12 +32,7 @@ from typing import Callable
 
 import yaml
 
-from . import matrix_model as mm
-from . import mc as mc_mod
-from .dkp import (
-    TauConfig, zhat_series, tau_ladder_step, hirota_residual, fay_det_residual,
-)
-from .weights import IntervalSet, UnknownField, weight_from_spec, QuadratureError
+from .weights import EVALS, IntervalSet, UnknownField, weight_from_spec, QuadratureError
 
 
 class ConfigError(ValueError):
@@ -90,6 +89,7 @@ _SEED = _integer(0, 2**128)
 
 def _dimension(v, path):
     # MAX_DIMENSION is read here, not at import, so raising it still overrides
+    from . import matrix_model as mm
     d = _integer(1)(v, path)
     if d > mm.MAX_DIMENSION:
         raise ConfigError(f"{path} must be <= matrix_model.MAX_DIMENSION "
@@ -284,16 +284,23 @@ def _rank_grid(body):
 
 
 def _identity_jobs(cfg, body, W, mutate):
+    from . import matrix_model as mm
+
+    def query(W, E, s, d, sources):
+        return mm.ExpectationQuery(mm.SourceModel(d, [(a, 1) for a in sources], W), E, s)
     tol = body["rel_tol"]
     svals = [(s, False) for s in body["s"]] + [(s, True) for s in body["exploratory_s"]]
     cases = (({"E": E.to_spec(), "s": s, "d": d, "m": m, "sources": list(tup), "tol": tol,
                "exploratory": exploratory}, (W, E, s, d, tup))
              for E in body["intervals"] for s, exploratory in svals
              for d, m, tup in _rank_grid(body))
-    return _float_jobs(W, tol, mutate, cases, _plan_identity, _identity_report)
+    return _float_jobs(W, tol, mutate, cases,
+                       lambda plan, *args: mm.plan_identity(plan, query(*args)),
+                       lambda *args: mm.verify_main_identity(query(*args)))
 
 
 def _zratio_jobs(cfg, body, W, mutate):
+    from . import matrix_model as mm
     tol = body["rel_tol"]
     cases = (({"d": d, "m": m, "sources": list(tup), "tol": tol}, (W, d, list(tup)))
              for d, m, tup in _rank_grid(body))
@@ -362,6 +369,7 @@ def _float_jobs(W, tol, mutate, cases, register, report):
     names for every feasible case, and the others wait for it; each
     record's report then only reads them.  Records run after the whole
     job list is built, so the plan sees every case."""
+    from . import matrix_model as mm
     feasible = []
     prepared = _once(lambda: mm.prepare(register, feasible))
     for params, args in cases:
@@ -377,6 +385,8 @@ def _infeasible(W, sources):
 
 def _float_thunk(W, tol, mutate, prepared, report, *args):
     """Skip infeasible sources, else judge report(*args) at relative tol."""
+    from . import matrix_model as mm
+
     def thunk():
         bad = _infeasible(W, args[-1])
         if bad is not None:
@@ -402,22 +412,11 @@ def _float_thunk(W, tol, mutate, prepared, report, *args):
     return thunk
 
 
-def _identity_query(W, E, s, d, sources):
-    return mm.ExpectationQuery(mm.SourceModel(d, [(a, 1) for a in sources], W), E, s)
-
-
-def _plan_identity(plan, *args):
-    return mm.plan_identity(plan, _identity_query(*args))
-
-
-def _identity_report(*args):
-    return mm.verify_main_identity(_identity_query(*args))
-
-
 def _exact_thunk(W, cap, dmax, moment, mutate, residual, *args):
     """Record the violations residual(cfg, corrupt, *args) returns; under
     mutate, `corrupt` raises one moment by one on one side of the identity."""
     def thunk():
+        from .dkp import TauConfig
         cfg = TauConfig(W, cap, dmax)
         corrupt = (moment, cfg.moment(moment) + 1) if mutate else None
         terms = residual(cfg, corrupt, *args)
@@ -431,15 +430,18 @@ def _exact_thunk(W, cap, dmax, moment, mutate, residual, *args):
 
 
 def _ladder_residual(cfg, corrupt, d):
+    from .dkp import tau_ladder_step, zhat_series
     rung_cfg = cfg if corrupt is None else cfg.with_moment(*corrupt)
     return (tau_ladder_step(rung_cfg, d) - zhat_series(cfg, d + 1)).terms
 
 
 def _hirota_residual(cfg, corrupt, d1, d2):
+    from .dkp import hirota_residual
     return dict(hirota_residual(cfg, d1, d2, corrupt_first=corrupt))
 
 
 def _fay_det_residual(cfg, corrupt, d, m, pts):
+    from .dkp import fay_det_residual
     return fay_det_residual(cfg, d, m, pts, corrupt_lead=corrupt).terms
 
 
@@ -472,20 +474,23 @@ def _once(compute):
 
 def _mc_group(d, sources, E, s, n, seed):
     # one sampler call for all records of the group: they share its draws
-    return _once(lambda: mc_mod.cross_check(d, sources, E, s, n, seed))
+    from . import mc
+    return _once(lambda: mc.cross_check(d, sources, E, s, n, seed))
 
 
 def _mc_thunk(checks, k, zmax, mutate):
     # records run on cfg.workers threads and the sampler itself starts none;
     # record k of a group reads the k-th result of the group's one shared
     # sampler call, which whichever record of the group runs first makes
+    from . import mc
+
     def thunk():
         chk = checks()[k]
         if mutate:
             corrupted = chk.quad * 1.05
             z = abs(chk.mc.mean - corrupted) / chk.mc.stderr \
                 if chk.mc.stderr else math.inf
-            chk = mc_mod.CrossCheck(chk.mc, corrupted, z)
+            chk = mc.CrossCheck(chk.mc, corrupted, z)
         status = "pass" if chk.z <= zmax else "fail"
         return {
             "status": status,
@@ -643,8 +648,13 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
     except OSError as exc:  # a file in the way, or no permission
         raise ConfigError(f"output directory {str(out)!r} cannot be made: "
                           f"{exc.strerror}") from None
+    for name in ("results.ndjson", "results.csv", "summary.txt"):
+        # checked before any record runs, since the files are written after
+        if (out / name).exists() and not (out / name).is_file():
+            raise ConfigError(f"output file {str(out / name)!r} exists and is not a "
+                              "regular file")
     start = time.monotonic()
-    evals0 = mm.EVALS.n
+    evals0 = EVALS.n
     jobs = build_jobs(cfg, mutate=mutate)
 
     def execute(job):
@@ -663,7 +673,7 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
     _write_ndjson(out / "results.ndjson", records)
     _write_csv(out / "results.csv", records)
     elapsed = time.monotonic() - start
-    summary = _summarize(records, elapsed, mm.EVALS.n - evals0, mutate)
+    summary = _summarize(records, elapsed, EVALS.n - evals0, mutate)
     (out / "summary.txt").write_text(summary)
     counted = [r for r in records if not r.get("exploratory")]
     nfail = sum(1 for r in counted if r["status"] in ("fail", "error"))

@@ -14,15 +14,17 @@ determinant well conditioned in floating point:
   determinant unchanged).
 
 Every check runs in two phases through a Plan: it first registers the keys
-it will read (model determinants, Gamma vectors, rank-one Ebar values),
-then reads them from run-wide tables.  Between the phases Plan.fill
-computes the keys the tables lack for every check in the plan together:
-entry quadratures that start on the same nodes share their integrand work
-there (_entry_vectors), and the model matrices are factored in one stack
-per size (_slogdet_with_cond).  A library call is a plan of one; the
-harness fills one plan per suite and weight.  Sharing never mixes the two
-sides of an identity: each entry vector and each determinant is bitwise
-what it is when computed alone.
+it will read (model determinants, Gamma vectors, rank-one Ebar values, and
+the report of an identity or z-ratio check), then reads them from run-wide
+tables.  Between the phases Plan.fill computes the keys the tables lack for
+every check in the plan together: entry quadratures that start on the same
+nodes share their integrand work there (_entry_vectors), the model
+matrices are factored in one stack per size (_slogdet_with_cond), and so,
+once the Gamma vectors and Ebar values are in, are the m x m matrices of
+every report.  A library call is a plan of one; the harness fills one plan
+per suite and weight, and each record then reads its stored report.
+Sharing never mixes the two sides of an identity: each entry vector and
+each determinant is bitwise what it is when computed alone.
 
 Plan.fill is the one writer of the run-wide tables.  It holds the module
 lock _FILL for its whole run, so each key is computed once, by one fill,
@@ -32,13 +34,12 @@ plan is filled.
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .schur import NearConfluent, CONFLUENT_GAP
 from .weights import (
-    DeformedWeight, IntervalSet, HankelNotPD, QuadratureError,
-    deform_weight, domain_pieces, integrate_pieces, live_pieces, orthonormal_basis,
-    panel_nodes, _EvalCounter,
+    CONFLUENT_GAP, EVALS, DeformedWeight, IntervalSet, HankelNotPD, NearConfluent,
+    QuadratureError, deform_weight, domain_pieces, integrate_pieces, live_pieces,
+    orthonormal_basis, panel_nodes,
 )
 
 ENTRY_REL_TOL = 1e-13
@@ -55,14 +56,14 @@ MAX_DIMENSION = 10
 # held by Plan.fill for its whole run: the one writer of the tables below
 _FILL = threading.Lock()
 # run-wide tables of a value or the _Failed its computation met; the first
-# four are memos of _compute_once, the last two are written by Plan.fill
+# four are memos of _compute_once, the last three are written by Plan.fill
 _BASIS_CACHE = {}
 _ROW_CACHE = {}
 _ENTRY_CACHE = {}
 _GAMMA_CACHE = {}
 _LOGDET_CACHE = {}
 _EBAR_CACHE = {}
-EVALS = _EvalCounter()
+_REPORT_CACHE = {}
 # the errors a computation can meet on valid input, stored under its key
 _STORED = (QuadratureError, ValueError, ArithmeticError)
 
@@ -70,7 +71,7 @@ _STORED = (QuadratureError, ValueError, ArithmeticError)
 def clear_caches():
     with _FILL:
         for table in (_BASIS_CACHE, _ROW_CACHE, _ENTRY_CACHE, _GAMMA_CACHE,
-                      _LOGDET_CACHE, _EBAR_CACHE):
+                      _LOGDET_CACHE, _EBAR_CACHE, _REPORT_CACHE):
             table.clear()
 
 
@@ -84,16 +85,21 @@ class _Failed:
     def __init__(self, exc):
         self.kind, self.args = type(exc), exc.args
 
-    def reraise(self):
-        raise self.kind(*self.args)
-
 
 def _read(table, key):
     """table[key], raising the error stored there instead of a value."""
     value = table[key]
     if isinstance(value, _Failed):
-        value.reraise()
+        raise value.kind(*value.args)
     return value
+
+
+def _stored(compute, *args):
+    """compute(*args), or the _Failed of an error of _STORED it raises."""
+    try:
+        return compute(*args)
+    except _STORED as exc:
+        return _Failed(exc)
 
 
 def _compute_once(cache, key, compute):
@@ -101,10 +107,7 @@ def _compute_once(cache, key, compute):
     is stored under the key and raised to every caller; any other leaves
     the key unset.  Callers hold _FILL, or run alone."""
     if key not in cache:
-        try:
-            cache[key] = compute()
-        except _STORED as exc:
-            cache[key] = _Failed(exc)
+        cache[key] = _stored(compute)
     return _read(cache, key)
 
 
@@ -438,10 +441,9 @@ def _entry_vectors(entries):
         pieces = live = None
         if key not in _ENTRY_CACHE:
             tilt = max([0.0] + [v for v in prefix])
-            try:
-                pieces = domain_pieces(weight, tilt, len(prefix) + basis.n + 4)
-            except _STORED as exc:
-                out[key] = _Failed(exc)
+            pieces = _stored(domain_pieces, weight, tilt, len(prefix) + basis.n + 4)
+            if isinstance(pieces, _Failed):
+                out[key] = pieces
                 continue
             live = tuple((lo, hi) for lo, hi, _ in live_pieces(pieces))
         layouts.setdefault((weight.undeformed().key(), live), []).append(
@@ -449,10 +451,7 @@ def _entry_vectors(entries):
     for (_, live), members in layouts.items():
         points = _PointSet(members[0][1], live)
         for key, weight, basis, prefix, pieces in members:
-            try:
-                out[key] = _entry_vector(weight, basis, prefix, pieces, points)
-            except _STORED as exc:
-                out[key] = _Failed(exc)
+            out[key] = _stored(_entry_vector, weight, basis, prefix, pieces, points)
     return out
 
 
@@ -495,22 +494,35 @@ def _slogdet_with_cond(A):
             for sg, la, sh, c, good in zip(sign, logabs, shift, cond, ok)]
 
 
+def _factored(mats):
+    """_slogdet_with_cond of each square matrix of mats, in order, from one
+    stack per size."""
+    import numpy as np
+    dets = {}
+    for n in dict.fromkeys(map(len, mats)):
+        dets[n] = iter(_slogdet_with_cond(np.array([A for A in mats if len(A) == n])))
+    return [next(dets[len(A)]) for A in mats]
+
+
 class Plan:
     """The tables a group of checks reads, filled in two phases.
 
     First each check registers what it will read: model determinants
-    (weight, node sequence), rank-one-ladder values Ebar, and Gamma vectors.
-    Then fill() computes what the run-wide tables lack: the entry vectors
-    per point set (_entry_vectors), every missing model matrix factored in
-    one stack per size, the Gamma vectors, and the Ebar values.  An error is
-    stored under the key whose computation met it and raised to whoever
-    reads that key; a key's value never depends on what else is in the plan.
+    (weight, node sequence), rank-one-ladder values Ebar, Gamma vectors, and
+    its report.  Then fill() computes what the run-wide tables lack: the
+    entry vectors per point set (_entry_vectors), every missing model matrix
+    factored in one stack per size, the Gamma vectors, the Ebar values, and
+    last the reports, whose m x m matrices are again one stack per size.  An
+    error is stored under the key whose computation met it and raised to
+    whoever reads that key; a key's value never depends on what else is in
+    the plan.
     """
 
     def __init__(self):
         self.models = {}  # (weight key, nodes) -> weight
         self.ebars = {}  # Ebar key -> the four model keys it divides
         self.gammas = set()
+        self.reports = {}  # report key -> gather(): (its matrices, finish(their dets))
 
     def model(self, model, weight):
         """Register Z of the model against weight; returns its table key."""
@@ -546,17 +558,16 @@ class Plan:
                 if key in _LOGDET_CACHE:
                     continue
                 nodes = key[1]
-                try:
-                    basis = _column_basis(weight, len(nodes))
-                except _STORED as exc:
-                    _LOGDET_CACHE[key] = _Failed(exc)
+                basis = _stored(_column_basis, weight, len(nodes))
+                if isinstance(basis, _Failed):
+                    _LOGDET_CACHE[key] = basis
                     continue
                 rows[key] = [(weight.key(), basis.weight.key(), basis.n, nodes[:r])
                              for r in range(1, len(nodes) + 1)]
                 for ekey in rows[key]:
                     entries[ekey] = (weight, basis, ekey[3])
             vectors = _entry_vectors(entries)
-            stacks = {}
+            built = []
             for key, ekeys in rows.items():
                 d = len(ekeys)
                 A = np.empty((d, d))
@@ -567,16 +578,11 @@ class Plan:
                         break
                     A[r, :] = vec[:d]
                 else:
-                    stacks.setdefault(d, []).append((key, A))
-            for d, items in stacks.items():
-                dets = _slogdet_with_cond(np.array([A for _, A in items]))
-                for (key, _), (sign, logabs, cond) in zip(items, dets):
-                    _LOGDET_CACHE[key] = (sign, logabs + math.log(math.factorial(d)), cond)
+                    built.append((key, A))
+            for (key, A), (sign, logabs, cond) in zip(built, _factored([A for _, A in built])):
+                _LOGDET_CACHE[key] = (sign, logabs + math.log(math.factorial(len(A))), cond)
             for base, a, n in self.gammas:
-                try:
-                    _gamma_vector(base, a, n)
-                except _STORED:
-                    pass  # stored under its key; the reader raises it
+                _stored(_gamma_vector, base, a, n)  # an error is stored under its key
             for key, (num, den, num0, den0) in self.ebars.items():
                 if key in _EBAR_CACHE:
                     continue
@@ -588,6 +594,15 @@ class Plan:
                     _EBAR_CACHE[key] = (val / ref, c_num + c_den + c_num0 + c_den0)
                 except _STORED as exc:
                     _EBAR_CACHE[key] = _Failed(exc)
+            pending = [(key, _stored(gather)) for key, gather in self.reports.items()
+                       if key not in _REPORT_CACHE]
+            dets = iter(_factored([A for _, got in pending if not isinstance(got, _Failed)
+                                   for A in got[0]]))
+            for key, got in pending:
+                if not isinstance(got, _Failed):
+                    mats, finish = got
+                    got = _stored(finish, [next(dets) for _ in mats])
+                _REPORT_CACHE[key] = got
 
 
 def prepare(register, arglist):
@@ -651,67 +666,62 @@ def expectation(q):
     return _expectation(*_filled(lambda plan: plan.expectation(q)))[0]
 
 
-def _plan_ladder(plan, q):
-    """Register the rank-one ladder of q, det[Gamma_{d-j}(a_k)
-    Ebar_{d-j+1}(a_k)] / det[Gamma_{d-j}(a_k)] with every Ebar a rank-one
-    normalized expectation; returns the reader of its value and summed
-    conditioning."""
-    import numpy as np
-    model = q.model
-    d, W = model.d, model.weight
-    a = [v for v, _ in model.sources]
-    m = len(a)
-    gammas = [plan.gamma(W, ak, d) for ak in a]
-    rungs = [[plan.ebar(ExpectationQuery(SourceModel(d - j + 1, [(ak, 1)], W), q.E, q.s))
-              for j in range(1, m + 1)] for ak in a]
-
-    def read():
-        num = np.empty((m, m))
-        den = np.empty((m, m))
-        cond_sum = 0.0
-        for k in range(m):
-            gam = _read(_GAMMA_CACHE, gammas[k])
-            for j in range(1, m + 1):
-                g = gam[d - j]
-                eb, cond = _read(_EBAR_CACHE, rungs[k][j - 1])
-                cond_sum += cond
-                num[j - 1, k] = g * eb
-                den[j - 1, k] = g
-        (sd, logd, cond_d), (sn, logn, cond_n) = _slogdet_with_cond(np.array([den, num]))
-        if sd == 0.0:
-            raise ZeroDivisionError("Gamma determinant vanished")
-        val = sn * sd * math.exp(logn - logd) if sn != 0.0 else 0.0
-        return val, cond_sum + cond_d + cond_n
-    return read
-
-
 def plan_identity(plan, q):
-    """Register both sides of the rank-reduction identity of q; returns the
-    reader of its report."""
+    """Register the report of the rank-reduction identity of q, Ebar(q)
+    against the rank-one ladder det[Gamma_{d-j}(a_k) Ebar_{d-j+1}(a_k)] /
+    det[Gamma_{d-j}(a_k)] with every Ebar a rank-one normalized
+    expectation; returns its key."""
+    import numpy as np
     model = q.model
     if any(m != 1 for _, m in model.sources):
         raise ValueError("verify_main_identity requires multiplicity-one sources")
     if model.rank < 1:
         raise ValueError("verify_main_identity requires at least one nonzero source")
+    d, W = model.d, model.weight
+    key = ("identity", W.key(), q.E.intervals, q.s, model.nodes())
+    if key in _REPORT_CACHE or key in plan.reports:
+        return key
+    a = [v for v, _ in model.sources]
+    m = len(a)
     lhs = plan.ebar(q)
-    rhs = _plan_ladder(plan, q)
+    gammas = [plan.gamma(W, ak, d) for ak in a]
+    rungs = [[plan.ebar(ExpectationQuery(SourceModel(d - j + 1, [(ak, 1)], W), q.E, q.s))
+              for j in range(1, m + 1)] for ak in a]
 
-    def read():
+    def gather():
         val, cond = _read(_EBAR_CACHE, lhs)
-        rval, rcond = rhs()
-        return _make_report(val, rval, [v for v, _ in model.sources], cond + rcond)
-    return read
+        den, num = np.empty((2, m, m))
+        cond_sum = 0.0
+        for k in range(m):
+            gam = _read(_GAMMA_CACHE, gammas[k])
+            for j in range(1, m + 1):
+                g = gam[d - j]
+                eb, c = _read(_EBAR_CACHE, rungs[k][j - 1])
+                cond_sum += c
+                num[j - 1, k] = g * eb
+                den[j - 1, k] = g
+
+        def finish(dets):
+            (sd, logd, cond_d), (sn, logn, cond_n) = dets
+            if sd == 0.0:
+                raise ZeroDivisionError("Gamma determinant vanished")
+            rhs = sn * sd * math.exp(logn - logd) if sn != 0.0 else 0.0
+            return _make_report(val, rhs, a, cond + (cond_sum + cond_d + cond_n))
+        return [den, num], finish
+    plan.reports[key] = gather
+    return key
 
 
 def verify_main_identity(q):
     """Both sides of the rank-reduction identity through disjoint pipelines:
     the m-source Andreief determinant versus the rank-one ladder."""
-    return _filled(lambda plan: plan_identity(plan, q))()
+    rep = _read(_REPORT_CACHE, _filled(lambda plan: plan_identity(plan, q)))
+    return replace(rep, diag=dict(rep.diag))  # a copy: editing it leaves the table
 
 
 def plan_z_ratio(plan, weight, d, a):
-    """Register the z-ratio check of sources a at dimension d; returns the
-    reader of its report."""
+    """Register the report of the z-ratio check of sources a at dimension d;
+    returns its key."""
     import numpy as np
     a = [float(v) for v in a]
     m = len(a)
@@ -719,12 +729,16 @@ def plan_z_ratio(plan, weight, d, a):
         raise ValueError("need m <= d")
     base = SourceModel(d, [], weight)
     model = SourceModel(d, [(v, 1) for v in a], weight)
+    key = ("z-ratio", weight.key(), d, tuple(a))
+    if key in _REPORT_CACHE or key in plan.reports:
+        return key
     lhs = plan.model(model, weight), plan.model(base, weight)
     rungs = [[(plan.model(SourceModel(d + 1 - j, [(ak, 1)], weight), weight),
                plan.model(SourceModel(d + 1 - j, [], weight), weight))
               for j in range(1, m + 1)] for ak in a]
+    delta = math.prod((a[i] - a[j] for i in range(m) for j in range(i + 1, m)), start=1.0)
 
-    def read():
+    def gather():
         sl, ll, cond_l = _read(_LOGDET_CACHE, lhs[0])
         sb, lb, cond_b = _read(_LOGDET_CACHE, lhs[1])
         cond = cond_l + cond_b
@@ -735,17 +749,18 @@ def plan_z_ratio(plan, weight, d, a):
                 sdn, ld, cd = _read(_LOGDET_CACHE, rungs[k][j - 1][1])
                 cond += cn + cd
                 M[j - 1, k] = a[k] ** (m - j) * (sn * sdn * math.exp(ln_ - ld))
-        delta = 1.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                delta *= a[i] - a[j]
-        ((sM, logM, cond_M),) = _slogdet_with_cond(M[None])
-        rhs = (sM * math.exp(logM) if sM != 0.0 else 0.0) / delta
-        return _make_report(sl * sb * math.exp(ll - lb), rhs, a, cond + cond_M)
-    return read
+
+        def finish(dets):
+            ((sM, logM, cond_M),) = dets
+            rhs = (sM * math.exp(logM) if sM != 0.0 else 0.0) / delta
+            return _make_report(sl * sb * math.exp(ll - lb), rhs, a, cond + cond_M)
+        return [M], finish
+    plan.reports[key] = gather
+    return key
 
 
 def z_ratio_det_check(weight, d, a):
     """Z_d(a_1..a_m)/Z_d against det[a_k^{m-j} Z_{d+1-j}(a_k)/Z_{d+1-j}]
     divided by Delta_m(a) = prod_{j<k} (a_j - a_k)."""
-    return _filled(lambda plan: plan_z_ratio(plan, weight, d, a))()
+    rep = _read(_REPORT_CACHE, _filled(lambda plan: plan_z_ratio(plan, weight, d, a)))
+    return replace(rep, diag=dict(rep.diag))

@@ -42,6 +42,13 @@ class HankelNotPD(ValueError):
     """Moment matrix is not positive definite (degenerate weight)."""
 
 
+class NearConfluent(ValueError):
+    """Evaluation points too close for a stable alternant / confluent ratio."""
+
+
+CONFLUENT_GAP = 1e-8
+
+
 INF = float("inf")
 
 
@@ -426,6 +433,10 @@ class _EvalCounter:
     def add(self, k):
         with self._lock:
             self.n += k
+
+
+# integrand evaluations of every quadrature of the float suites in this process
+EVALS = _EvalCounter()
 
 
 _GAUSS_ORDER = 20  # Gauss-Legendre order of the pair; the Kronrod rule has 41 points

@@ -5,8 +5,9 @@ Partitions and their enumeration, determinants by Gaussian elimination, Schur
 polynomials at scalar points by the Jacobi-Trudi and alternant routes, the
 Schur series s_kappa(t) as a Jacobi-Trudi determinant of h_j series, the
 truncated Schur expansion of the HCIZ-type kernel det[e^{a_j lam_k}], and the
-Desnanot-Jacobi minor identity.  `NearConfluent` and `CONFLUENT_GAP` stay in
-`extsource.schur`, which the program uses.
+Desnanot-Jacobi minor identity.  `NearConfluent` and `CONFLUENT_GAP` live in
+`extsource.weights`, which the program uses; `extsource.schur` re-exports
+them.
 """
 
 import math

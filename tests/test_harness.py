@@ -238,6 +238,50 @@ def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, where):
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("name", ["results.ndjson", "results.csv", "summary.txt"])
+def test_output_file_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, name):
+    # the files are written after every record ran; a path that cannot
+    # take one is rejected before the first record
+    from extsource import harness
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(MINI)
+    monkeypatch.setattr(harness, "build_jobs", lambda *a, **k: pytest.fail("records ran"))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"output file {str(out / name)!r}" in capsys.readouterr().err
+    assert (out / name).is_dir() and sorted(p.name for p in out.iterdir()) == [name]
+
+
+def test_mutated_records_leave_the_stored_reports(tmp_path):
+    # --mutate scales the lhs of a new report; the stored one, which every
+    # later read of the same check returns, keeps the clean values
+    from extsource import matrix_model as mm
+    raw = yaml.safe_load(MINI)
+    raw["suites"] = {name: {**raw["suites"]["identity"], "weights": ["gaussian"], "d": [3],
+                            "m": [2], "sources": [0.5, 1.1]}
+                     for name in ("identity", "z-ratio")}
+    for key in ("intervals", "s"):
+        del raw["suites"]["z-ratio"][key]
+    mm.clear_caches()
+    assert run(RunConfig(copy.deepcopy(raw)), tmp_path / "mutated", mutate=True)[0] == 1
+    stored = {key: (rep, copy.deepcopy(rep)) for key, rep in mm._REPORT_CACHE.items()}
+    assert len(stored) == 2
+    assert run(RunConfig(raw), tmp_path / "clean")[0] == 0
+    # the clean run read the same stored reports, and no field of them moved
+    assert set(mm._REPORT_CACHE) == set(stored)
+    for key, (rep, before) in stored.items():
+        assert mm._REPORT_CACHE[key] is rep and rep == before
+    mutated, clean = ([json.loads(x) for x in (tmp_path / d / "results.ndjson").read_text().splitlines()]
+                      for d in ("mutated", "clean"))
+    assert len(mutated) == len(clean) == 2
+    for m, c in zip(mutated, clean):
+        assert (m["status"], c["status"]) == ("fail", "pass")
+        assert m["lhs"] == c["lhs"] * (1 + 1e-4) and m["rhs"] == c["rhs"]
+        assert m["diag"] == c["diag"]
+    mm.clear_caches()
+
+
 def test_job_ids_are_per_suite_and_unique():
     jobs = build_jobs(mini_cfg())
     ids = [rec["id"] for rec, _ in jobs]
@@ -495,7 +539,18 @@ def test_exact_only_run_does_not_import_numpy(tmp_path):
     config = tmp_path / "exact.yaml"
     config.write_text(yaml.safe_dump(raw))
     assert cold_run(tmp_path, ["--config", str(config), "--out-dir", str(tmp_path / "out")],
-                    "numpy") == (0, [False])
+                    "numpy", "extsource.matrix_model", "extsource.mc") == (0, [False] * 3)
+
+
+def test_float_only_run_does_not_import_the_exact_modules(tmp_path):
+    raw = yaml.safe_load((REPO / "src" / "extsource" / "configs" / "quick.yaml").read_text())
+    raw["suites"] = {k: v for k, v in raw["suites"].items() if k in ("identity", "z-ratio", "mc")}
+    assert len(raw["suites"]) == 3
+    config = tmp_path / "float.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert cold_run(tmp_path, ["--config", str(config), "--out-dir", str(tmp_path / "out")],
+                    "extsource.dkp", "extsource.schur", "extsource.series",
+                    "extsource.mc") == (0, [False, False, False, True])
 
 
 def test_cold_threaded_run_keeps_bytes(tmp_path):

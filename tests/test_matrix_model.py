@@ -503,15 +503,37 @@ def test_one_determinant_per_model(monkeypatch):
     assert len(expected) == 26
     assert set(mm._LOGDET_CACHE) == expected
     # one matrix per model key, in one stack per size, then the numerator
-    # and denominator of the 3 x 3 ladder in one stack
+    # and denominator of the 3 x 3 ladder in one stack, all in the fill
     assert sorted(stacks[:-1]) == [(8, 6, 6), (8, 7, 7), (10, 8, 8)]
     assert stacks[-1] == (2, 3, 3)
     assert sum(k for k, _, _ in stacks) == len(expected) + 2
-    # a second check reads every model determinant from the tables
-    assert verify_main_identity(q).rel_err == report.rel_err
-    assert stacks[4:] == [(2, 3, 3)]
+    assert len(mm._REPORT_CACHE) == 1
+    # a second check reads its stored report and factors nothing
+    again = verify_main_identity(q)
+    assert again == report and again is not report
+    assert len(stacks) == 4
     mm.clear_caches()
     assert not mm._LOGDET_CACHE
+
+
+def test_stored_reports_are_read_as_copies():
+    # the report table is shared by every reader: editing a returned
+    # report, a field or its diag, leaves the next read as it was
+    import copy
+    from extsource import matrix_model as mm
+    mm.clear_caches()
+    q = ExpectationQuery(SourceModel(4, [(0.5, 1), (1.1, 1)], GAUSS), RIGHT1, 1.0)
+    for read in (lambda: verify_main_identity(q),
+                 lambda: z_ratio_det_check(GAUSS, 4, [0.5, 1.1])):
+        first = read()
+        want = copy.deepcopy(first)
+        first.lhs, first.rel_err = -1.0, 1.0
+        first.diag["cond_sum"] = -1.0
+        first.diag["extra"] = 0.0
+        again = read()
+        assert again == want and again.diag is not first.diag
+    assert len(mm._REPORT_CACHE) == 2
+    mm.clear_caches()
 
 
 def test_entries_shared_per_point_set_are_bitwise_alone():
@@ -552,8 +574,10 @@ def _overlapping_plans(mm):
 
 
 def _table_bytes(mm):
+    reports = {key: (r.lhs, r.rhs, r.abs_err, r.rel_err, *r.diag.values())
+               for key, r in mm._REPORT_CACHE.items()}
     tables = {"logdet": mm._LOGDET_CACHE, "ebar": mm._EBAR_CACHE,
-              "gamma": mm._GAMMA_CACHE, "entry": mm._ENTRY_CACHE}
+              "gamma": mm._GAMMA_CACHE, "entry": mm._ENTRY_CACHE, "report": reports}
     return {(name, key): np.asarray(value, dtype=float).tobytes()
             for name, table in tables.items() for key, value in table.items()}
 
@@ -573,11 +597,12 @@ def test_overlapping_plans_fill_each_key_once(monkeypatch, threaded):
         _overlapping_plans(mm)[k].fill()
         for key, value in _table_bytes(mm).items():
             assert alone.setdefault(key, value) == value, key
-    matrices, computed, ratios = [], [], []
+    matrices, computed, ratios, stacks = [], [], [], []
     slogdet, entry, ratio = mm._slogdet_with_cond, mm._entry_vector, mm._expectation
 
     def counted_slogdet(A):
         matrices.extend(M.tobytes() for M in np.asarray(A))
+        stacks.append(np.shape(A))
         return slogdet(A)
 
     def counted_entry(weight, basis, prefix, *args):
@@ -610,7 +635,13 @@ def test_overlapping_plans_fill_each_key_once(monkeypatch, threaded):
     else:
         for plan in plans:
             plan.fill()
-    assert len(matrices) == len(set(matrices)) == len(mm._LOGDET_CACHE)
+    # one matrix per model, and the ladder pair of each identity report and
+    # the one matrix of each z-ratio report, each factored once
+    assert sorted(key[0] for key in mm._REPORT_CACHE) == ["identity", "identity", "z-ratio"]
+    assert len(matrices) == len(set(matrices)) == len(mm._LOGDET_CACHE) + 2 * 2 + 1
+    # each fill factors its report matrices in one stack: the first plan's
+    # ladder pair, and the second plan's pair with its z-ratio matrix
+    assert sorted(shape for shape in stacks if shape[1] == 2) == [(2, 2, 2), (3, 2, 2)]
     assert len(computed) == len(set(computed)) and set(computed) == set(mm._ENTRY_CACHE)
     assert len(ratios) == 2 * len(mm._EBAR_CACHE)  # E and its zero-source E, once per Ebar
     assert _table_bytes(mm) == alone
