@@ -248,10 +248,57 @@ def load_config(spec):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {spec!r}: cannot read: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = _parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error: {exc}") from None
     return RunConfig(raw)
+
+
+# libyaml's parser when PyYAML was built with it; the same safe tags either way
+_Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _parse_yaml(text):
+    """yaml.safe_load(text), except that a mapping that repeats a key, at
+    any depth, raises a ConfigError naming its path instead of keeping the
+    later value."""
+    loader = _Loader(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        _reject_duplicate_keys(loader, node, "")
+        return loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+def _reject_duplicate_keys(loader, node, path, seen=None):
+    """Walk the node tree once (an alias is the node it names) and raise a
+    ConfigError at the first mapping key that repeats.  A merge key (<<)
+    is left to YAML's rule, under which the mapping's own keys win."""
+    seen = set() if seen is None else seen
+    if id(node) in seen:
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _reject_duplicate_keys(loader, item, f"{path}[{i}]", seen)
+    elif isinstance(node, yaml.MappingNode):
+        first = {}
+        for key_node, value in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = loader.construct_object(key_node, deep=True)
+            where = f"{path}.{key}" if path else str(key)
+            try:
+                other = first.setdefault(key, key_node)
+            except TypeError:  # an unhashable key, which construction rejects
+                continue
+            if other is not key_node:
+                raise ConfigError(f"{where}: duplicate key (lines {other.start_mark.line + 1} "
+                                  f"and {key_node.start_mark.line + 1})")
+            _reject_duplicate_keys(loader, value, where, seen)
 
 
 # ---------------------------------------------------------------------------

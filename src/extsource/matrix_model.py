@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from .weights import (
     CONFLUENT_GAP, EVALS, DeformedWeight, IntervalSet, HankelNotPD, NearConfluent,
     QuadratureError, deform_weight, domain_pieces, integrate_pieces, live_pieces,
-    orthonormal_basis, panel_nodes,
+    orthonormal_basis, panel_nodes, shared_cutoffs,
 )
 
 ENTRY_REL_TOL = 1e-13
@@ -550,9 +550,10 @@ class Plan:
 
     def fill(self):
         """Compute and store, under _FILL, every registered key that its
-        table lacks; a key that is there, from any fill, is not recomputed."""
+        table lacks; a key that is there, from any fill, is not recomputed.
+        The domain cutoffs are searched once per fill (shared_cutoffs)."""
         import numpy as np
-        with _FILL:
+        with _FILL, shared_cutoffs():
             rows, entries = {}, {}
             for key, weight in self.models.items():
                 if key in _LOGDET_CACHE:

@@ -10,10 +10,12 @@ Quadrature is adaptive Gauss-Kronrod (integrate_pieces) over the pieces
 that domain_pieces returns.  Each infinite end of the domain is cut, by
 doubling outward, where the log integrand deg*log|x| + tilt*x + log W(x) has
 fallen 140 nats below its peak; no tail bound is computed, and the panel
-error alone decides convergence.  Panels never straddle a deformation
-endpoint, so the integrand is analytic on every panel.  A panel's value is
-the 41-point Kronrod extension of the 20-point Gauss-Legendre rule, and its
-error the difference of the two, which share the 20 Gauss values.  The
+error alone decides convergence.  The cutoffs read only the undeformed
+weight, so a plan fill searches them once for all its deformations.  Panels
+never straddle a deformation endpoint, so the integrand is analytic on every
+panel.  A panel's value is the 41-point Kronrod extension of the 20-point
+Gauss-Legendre rule, and its error the difference of the two, which share
+the 20 Gauss values; one (2, 41) matrix product gives both sums.  The
 integrand is called once per refinement round: the 41 nodes of all initial
 panels go in one call, and each later round splits the fewest worst panels
 that leave the remaining error within tolerance and measures all their
@@ -28,6 +30,7 @@ matrix_model and mc, so it loads on the first float job and a run of exact
 suites alone never loads it.
 """
 
+import contextlib
 import math
 import threading
 from fractions import Fraction
@@ -421,6 +424,22 @@ def _kronrod(n):
     return _KRONROD_CACHE[n]
 
 
+_RULE_CACHE = {}
+
+
+def _rule_matrix(n):
+    """The (2, 2n+1) matrix whose product with a panel's values on the
+    Kronrod nodes gives its Kronrod sum (row 0) and its Gauss sum (row 1:
+    the Gauss weights at the odd-indexed nodes, zero elsewhere)."""
+    import numpy as np
+    if n not in _RULE_CACHE:
+        _, kronrod, gauss = _kronrod(n)
+        rule = np.zeros((2, 2 * n + 1))
+        rule[0], rule[1, 1::2] = kronrod, gauss
+        _RULE_CACHE[n] = rule
+    return _RULE_CACHE[n]
+
+
 class _EvalCounter:
     """Running count of integrand evaluations, safe to share across threads."""
 
@@ -452,6 +471,11 @@ def panel_nodes(panels):
     points of one integrand call of integrate_pieces."""
     import numpy as np
     lo, hi = (np.array(col, dtype=float)[:, None] for col in list(zip(*panels))[:2])
+    return _nodes_on(lo, hi)
+
+
+def _nodes_on(lo, hi):
+    """panel_nodes of the panels [lo, hi], given as column arrays."""
     return (0.5 * (lo + hi) + 0.5 * (hi - lo) * _kronrod(_GAUSS_ORDER)[0]).ravel()
 
 
@@ -486,8 +510,12 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
     of the largest component).
 
     Each panel is measured on the 41 nodes of the Gauss-Kronrod extension of
-    the 20-point Gauss-Legendre rule: its value is the 41-point sum, and its
-    error |K41 - G20|, where G20 reuses the 20 values at the Gauss nodes.
+    the 20-point Gauss-Legendre rule by one product with the (2, 41) rule
+    matrix (_rule_matrix), scaled by the panel's half-length times its
+    multiplier: row 0 gives the 41-point Kronrod sum, its value, and row 1
+    the 20-point Gauss sum of the values at the Gauss nodes, and the error
+    is |K41 - G20|.  The product has the same shape on every panel, so a
+    panel's value does not depend on which others are measured with it.
     f is called once per refinement round: first on
     panel_nodes(live_pieces(pieces)), then once on the nodes of both halves
     of every panel split in the round.  A round splits the fewest panels,
@@ -501,22 +529,21 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
     if not live:
         return QuadResult(np.zeros(1), np.zeros(1))
 
-    nodes, kronrod, gauss = _kronrod(_GAUSS_ORDER)
+    rule = _rule_matrix(_GAUSS_ORDER)
+    npts = rule.shape[1]
 
     def measure(panels):
         """Kronrod values and |Kronrod - Gauss| errors, one row per panel,
         from a single call of f on the Kronrod nodes of every panel."""
         lo, hi, mult = (np.array(col, dtype=float)[:, None] for col in zip(*panels))
-        half = 0.5 * (hi - lo)
-        vals = np.asarray(f(panel_nodes(panels)))
+        vals = np.asarray(f(_nodes_on(lo, hi)))
         if counter is not None:
-            counter.add(len(nodes) * len(panels))
-        vals = vals.reshape(len(panels), len(nodes), -1)
-        k41 = half * (kronrod[:, None] * vals).sum(axis=1) * mult
+            counter.add(npts * len(panels))
+        sums = (rule @ vals.reshape(len(panels), npts, -1)) * (0.5 * (hi - lo) * mult)[:, None]
+        k41 = sums[:, 0]
         if not np.isfinite(k41).all():
             raise QuadratureError("non-finite integrand value on a panel")
-        g20 = half * (gauss[:, None] * vals[:, 1::2]).sum(axis=1) * mult
-        return k41, np.abs(k41 - g20)
+        return k41, np.abs(k41 - sums[:, 1])
 
     vals, errs = measure(live)  # one row per live panel
     splits = 0
@@ -554,6 +581,7 @@ DOMAIN_DROP = 140.0  # nats below the peak where the domain is cut off
 
 # the search reads the log integrand only at +-2^k, and gives up before 2^30
 _LADDER = [2.0 ** k for k in range(31)]
+_LOG_LADDER = [math.log(r) for r in _LADDER]
 
 
 def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
@@ -575,7 +603,7 @@ def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     # the search never reads
     with np.errstate(over="ignore", invalid="ignore"):
         base = np.asarray(W.log_density(np.array(xs)), dtype=float).tolist()
-    logf = [deg * math.log(r) + tilt * x + b for r, x, b in zip(_LADDER, xs, base)]
+    logf = [deg * lr + tilt * x + b for lr, x, b in zip(_LOG_LADDER, xs, base)]
 
     k = 0
     best = logf[0]
@@ -592,14 +620,47 @@ def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     return xs[k]
 
 
+# the cutoffs found by the plan fill running on this thread (shared_cutoffs)
+_CUTOFFS = threading.local()
+
+
+@contextlib.contextmanager
+def shared_cutoffs():
+    """Within the block, domain_pieces on this thread searches each cutoff
+    once per (undeformed weight, tilt, deg, side); the memo is dropped when
+    the block ends.  Plan.fill runs inside one."""
+    _CUTOFFS.memo = {}
+    try:
+        yield
+    finally:
+        _CUTOFFS.memo = None
+
+
+def _cutoff(base, tilt, deg, side):
+    memo = getattr(_CUTOFFS, "memo", None)
+    if memo is None:
+        return _log_integrand_peak_and_cutoff(base, tilt, deg, side)
+    key = (base.key(), tilt, deg, side)
+    if key not in memo:
+        memo[key] = _log_integrand_peak_and_cutoff(base, tilt, deg, side)
+    return memo[key]
+
+
 def domain_pieces(W, tilt=0.0, deg=0):
     """Integration pieces (lo, hi, mult) for the possibly deformed weight,
-    for integrands up to |x|^deg e^{tilt x} W(x)."""
+    for integrands up to |x|^deg e^{tilt x} W(x).
+
+    The two cutoffs read only the undeformed weight, the tilt and deg, so
+    every deformation of one base weight shares them (searched once per
+    shared_cutoffs block); the deformation adds its finite endpoints as cuts
+    and sets each piece's multiplier, 1 - s inside E and 1 outside.
+    """
     if tilt >= W.max_tilt():
         raise QuadratureError(
             f"tilt {tilt} not integrable against {W.undeformed().kind} weight")
-    left = _log_integrand_peak_and_cutoff(W, tilt, deg, -1)
-    right = _log_integrand_peak_and_cutoff(W, tilt, deg, +1)
+    base = W.undeformed()
+    left = _cutoff(base, tilt, deg, -1)
+    right = _cutoff(base, tilt, deg, +1)
     if right <= left:
         right = left + 1.0
     cuts = {left, right}

@@ -772,6 +772,51 @@ def test_malformed_field_exits_2_naming_its_path(tmp_path, capsys, suite, field,
     assert not (tmp_path / "out").exists()
 
 
+Z_RATIO_ONLY = """schema: 1
+seed: 7
+weights:
+  gaussian: {kind: gaussian}
+suites:
+  z-ratio: {weights: [gaussian], d: [2], m: [1], sources: [0.5]}
+"""
+
+# (a config that repeats one mapping key, the path the error must name);
+# a plain YAML load keeps the later value and runs
+DUPLICATE_KEYS = [
+    (Z_RATIO_ONLY + "seed: 8\n", "seed"),
+    (Z_RATIO_ONLY + "  z-ratio: {weights: [gaussian], d: [3], m: [2], sources: [0.5, 0.9]}\n",
+     "suites.z-ratio"),
+    (Z_RATIO_ONLY.replace("{kind: gaussian}", "{kind: gaussian, kind: laguerre}"),
+     "weights.gaussian.kind"),
+]
+
+
+@pytest.mark.parametrize("text,path", DUPLICATE_KEYS)
+def test_duplicate_key_exits_2_naming_its_path(tmp_path, capsys, text, path):
+    cfg = tmp_path / "dup.yaml"
+    cfg.write_text(Z_RATIO_ONLY)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{path}: duplicate key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_loader_reads_what_safe_load_reads(tmp_path, capsys):
+    from extsource.harness import _parse_yaml
+    texts = [(REPO / "src/extsource/configs" / f"{name}.yaml").read_text()
+             for name in ("quick", "full")]
+    texts += [p.read_text() for p in sorted((REPO / "perfbench" / "workloads").glob("*.yaml"))]
+    assert len(texts) == 5
+    for text in texts + ["", "base: &b {k: 1, j: 2}\nm: {<<: *b, k: 3}\n"]:
+        assert _parse_yaml(text) == yaml.safe_load(text)
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("schema: 1\nsuites: {z-ratio: [1, 2}\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config parse error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_seed_override_out_of_range_exits_2(tmp_path, capsys, seed):
     cfg = tmp_path / "mc.yaml"

@@ -2,9 +2,10 @@
 the Gauss-Kronrod rule it measures panels with.
 
 `reference_integrate_pieces` is the panel-at-a-time form of the engine: one
-integrand call on the 41 Kronrod nodes per panel measured, whose 20 values
-at the Gauss nodes also give the 20-point Gauss-Legendre sum, and the panels
-of one refinement round split one after another.  The batched engine must
+integrand call on the 41 Kronrod nodes per panel measured, whose values,
+times the (2, 41) rule matrix, give the Kronrod sum and the 20-point
+Gauss-Legendre sum of the values at the Gauss nodes, and the panels of one
+refinement round split one after another.  The batched engine must
 reproduce its values and error estimates bit for bit, with the same number
 of integrand evaluations, while calling the integrand once per refinement
 round.
@@ -19,21 +20,22 @@ from extsource.matrix_model import DividedExpRow
 from extsource.weights import (
     GaussianWeight, LaguerreWeight, IntervalSet, QuadResult, QuadratureError,
     deform_weight, domain_pieces, integrate_pieces, orthonormal_basis,
-    _EvalCounter, _GAUSS_ORDER, _kronrod, _leggauss, _panels_to_split,
+    _EvalCounter, _GAUSS_ORDER, _kronrod, _leggauss, _panels_to_split, _rule_matrix,
 )
 
 NODES, KRONROD, GAUSS_W = _kronrod(_GAUSS_ORDER)
 POINTS = len(NODES)  # integrand evaluations per panel measured
+RULE = _rule_matrix(_GAUSS_ORDER)
 
 
-def _reference_panel(f, lo, hi):
-    """(Kronrod sum, Gauss sum) of one panel from one call on its nodes."""
+def _reference_panel(f, lo, hi, mult):
+    """(Kronrod sum, Gauss sum) of one panel from one call on its nodes:
+    the rule matrix times its values, then half-length times multiplier."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     vals = np.asarray(f(mid + half * NODES))
     if vals.ndim == 1:
         vals = vals[:, None]
-    return (half * (KRONROD[:, None] * vals).sum(axis=0),
-            half * (GAUSS_W[:, None] * vals[1::2]).sum(axis=0))
+    return (RULE @ vals) * (half * mult)
 
 
 def _round_split(errs, bad, thresh):
@@ -75,8 +77,7 @@ def reference_integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels
         return QuadResult(np.zeros(1), np.zeros(1))
 
     def measure(lo, hi, mult):
-        k, g = _reference_panel(f, lo, hi)
-        k, g = k * mult, g * mult
+        k, g = _reference_panel(f, lo, hi, mult)
         if counter is not None:
             counter.n += POINTS
         return k, np.abs(k - g)
@@ -130,6 +131,13 @@ def test_kronrod_nodes_contain_the_gauss_nodes():
     assert POINTS == 2 * _GAUSS_ORDER + 1
     assert np.all(np.diff(NODES) > 0)
     assert np.all(np.abs(NODES[1::2] - gauss_nodes) <= np.spacing(np.abs(gauss_nodes)))
+
+
+def test_rule_matrix_holds_the_kronrod_and_gauss_weights():
+    assert RULE.shape == (2, POINTS)
+    assert RULE[0].tobytes() == KRONROD.tobytes()
+    assert RULE[1, 1::2].tobytes() == GAUSS_W.tobytes()
+    assert not RULE[1, 0::2].any()
 
 
 def test_kronrod_weights_are_positive_and_sum_to_two():

@@ -375,3 +375,75 @@ def test_ladder_cutoffs_match_one_point_search(monkeypatch, tmp_path):
         for tilt in (-60.0, 3.0, 60.0):
             for side in (-1, 1):
                 assert ladder(W, tilt, 7, side) == one_point_cutoff(W, tilt, 7, side)
+
+
+DEFORMATIONS = [([[1.5, "inf"]], 0.5), ([[0.5, 3]], 1.5), ([[-3, -0.5], [0.7, 1.2]], 1.0)]
+
+
+@pytest.mark.parametrize("W", [GAUSS, LAG, QUARTIC], ids=lambda W: W.kind)
+def test_deformations_keep_the_base_cutoffs(W):
+    # the deformed weight adds E's inner endpoints as cuts and multiplies
+    # the pieces inside E by 1 - s; its outer cutoffs are the base weight's
+    for tilt, deg in ((0.0, 4), (0.9, 19)):
+        plain = domain_pieces(W, tilt, deg)
+        left, right = plain[0][0], plain[-1][1]
+        assert all(mult == 1.0 for _, _, mult in plain)
+        for E, s in DEFORMATIONS:
+            E = IntervalSet(E)
+            pieces = domain_pieces(deform_weight(W, E, s), tilt, deg)
+            inner = {p for p in E.finite_endpoints() if left < p < right}
+            cuts = [lo for lo, _, _ in pieces] + [pieces[-1][1]]
+            assert cuts == sorted({lo for lo, _, _ in plain} | {right} | inner)
+            for lo, hi, mult in pieces:
+                inside = any(a <= lo and hi <= b for a, b in E.intervals)
+                assert mult == (1.0 - s if inside else 1.0)
+            assert any(mult != 1.0 for _, _, mult in pieces)
+
+
+def test_one_fill_searches_each_cutoff_once(monkeypatch):
+    searches, pieces = [], []
+    search, layout = weights._log_integrand_peak_and_cutoff, weights.domain_pieces
+
+    def counted_search(W, tilt, deg, side):
+        searches.append((W.key(), tilt, deg, side))
+        return search(W, tilt, deg, side)
+
+    def counted_layout(W, tilt=0.0, deg=0):
+        pieces.append(W.key())
+        return layout(W, tilt, deg)
+
+    monkeypatch.setattr(weights, "_log_integrand_peak_and_cutoff", counted_search)
+    monkeypatch.setattr(weights, "domain_pieces", counted_layout)
+    monkeypatch.setattr(matrix_model, "domain_pieces", counted_layout)
+    mm = matrix_model
+    mm.clear_caches()
+    try:
+        plan = mm.Plan()
+        for W in (GAUSS, LAG, QUARTIC):
+            for E, s in DEFORMATIONS:
+                model = mm.SourceModel(2, [(0.3, 1), (0.9, 1)], W)
+                mm.plan_identity(plan, mm.ExpectationQuery(model, E, s))
+        plan.fill()
+        assert weights._CUTOFFS.memo is None  # dropped with the fill
+        # once per (base, tilt, deg, side), though every deformation asks
+        assert len(searches) == len(set(searches))
+        assert {key[0] for key in searches} == {GAUSS.key(), LAG.key(), QUARTIC.key()}
+        assert len({W for W in pieces if W[0] == "deformed"}) == 9
+        assert len(searches) < len(pieces)
+        # a second fill searches again: the memo lives for one fill
+        first = sorted(searches)
+        searches.clear()
+        mm.clear_caches()
+        plan = mm.Plan()
+        for E, s in DEFORMATIONS:
+            model = mm.SourceModel(2, [(0.3, 1), (0.9, 1)], GAUSS)
+            mm.plan_identity(plan, mm.ExpectationQuery(model, E, s))
+        plan.fill()
+        assert sorted(searches) == [key for key in first if key[0] == GAUSS.key()]
+    finally:
+        mm.clear_caches()
+    # outside a fill every call searches
+    searches.clear()
+    for _ in range(2):
+        domain_pieces(deform_weight(GAUSS, [[-1, 1]], 0.5), 0.3, 7)
+    assert len(searches) == 4
