@@ -173,24 +173,15 @@ def _zhat_up_shifted_slice(cfg, d, min_power, nblocks=1, tblock=0):
         lo=min_power)
 
 
-class NuMeasure:
-    """Coefficient data of the pairing measure at ladder index d.
-
-    The coefficient at z-power k is (-1)^d M_{j+d} / j! with j = d - 1 - k,
-    so powers above d - 1 vanish; negative indices mirror to nu_{-d-1}.
-    """
-
-    def __init__(self, cfg, d):
-        self.cfg = cfg
-        self.d = d if d >= 0 else -d - 1
-
-    def coeff(self, k):
-        d = self.d
-        j = d - 1 - k
-        if j < 0:
-            return Fraction(0)
-        sign = -1 if d % 2 else 1
-        return sign * self.cfg.moment(j + d) / math.factorial(j)
+def _nu_coeff(cfg, d, k):
+    """Coefficient at z-power k of the pairing measure at ladder index
+    d >= 0: (-1)^d M_{j+d} / j! with j = d - 1 - k, so powers above d - 1
+    vanish."""
+    j = d - 1 - k
+    if j < 0:
+        return Fraction(0)
+    sign = -1 if d % 2 else 1
+    return sign * cfg.moment(j + d) / math.factorial(j)
 
 
 def vertex_apply(cfg, d):
@@ -212,8 +203,7 @@ def nu_pair(cfg, d, X):
     of X(z) nu_d(z), summed exactly.  X must carry all powers >= -d."""
     if X.lo > -d:
         raise WindowError(f"window [{X.lo}, {X.hi}] misses powers down to {-d}")
-    nu = NuMeasure(cfg, d)
-    terms = [(1, X.get(p), c) for p in X.powers() if (c := nu.coeff(-1 - p))]
+    terms = [(1, X.get(p), c) for p in X.powers() if (c := _nu_coeff(cfg, d, -1 - p))]
     return mul_sum(terms) if terms else TruncatedSeries.zero(cfg.cap)
 
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 
 from .weights import (
     CONFLUENT_GAP, EVALS, DeformedWeight, IntervalSet, HankelNotPD, NearConfluent,
-    QuadratureError, deform_weight, domain_pieces, integrate_pieces, live_pieces,
-    orthonormal_basis, panel_nodes, shared_cutoffs,
+    QuadratureError, _log_integrand_peak_and_cutoff, deform_weight, domain_pieces,
+    integrate_pieces, live_pieces, orthonormal_basis, panel_nodes,
 )
 
 ENTRY_REL_TOL = 1e-13
@@ -73,6 +73,7 @@ def clear_caches():
         for table in (_BASIS_CACHE, _ROW_CACHE, _ENTRY_CACHE, _GAMMA_CACHE,
                       _LOGDET_CACHE, _EBAR_CACHE, _REPORT_CACHE):
             table.clear()
+        _log_integrand_peak_and_cutoff.cache_clear()
 
 
 class _Failed:
@@ -116,8 +117,8 @@ def _compute_once(cache, key, compute):
 
 
 class SourceModel:
-    """Dimension d, distinct nonzero source eigenvalues with multiplicities
-    (remaining eigenvalues zero), and a weight."""
+    """Dimension d, distinct nonzero source eigenvalues as (value,
+    multiplicity) pairs (remaining eigenvalues zero), and a weight."""
 
     __slots__ = ("d", "sources", "weight")
 
@@ -128,11 +129,7 @@ class SourceModel:
             raise ValueError(f"d={d} beyond the supported cap {MAX_DIMENSION} "
                              "(raise matrix_model.MAX_DIMENSION to override)")
         norm = []
-        for item in sources:
-            if isinstance(item, tuple):
-                a, mult = item
-            else:
-                a, mult = item, 1
+        for a, mult in sources:
             a = float(a)
             mult = int(mult)
             if a == 0.0:
@@ -191,11 +188,17 @@ class ExpectationQuery:
 
 @dataclass
 class IdentityReport:
+    """Both sides of a check, and the errors every report computes from them."""
+
     lhs: float
     rhs: float
-    abs_err: float
-    rel_err: float
     diag: dict = field(default_factory=dict)
+    abs_err: float = field(init=False)
+    rel_err: float = field(init=False)
+
+    def __post_init__(self):
+        self.abs_err = abs(self.lhs - self.rhs)
+        self.rel_err = self.abs_err / max(abs(self.lhs), abs(self.rhs), 1e-300)
 
 
 def _make_report(lhs, rhs, sources, cond_sum):
@@ -207,9 +210,7 @@ def _make_report(lhs, rhs, sources, cond_sum):
         "cond_sum": cond_sum,
         "noise_est": cond_sum * ENTRY_REL_NOISE,
     }
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    return IdentityReport(lhs, rhs, abs_err, rel_err, diag)
+    return IdentityReport(lhs, rhs, diag)
 
 
 def classify(report, rel_tol=1e-8):
@@ -303,7 +304,9 @@ class DividedExpRow:
     In the series zone, term n of psi(x) = x^{r-1} sum_n c_n x^n is at most
     |x|^{r-1} / (r-1)! * R^n / n! with R = |x| max|node|, so each call sums
     only the terms up to the first one past the peak of R^n / n! that is
-    below 2^-60 of it, R taken over the call's points.
+    below 2^-60 of it, R taken over the call's points.  Where x > 0 meets a
+    negative node with x * node < -4, the series alternates and cancels, so
+    those points take the closed form.
     """
 
     __slots__ = ("nodes", "r", "maxnode", "series_coeffs", "groups")
@@ -323,9 +326,8 @@ class DividedExpRow:
         for n in range(1, nmax + 1):
             f *= n + self.r - 1
             coeffs[n] = h[n] / f
+        # coeffs[0] = 1 / (r - 1)! is never zero, so the trim leaves it
         self.series_coeffs = np.trim_zeros(coeffs, "b")
-        if self.series_coeffs.size == 0:
-            self.series_coeffs = np.zeros(1)
         self.groups = _closed_groups(self.nodes) if self.maxnode > 0 else None
 
     def values_fused(self, x, logw):
@@ -334,7 +336,7 @@ class DividedExpRow:
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         zone = np.ones(x.shape, dtype=bool) if self.maxnode == 0.0 else \
-            (np.abs(x) * self.maxnode <= SERIES_ZONE)
+            (np.abs(x) * self.maxnode <= SERIES_ZONE) & ~((x > 0) & (x * min(self.nodes) < -4))
         if zone.any():
             xs = x[zone]
             cut = _SERIES_CUT[math.ceil(np.max(np.abs(xs)) * self.maxnode)]
@@ -550,10 +552,9 @@ class Plan:
 
     def fill(self):
         """Compute and store, under _FILL, every registered key that its
-        table lacks; a key that is there, from any fill, is not recomputed.
-        The domain cutoffs are searched once per fill (shared_cutoffs)."""
+        table lacks; a key that is there, from any fill, is not recomputed."""
         import numpy as np
-        with _FILL, shared_cutoffs():
+        with _FILL:
             rows, entries = {}, {}
             for key, weight in self.models.items():
                 if key in _LOGDET_CACHE:

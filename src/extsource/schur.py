@@ -7,9 +7,6 @@ import math
 from fractions import Fraction
 
 from .series import TruncatedSeries, LaurentSlice, laurent_mul_sum, mul_sum
-# they live in weights, which a float-only run loads without this module;
-# importing them from here keeps working
-from .weights import CONFLUENT_GAP, NearConfluent  # noqa: F401
 
 
 def _parts_desc(n, max_part, max_len):

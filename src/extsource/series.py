@@ -2,6 +2,8 @@
 
 Series live in one or more "blocks" of variables t_1, t_2, ...; the variable
 t_j carries weight j and a series is truncated at a fixed weighted degree cap.
+Series that meet in one operation share the cap their computation fixed
+once (dkp.TauConfig); mul_sum rejects a mismatch.
 Extra blocks serve two purposes: a second full Miwa alphabet (bilinear
 identities in two sets of times) and single "point symbols" of weight one
 (shift parameters that must participate in the grading).  Coefficients are
@@ -209,15 +211,6 @@ class TruncatedSeries:
                 for _, nums in self._graded for m, c in nums.items()}
         return t
 
-    def _at_cap(self, cap):
-        """This series truncated at cap <= self.cap, in that cap's layout."""
-        if cap >= self.cap:
-            return self
-        old, nblocks = self.cap, self.nblocks
-        byweight = {w: {_encode(_decode(m, old, nblocks), cap)[1]: c for m, c in nums.items()}
-                    for w, nums in self._graded if w <= cap}
-        return TruncatedSeries._trusted(cap, nblocks, self._den, byweight)
-
     def is_zero(self):
         return not self._graded
 
@@ -240,9 +233,8 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.cap == other.cap and self.nblocks == other.nblocks:
-            return self._den == other._den and self._graded == other._graded
-        return self.terms == other.terms
+        return (self.cap == other.cap and self.nblocks == other.nblocks
+                and self._den == other._den and self._graded == other._graded)
 
     def __hash__(self):
         raise TypeError("TruncatedSeries is unhashable")
@@ -345,11 +337,11 @@ def mul_sum(terms):
     scalar.  Every product goes over one common denominator, the lcm of the
     terms' denominators; the numerators of all terms accumulate in one dict
     per monomial weight, and the result is canonicalised once.  It equals
-    the left fold of * and + structurally: its cap is the least cap of the
-    series taking part, and with no series it is the exact scalar sum (0
-    for no terms).
+    the left fold of * and + structurally.  Its series share one cap and
+    block count, else ValueError; with no series it is the exact scalar sum
+    (0 for no terms).
     """
-    parts = []  # (scalar numerator, scalar denominator, series, series or None)
+    parts = []  # (scalar numerator, denominator, series, series or None)
     const = 0  # the sum of the scalar-only products
     cap = nblocks = None
     for s, x, y in terms:
@@ -360,32 +352,22 @@ def mul_sum(terms):
             continue
         if cap is None:
             cap, nblocks = x.cap, x.nblocks
-        elif x.nblocks != nblocks:
-            raise ValueError("block count mismatch")
-        cap = min(cap, x.cap)
-        if isinstance(y, TruncatedSeries):
-            if y.nblocks != nblocks:
+        for z in (x, y) if isinstance(y, TruncatedSeries) else (x,):
+            if z.nblocks != nblocks:
                 raise ValueError("block count mismatch")
-            cap = min(cap, y.cap)
-            parts.append((s, 1, x, y))
+            if z.cap != cap:
+                raise ValueError(f"cap mismatch: {z.cap} != {cap}")
+        if isinstance(y, TruncatedSeries):
+            parts.append((s, x._den * y._den, x, y))
         elif _exact(y):
-            parts.append((s * y.numerator, y.denominator, x, None))
+            parts.append((s * y.numerator, y.denominator * x._den, x, None))
     if cap is None:
         return const
-    # truncation can cancel a denominator, so the terms are cut to the cap
-    # before the common denominator is taken
-    cut = []
-    for k, kden, x, y in parts:
-        x = x._at_cap(cap)
-        if y is not None:
-            y = y._at_cap(cap)
-            kden *= y._den
-        cut.append((k, kden * x._den, x, y))
     if const:
-        cut.append((const.numerator, const.denominator, None, None))
-    den = lcm(*(d for _, d, _, _ in cut))
+        parts.append((const.numerator, const.denominator, None, None))
+    den = lcm(*(d for _, d, _, _ in parts))
     byweight = {}
-    for k, d, x, y in cut:
+    for k, d, x, y in parts:
         f = k * (den // d)
         if x is None:  # the constant monomial packs to 0 and weighs 0
             acc = byweight.setdefault(0, {})
@@ -445,22 +427,6 @@ class LaurentSlice:
 
     def powers(self):
         return range(self.lo, self.hi + 1)
-
-    def __add__(self, other):
-        return laurent_mul_sum(((1, self, 1), (1, other, 1)))
-
-    def __sub__(self, other):
-        return laurent_mul_sum(((1, self, 1), (-1, other, 1)))
-
-    def __neg__(self):
-        return laurent_mul_sum(((-1, self, 1),))
-
-    def __mul__(self, other):
-        """Product over the full convolution support; a scalar or series
-        factor multiplies every coefficient."""
-        if not isinstance(other, LaurentSlice):
-            return laurent_mul_sum(((1, self, other),))
-        return laurent_mul(self, other)
 
     def __repr__(self):
         return f"<LaurentSlice [{self.lo}, {self.hi}]>"

@@ -11,7 +11,7 @@ that domain_pieces returns.  Each infinite end of the domain is cut, by
 doubling outward, where the log integrand deg*log|x| + tilt*x + log W(x) has
 fallen 140 nats below its peak; no tail bound is computed, and the panel
 error alone decides convergence.  The cutoffs read only the undeformed
-weight, so a plan fill searches them once for all its deformations.  Panels
+weight, so one memoised search serves all its deformations.  Panels
 never straddle a deformation endpoint, so the integrand is analytic on every
 panel.  A panel's value is the 41-point Kronrod extension of the 20-point
 Gauss-Legendre rule, and its error the difference of the two, which share
@@ -30,7 +30,7 @@ matrix_model and mc, so it loads on the first float job and a run of exact
 suites alone never loads it.
 """
 
-import contextlib
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -333,17 +333,10 @@ class QuadResult(NamedTuple):
     error: float
 
 
-_GL_CACHE = {}
-
-
+@functools.cache
 def _leggauss(n):
     import numpy as np
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-_KRONROD_CACHE = {}
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _jacobi_kronrod(n):
@@ -386,6 +379,7 @@ def _jacobi_kronrod(n):
     return a, b
 
 
+@functools.cache
 def _kronrod(n):
     """(nodes, weights, gauss_weights) of the (2n+1)-point Gauss-Kronrod
     rule on [-1, 1], nodes ascending.  The n Gauss-Legendre nodes are the
@@ -397,47 +391,41 @@ def _kronrod(n):
     summed over k < 2n + 1 for the Kronrod rule and k < n for the Gauss one.
     They are more accurate than squared eigenvector components, and than
     numpy's leggauss weights.  Nodes and weights are then made exactly
-    symmetric.  Built on first use.
+    symmetric.
     """
     import numpy as np
-    if n not in _KRONROD_CACHE:
-        a, b = _jacobi_kronrod(n)
-        root = np.sqrt(b)
-        x = np.linalg.eigvalsh(np.diag(a) + np.diag(root[1:], 1) + np.diag(root[1:], -1))
-        # det(x - J) is the monic p_{2n+1}: p_{k+1} = (x - a_k) p_k - b_k p_{k-1}
-        p_prev, p = np.zeros_like(x), np.ones_like(x)
-        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
-        for ak, bk in zip(a, b):
-            p_prev, p, dp_prev, dp = (p, (x - ak) * p - bk * p_prev,
-                                      dp, p + (x - ak) * dp - bk * dp_prev)
-        x = x - p / dp
-        # orthonormal q_{k+1} = ((x - a_k) q_k - sqrt(b_k) q_{k-1}) / sqrt(b_{k+1})
-        q = [np.zeros_like(x), np.full_like(x, 1.0 / root[0])]
-        for k in range(2 * n):
-            q.append(((x - a[k]) * q[-1] - root[k] * q[-2]) / root[k + 1])
-        squares = np.array(q[1:]) ** 2
-        w = 1.0 / squares.sum(axis=0)
-        # q_0..q_{n-1} are the Legendre ones, so the same sum over them at
-        # the Gauss nodes gives the Gauss weights
-        wg = 1.0 / squares[:n, 1::2].sum(axis=0)
-        _KRONROD_CACHE[n] = ((x - x[::-1]) / 2, (w + w[::-1]) / 2, (wg + wg[::-1]) / 2)
-    return _KRONROD_CACHE[n]
+    a, b = _jacobi_kronrod(n)
+    root = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(root[1:], 1) + np.diag(root[1:], -1))
+    # det(x - J) is the monic p_{2n+1}: p_{k+1} = (x - a_k) p_k - b_k p_{k-1}
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+    for ak, bk in zip(a, b):
+        p_prev, p, dp_prev, dp = (p, (x - ak) * p - bk * p_prev,
+                                  dp, p + (x - ak) * dp - bk * dp_prev)
+    x = x - p / dp
+    # orthonormal q_{k+1} = ((x - a_k) q_k - sqrt(b_k) q_{k-1}) / sqrt(b_{k+1})
+    q = [np.zeros_like(x), np.full_like(x, 1.0 / root[0])]
+    for k in range(2 * n):
+        q.append(((x - a[k]) * q[-1] - root[k] * q[-2]) / root[k + 1])
+    squares = np.array(q[1:]) ** 2
+    w = 1.0 / squares.sum(axis=0)
+    # q_0..q_{n-1} are the Legendre ones, so the same sum over them at
+    # the Gauss nodes gives the Gauss weights
+    wg = 1.0 / squares[:n, 1::2].sum(axis=0)
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2, (wg + wg[::-1]) / 2
 
 
-_RULE_CACHE = {}
-
-
+@functools.cache
 def _rule_matrix(n):
     """The (2, 2n+1) matrix whose product with a panel's values on the
     Kronrod nodes gives its Kronrod sum (row 0) and its Gauss sum (row 1:
     the Gauss weights at the odd-indexed nodes, zero elsewhere)."""
     import numpy as np
-    if n not in _RULE_CACHE:
-        _, kronrod, gauss = _kronrod(n)
-        rule = np.zeros((2, 2 * n + 1))
-        rule[0], rule[1, 1::2] = kronrod, gauss
-        _RULE_CACHE[n] = rule
-    return _RULE_CACHE[n]
+    _, kronrod, gauss = _kronrod(n)
+    rule = np.zeros((2, 2 * n + 1))
+    rule[0], rule[1, 1::2] = kronrod, gauss
+    return rule
 
 
 class _EvalCounter:
@@ -511,10 +499,10 @@ def integrate_pieces(f, pieces, rel_tol=1e-12, abs_tol=0.0, max_panels=4000, cou
 
     Each panel is measured on the 41 nodes of the Gauss-Kronrod extension of
     the 20-point Gauss-Legendre rule by one product with the (2, 41) rule
-    matrix (_rule_matrix), scaled by the panel's half-length times its
-    multiplier: row 0 gives the 41-point Kronrod sum, its value, and row 1
-    the 20-point Gauss sum of the values at the Gauss nodes, and the error
-    is |K41 - G20|.  The product has the same shape on every panel, so a
+    matrix (_rule_matrix, built once per process), scaled by the panel's
+    half-length times its multiplier: row 0 gives the 41-point Kronrod sum,
+    its value, and row 1 the 20-point Gauss sum of the values at the Gauss
+    nodes, and the error is |K41 - G20|.  The product has the same shape on every panel, so a
     panel's value does not depend on which others are measured with it.
     f is called once per refinement round: first on
     panel_nodes(live_pieces(pieces)), then once on the nodes of both halves
@@ -584,6 +572,9 @@ _LADDER = [2.0 ** k for k in range(31)]
 _LOG_LADDER = [math.log(r) for r in _LADDER]
 
 
+# one search per (undeformed weight, tilt, deg, side) until matrix_model.clear_caches;
+# a run asks a few hundred keys, and the bound only caps a long-lived process
+@functools.lru_cache(maxsize=1024)
 def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     """Largest |x| worth integrating on one side (side = +1 right, -1 left).
 
@@ -620,47 +611,22 @@ def _log_integrand_peak_and_cutoff(W, tilt, deg, side):
     return xs[k]
 
 
-# the cutoffs found by the plan fill running on this thread (shared_cutoffs)
-_CUTOFFS = threading.local()
-
-
-@contextlib.contextmanager
-def shared_cutoffs():
-    """Within the block, domain_pieces on this thread searches each cutoff
-    once per (undeformed weight, tilt, deg, side); the memo is dropped when
-    the block ends.  Plan.fill runs inside one."""
-    _CUTOFFS.memo = {}
-    try:
-        yield
-    finally:
-        _CUTOFFS.memo = None
-
-
-def _cutoff(base, tilt, deg, side):
-    memo = getattr(_CUTOFFS, "memo", None)
-    if memo is None:
-        return _log_integrand_peak_and_cutoff(base, tilt, deg, side)
-    key = (base.key(), tilt, deg, side)
-    if key not in memo:
-        memo[key] = _log_integrand_peak_and_cutoff(base, tilt, deg, side)
-    return memo[key]
-
-
 def domain_pieces(W, tilt=0.0, deg=0):
     """Integration pieces (lo, hi, mult) for the possibly deformed weight,
     for integrands up to |x|^deg e^{tilt x} W(x).
 
     The two cutoffs read only the undeformed weight, the tilt and deg, so
-    every deformation of one base weight shares them (searched once per
-    shared_cutoffs block); the deformation adds its finite endpoints as cuts
-    and sets each piece's multiplier, 1 - s inside E and 1 outside.
+    every deformation of one base weight shares them: each is searched once
+    per process (_log_integrand_peak_and_cutoff is memoised); the
+    deformation adds its finite endpoints as cuts and sets each piece's
+    multiplier, 1 - s inside E and 1 outside.
     """
     if tilt >= W.max_tilt():
         raise QuadratureError(
             f"tilt {tilt} not integrable against {W.undeformed().kind} weight")
     base = W.undeformed()
-    left = _cutoff(base, tilt, deg, -1)
-    right = _cutoff(base, tilt, deg, +1)
+    left = _log_integrand_peak_and_cutoff(base, tilt, deg, -1)
+    right = _log_integrand_peak_and_cutoff(base, tilt, deg, +1)
     if right <= left:
         right = left + 1.0
     cuts = {left, right}

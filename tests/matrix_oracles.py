@@ -8,6 +8,7 @@ confluent Vandermonde.  That is much worse conditioned than partition_fn,
 but shares neither its divided-difference rows nor its orthonormal columns,
 so it cross-checks them at small d.  rank1_partition_fn is the rank-one
 orthonormal-polynomial route through the Gamma coefficients.
+laguerre_z_ratio is the closed form of a Laguerre ratio Z_d(a)/Z_d.
 """
 
 import math
@@ -76,3 +77,10 @@ def rank1_partition_fn(weight, l, a):
         raise ValueError("a must be nonzero")
     g = _gamma_vector(weight, a, l)[l - 1]
     return math.factorial(l) * float(a) ** (-(l - 1)) * g
+
+
+def laguerre_z_ratio(d, sources):
+    """Z_d(a_1..a_m)/Z_d on the Laguerre weight e^{-x}, sources below 1: the
+    source integral over positive matrices is det(1 - A)^{-d}, so the ratio
+    is prod_k (1 - a_k)^{-d}."""
+    return math.prod((1.0 - a) ** -d for a in sources)

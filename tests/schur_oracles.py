@@ -5,18 +5,16 @@ Partitions and their enumeration, determinants by Gaussian elimination, Schur
 polynomials at scalar points by the Jacobi-Trudi and alternant routes, the
 Schur series s_kappa(t) as a Jacobi-Trudi determinant of h_j series, the
 truncated Schur expansion of the HCIZ-type kernel det[e^{a_j lam_k}], and the
-Desnanot-Jacobi minor identity.  `NearConfluent` and `CONFLUENT_GAP` live in
-`extsource.weights`, which the program uses; `extsource.schur` re-exports
-them.
+Desnanot-Jacobi minor identity.  `NearConfluent` and `CONFLUENT_GAP` come
+from `extsource.weights`, which the program uses.
 """
 
 import math
 from fractions import Fraction
 
-from extsource.schur import (
-    CONFLUENT_GAP, NearConfluent, _parts_desc, det_series, elementary_schur,
-)
+from extsource.schur import _parts_desc, det_series, elementary_schur
 from extsource.series import TruncatedSeries
+from extsource.weights import CONFLUENT_GAP, NearConfluent
 
 
 class Partition:

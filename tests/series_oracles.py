@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from extsource.dkp import zhat_series
 from extsource.schur import det_series, elementary_schur, h_series
-from extsource.series import TruncatedSeries, LaurentSlice, _exact
+from extsource.series import TruncatedSeries, LaurentSlice, _exact, laurent_mul_sum, mul_sum
 from schur_oracles import _det_numeric, partitions_iter
 
 
@@ -34,9 +34,9 @@ def _mono_mul(m1, m2):
 
 
 def reference_mul(f, g):
-    """Product truncated at min(cap_f, cap_g), pair by pair."""
-    assert f.nblocks == g.nblocks
-    cap = min(f.cap, g.cap)
+    """Product truncated at the shared cap, pair by pair."""
+    assert (f.nblocks, f.cap) == (g.nblocks, g.cap)
+    cap = f.cap
     out = {}
     for m1, c1 in f.terms.items():
         for m2, c2 in g.terms.items():
@@ -48,12 +48,12 @@ def reference_mul(f, g):
 
 
 def reference_add(f, g, sign=1):
-    """f + sign * g truncated at min(cap_f, cap_g)."""
-    assert f.nblocks == g.nblocks
+    """f + sign * g at the shared cap."""
+    assert (f.nblocks, f.cap) == (g.nblocks, g.cap)
     out = dict(f.terms)
     for m, c in g.terms.items():
         out[m] = out.get(m, 0) + sign * c
-    return TruncatedSeries(min(f.cap, g.cap), out, f.nblocks)
+    return TruncatedSeries(f.cap, out, f.nblocks)
 
 
 def partition_count_dp(max_len, max_weight):
@@ -158,16 +158,17 @@ def partition_sum(cfg, d, max_weight, entry, total, lo=None):
     cut to its powers >= lo when lo is given.  The determinant is taken at
     size max(l(kappa), 1), so the empty partition gives entry(0) = h_0."""
     entry = functools.cache(entry)
+    fused = laurent_mul_sum if isinstance(total, LaurentSlice) else mul_sum
     for kappa in partitions_iter(d, max_weight):
         c = partition_coeff(cfg, kappa, d)
         if c == 0:
             continue
         n = max(kappa.length, 1)
-        term = det_series([[entry(kappa.part(p) - p + q) for q in range(1, n + 1)]
-                           for p in range(1, n + 1)]) * c
+        term = fused([(1, det_series([[entry(kappa.part(p) - p + q) for q in range(1, n + 1)]
+                                      for p in range(1, n + 1)]), c)])
         if lo is not None and term.lo < lo:
             term = LaurentSlice(lo, term.coeffs[lo - term.lo:])
-        total = total + term
+        total = fused([(1, total, 1), (1, term, 1)])
     return total
 
 

@@ -7,7 +7,7 @@ from extsource.series import TruncatedSeries, LaurentSlice, WindowError
 from extsource.schur import elementary_schur, h_series
 from extsource.weights import GaussianWeight, LaguerreWeight, ExpPolyWeight
 from extsource.dkp import (
-    TauConfig, NuMeasure, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
+    TauConfig, _nu_coeff, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
     hirota_residual, fay_residual, fay_det_residual, _coeff, _h_shifted_entry,
     _zhat_down_shifted_slice, _zhat_up_shifted_slice,
 )
@@ -110,13 +110,10 @@ def test_vertex_miwa_two_routes():
 
 def test_nu_measure_coefficients():
     cfg = gauss_cfg()
-    nu = NuMeasure(cfg, 1)
     # power k carries -M_{2d-1-k}/(d-1-k)! at d=1: k=0 -> -M_1, k=-2 -> -M_3/2!
-    assert nu.coeff(0) == -cfg.moment(1)
-    assert nu.coeff(-2) == -cfg.moment(3) / 2
-    assert nu.coeff(1) == 0  # powers above d-1 vanish
-    # negative indices mirror
-    assert NuMeasure(cfg, -2).coeff(-1) == NuMeasure(cfg, 1).coeff(-1)
+    assert _nu_coeff(cfg, 1, 0) == -cfg.moment(1)
+    assert _nu_coeff(cfg, 1, -2) == -cfg.moment(3) / 2
+    assert _nu_coeff(cfg, 1, 1) == 0  # powers above d-1 vanish
 
 
 def test_nu_pair_window_guard():

@@ -729,6 +729,8 @@ BAD_FIELDS = [
     ("identity", "rel_tl", "1.0e-12", "suites.identity.rel_tl"),
     ("vertex-ladder", "maxd", "2", "suites.vertex-ladder.maxd"),
     ("fay-det", "m", "[]", "suites.fay-det.m"),
+    # m = 1 compares one series with itself, so it cannot fail
+    ("fay-det", "m", "[1]", "suites.fay-det.m[0]"),
     ("fay", "d", "[]", "suites.fay.d"),
     ("identity", "s", "[]", "suites.identity.s"),
     ("mc", "sources", "[]", "suites.mc.sources"),
@@ -848,7 +850,7 @@ def test_empty_grid_exits_2_naming_its_suite(tmp_path, capsys, suite, fields):
     ("vertex-ladder", {}, 4),
     ("hirota", {}, 3),
     ("fay", {}, 3),
-    ("fay-det", {"d": [1, 3], "m": [1, 3], "points": ["1", "1/2", "1/3"]}, 3),
+    ("fay-det", {"d": [1, 3], "m": [2, 3], "points": ["1", "1/2", "1/3"]}, 3),
 ])
 def test_cap_below_the_mutation_reach_exits_2(tmp_path, capsys, suite, fields, lowest):
     # below the lowest cap the corrupted moment reaches no residual of some
@@ -896,6 +898,18 @@ def test_every_mutation_hook_fails_its_check(quick_mutated):
             # the checker reports the corruption
             want = "pass" if r["suite"] == "hirota-sensitivity" else "fail"
             assert r["status"] == want, r["id"]
+
+
+def test_mutated_float_errors_are_those_of_their_own_sides(quick_mutated):
+    # --mutate scales a float record's lhs; its errors are recomputed from
+    # the scaled lhs and the rhs, by the one formula of a clean report
+    _, _, recs = quick_mutated
+    floats = [r for r in recs if r["suite"] in ("identity", "z-ratio") and "lhs" in r]
+    assert len(floats) >= 10
+    for r in floats:
+        abs_err = abs(r["lhs"] - r["rhs"])
+        assert r["abs_err"] == abs_err, r["id"]
+        assert r["rel_err"] == abs_err / max(abs(r["lhs"]), abs(r["rhs"]), 1e-300), r["id"]
 
 
 def test_explain_describes_every_record_suite(quick_mutated):

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from extsource.schur import NearConfluent
-from extsource.weights import GaussianWeight, LaguerreWeight, IntervalSet
+from extsource.weights import GaussianWeight, LaguerreWeight, IntervalSet, NearConfluent
 from extsource.matrix_model import (
     SERIES_ZONE, SourceModel, ExpectationQuery, DividedExpRow, _SERIES_CUT,
     expectation, verify_main_identity, z_ratio_det_check, classify,
 )
-from matrix_oracles import partition_fn, partition_fn_raw, rank1_partition_fn
+from matrix_oracles import laguerre_z_ratio, partition_fn, partition_fn_raw, rank1_partition_fn
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -330,6 +329,22 @@ def test_z_ratio_gaussian_d4_m2():
 def test_z_ratio_laguerre_d4_m3():
     rep = z_ratio_det_check(LAG, 4, [0.3, 0.5, 0.9])
     assert rep.rel_err < 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_z_ratio_laguerre_negative_sources_match_closed_form(d):
+    # against x > 0 a negative node makes the Taylor terms of the row
+    # functions alternate and cancel; those points take the closed form
+    for m in (1, 2):
+        for a in itertools.combinations([-2.0, -1.0, -0.3, 0.5], m):
+            rep = z_ratio_det_check(LAG, d, list(a))
+            assert abs(rep.lhs / laguerre_z_ratio(d, a) - 1) < 1e-12, a
+            assert classify(rep) == "pass", a
+
+
+def test_main_identity_laguerre_negative_source():
+    q = ExpectationQuery(SourceModel(3, [(-1.0, 1), (0.5, 1)], LAG), RIGHT1, 0.5)
+    assert classify(verify_main_identity(q)) == "pass"
 
 
 def test_z_ratio_exppoly_weight():

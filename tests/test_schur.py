@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from extsource.series import TruncatedSeries, LaurentSlice
-from extsource.schur import det_series, elementary_schur, h_series, NearConfluent
+from extsource.schur import det_series, elementary_schur, h_series
+from extsource.weights import NearConfluent
 from schur_oracles import (
     Partition, partitions_iter, schur_series, schur_poly, complete_homogeneous,
     hciz_expansion_residual, dodgson_residual,

@@ -401,16 +401,24 @@ def test_deformations_keep_the_base_cutoffs(W):
 
 
 def test_one_fill_searches_each_cutoff_once(monkeypatch):
-    searches, pieces = [], []
+    asked, pieces = [], []
     search, layout = weights._log_integrand_peak_and_cutoff, weights.domain_pieces
 
     def counted_search(W, tilt, deg, side):
-        searches.append((W.key(), tilt, deg, side))
+        asked.append((W.key(), tilt, deg, side))
         return search(W, tilt, deg, side)
 
     def counted_layout(W, tilt=0.0, deg=0):
         pieces.append(W.key())
         return layout(W, tilt, deg)
+
+    def fill(bases, deformations):
+        plan = mm.Plan()
+        for W in bases:
+            for E, s in deformations:
+                model = mm.SourceModel(2, [(0.3, 1), (0.9, 1)], W)
+                mm.plan_identity(plan, mm.ExpectationQuery(model, E, s))
+        plan.fill()
 
     monkeypatch.setattr(weights, "_log_integrand_peak_and_cutoff", counted_search)
     monkeypatch.setattr(weights, "domain_pieces", counted_layout)
@@ -418,32 +426,27 @@ def test_one_fill_searches_each_cutoff_once(monkeypatch):
     mm = matrix_model
     mm.clear_caches()
     try:
-        plan = mm.Plan()
-        for W in (GAUSS, LAG, QUARTIC):
-            for E, s in DEFORMATIONS:
-                model = mm.SourceModel(2, [(0.3, 1), (0.9, 1)], W)
-                mm.plan_identity(plan, mm.ExpectationQuery(model, E, s))
-        plan.fill()
-        assert weights._CUTOFFS.memo is None  # dropped with the fill
-        # once per (base, tilt, deg, side), though every deformation asks
-        assert len(searches) == len(set(searches))
-        assert {key[0] for key in searches} == {GAUSS.key(), LAG.key(), QUARTIC.key()}
+        fill((GAUSS, LAG, QUARTIC), DEFORMATIONS[:1])
+        fill((GAUSS, LAG, QUARTIC), DEFORMATIONS[1:])
+        # once per (base, tilt, deg, side) across both fills, though every
+        # deformation asks
+        info = search.cache_info()
+        assert info.misses == info.currsize == len(set(asked))
+        assert info.hits == len(asked) - len(set(asked)) > 0
+        assert {key[0] for key in asked} == {GAUSS.key(), LAG.key(), QUARTIC.key()}
         assert len({W for W in pieces if W[0] == "deformed"}) == 9
-        assert len(searches) < len(pieces)
-        # a second fill searches again: the memo lives for one fill
-        first = sorted(searches)
-        searches.clear()
+        assert len(set(asked)) < len(pieces)
+        # clear_caches empties the memo, so the next fill searches again
+        first = set(asked)
+        asked.clear()
         mm.clear_caches()
-        plan = mm.Plan()
-        for E, s in DEFORMATIONS:
-            model = mm.SourceModel(2, [(0.3, 1), (0.9, 1)], GAUSS)
-            mm.plan_identity(plan, mm.ExpectationQuery(model, E, s))
-        plan.fill()
-        assert sorted(searches) == [key for key in first if key[0] == GAUSS.key()]
+        assert search.cache_info().currsize == 0
+        fill((GAUSS,), DEFORMATIONS)
+        assert set(asked) == {key for key in first if key[0] == GAUSS.key()}
+        assert search.cache_info().misses == len(set(asked))
     finally:
         mm.clear_caches()
-    # outside a fill every call searches
-    searches.clear()
+    # outside a fill too, a repeated call searches nothing
     for _ in range(2):
         domain_pieces(deform_weight(GAUSS, [[-1, 1]], 0.5), 0.3, 7)
-    assert len(searches) == 4
+    assert search.cache_info()[:2] == (2, 2)  # (hits, misses)
