@@ -25,8 +25,8 @@ def main(argv=None):
     p_run.add_argument("--out-dir", default=None,
                        help="output directory (default $EXTSOURCE_OUT_DIR "
                             "or ./extsource-results)")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="worker threads (overrides config)")
+    p_run.add_argument("--workers", type=int, choices=[1],
+                       help="must be 1: records run in order on the calling thread")
     p_run.add_argument("--seed", type=int, default=None,
                        help="seed override")
     p_run.add_argument("--mutate", action="store_true",
@@ -63,8 +63,7 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         out_dir = args.out_dir or cfg.out_dir or _default_out_dir()
-        code, summary = run(cfg, out_dir, workers=args.workers,
-                            seed=args.seed, mutate=args.mutate)
+        code, summary = run(cfg, out_dir, seed=args.seed, mutate=args.mutate)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

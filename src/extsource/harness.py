@@ -17,12 +17,12 @@ loads only the modules its suites call.
 
 import csv
 import difflib
+import functools
 import io
 import itertools
 import json
 import math
 import re
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -63,10 +63,11 @@ def _get(body, key, parse, default=_REQUIRED, prefix=""):
     return parse(body[key], prefix + key)
 
 
-def _typed(kind, what):
+def _nonempty(kind, what):
+    # an empty mapping or string would check nothing or name nothing
     def parse(v, path):
-        if not isinstance(v, kind):
-            raise ConfigError(f"{path} must be {what}, got {v!r}")
+        if not isinstance(v, kind) or not v:
+            raise ConfigError(f"{path} must be a nonempty {what}, got {v!r}")
         return v
     return parse
 
@@ -181,9 +182,11 @@ class RunConfig:
         if schema != 1:
             raise ConfigError(f"unsupported schema {schema!r} (expected 1)")
         self.seed = _get(raw, "seed", _SEED, 0)
-        self.workers = _get(raw, "workers", _integer(1), 1)
-        self.out_dir = _get(raw, "out_dir", _typed(str, "a string path"), None)
-        mapping = _typed(dict, "a mapping")
+        # records run in order on the calling thread; `workers` is kept for
+        # configs that spell out its one value
+        _get(raw, "workers", _integer(1, 2), 1)
+        self.out_dir = _get(raw, "out_dir", _nonempty(str, "string path"), None)
+        mapping = _nonempty(dict, "mapping")
         weight = _built(weight_from_spec, KeyError, ValueError)
         self.weights = {name: weight(mapping(spec, f"weights.{name}"), f"weights.{name}")
                         for name, spec in _get(raw, "weights", mapping).items()}
@@ -201,8 +204,8 @@ class RunConfig:
         for key in body:
             if key not in known:
                 raise ConfigError(f"{p}{key}: unknown field (expected one of {known})")
-        out = {"weights": _get(body, "weights",
-                               _nonempty_list(_typed(str, "a weight name")), prefix=p)}
+        names = _nonempty_list(_nonempty(str, "weight name"), distinct=True)
+        out = {"weights": _get(body, "weights", names, prefix=p)}
         for i, n in enumerate(out["weights"]):
             if n not in self.weights:
                 raise ConfigError(f"{p}weights[{i}]: unknown weight {n!r}")
@@ -413,12 +416,13 @@ def _float_jobs(W, tol, mutate, cases, register, report):
     """One record per case (params, args), judged by report(*args) at
     relative tol; args[-1] holds the sources.  The first record of the
     weight to run fills, as one plan, the tables that register(plan, *args)
-    names for every feasible case, and the others wait for it; each
-    record's report then only reads them.  Records run after the whole
-    job list is built, so the plan sees every case."""
+    names for every feasible case; each record's report then only reads
+    them.  Records run after the whole job list is built, so the plan sees
+    every case."""
     from . import matrix_model as mm
     feasible = []
-    prepared = _once(lambda: mm.prepare(register, feasible))
+    # functools.cache keeps no exception, so a failed fill is retried
+    prepared = functools.cache(lambda: mm.prepare(register, feasible))
     for params, args in cases:
         if _infeasible(W, args[-1]) is None:
             feasible.append(args)
@@ -502,29 +506,15 @@ def _sensitivity_thunk(W, cap, dmax):
     return thunk
 
 
-def _once(compute):
-    """A function returning compute(), which the first caller runs while
-    later callers wait; an error leaves it to the next caller."""
-    lock, box = threading.Lock(), []
-
-    def get():
-        with lock:
-            if not box:
-                box.append(compute())
-        return box[0]
-    return get
-
-
 def _mc_group(d, sources, E, s, n, seed):
     # one sampler call for all records of the group: they share its draws
     from . import mc
-    return _once(lambda: mc.cross_check(d, sources, E, s, n, seed))
+    return functools.cache(lambda: mc.cross_check(d, sources, E, s, n, seed))
 
 
 def _mc_thunk(checks, k, zmax, mutate):
-    # records run on cfg.workers threads and the sampler itself starts none;
     # record k of a group reads the k-th result of the group's one shared
-    # sampler call, which whichever record of the group runs first makes
+    # sampler call, which the group's first record makes
     from . import mc
 
     def thunk():
@@ -680,12 +670,11 @@ SUITES = {
 # execution and reports
 
 
-def run(cfg, out_dir, workers=None, seed=None, mutate=False):
-    """Execute the configured suites; returns (exit_code, summary_text)."""
+def run(cfg, out_dir, seed=None, mutate=False):
+    """Execute the configured suites in order on the calling thread; returns
+    (exit_code, summary_text)."""
     if seed is not None:
         cfg.seed = _SEED(seed, "seed")
-    if workers is not None:
-        cfg.workers = _integer(1)(workers, "workers")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -699,21 +688,15 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
                               "regular file")
     start = time.monotonic()
     evals0 = EVALS.n
-    jobs = build_jobs(cfg, mutate=mutate)
-
-    def execute(job):
-        rec, thunk = job
-        rec = dict(rec)
+    records = []
+    for rec, thunk in build_jobs(cfg, mutate=mutate):
+        rec = {"seed": cfg.seed, **rec}
         try:
             rec.update(thunk())
         except (QuadratureError, ValueError, ArithmeticError) as exc:
             rec["status"] = "error"
             rec["reason"] = f"{type(exc).__name__}: {exc}"
-        return rec
-
-    records = _run_jobs(execute, jobs, cfg.workers)
-
-    records = [{"seed": cfg.seed, **r} for r in records]
+        records.append(rec)
     _write_ndjson(out / "results.ndjson", records)
     _write_csv(out / "results.csv", records)
     elapsed = time.monotonic() - start
@@ -722,30 +705,6 @@ def run(cfg, out_dir, workers=None, seed=None, mutate=False):
     counted = [r for r in records if not r.get("exploratory")]
     nfail = sum(1 for r in counted if r["status"] in ("fail", "error"))
     return (1 if nfail else 0), summary
-
-
-def _run_jobs(execute, jobs, workers):
-    """[execute(job) for job in jobs]; job i runs on worker i % workers,
-    worker 0 being the calling thread.  An error that escapes execute is
-    raised once every worker has stopped."""
-    out, errors = [None] * len(jobs), []
-
-    def work(k):
-        try:
-            for i in range(k, len(jobs), workers):
-                out[i] = execute(jobs[i])
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return out
 
 
 def _canonical(rec):
@@ -765,17 +724,13 @@ CSV_COLUMNS = ["id", "suite", "status", "weight", "d", "m", "d1", "d2", "cap",
 
 
 def _write_csv(path, records):
+    # a column a record lacks is left empty; keys outside CSV_COLUMNS are dropped
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
+        w = csv.DictWriter(fh, CSV_COLUMNS, extrasaction="ignore")
+        w.writeheader()
         for rec in records:
-            row = []
-            for col in CSV_COLUMNS:
-                v = rec.get(col, "")
-                if isinstance(v, (list, dict)):
-                    v = json.dumps(v)
-                row.append(v)
-            w.writerow(row)
+            w.writerow({k: json.dumps(v) if isinstance(v, (list, dict)) else v
+                        for k, v in rec.items()})
 
 
 def _summarize(records, elapsed, evals, mutate):
@@ -809,17 +764,33 @@ def _summarize(records, elapsed, evals, mutate):
 # explain
 
 
+def _read_records(results_path):
+    """{id: record} of a results.ndjson file; a file that cannot be read,
+    or a line that is not a record, raises a ConfigError naming them."""
+    name = f"results file {str(results_path)!r}"
+    try:
+        lines = Path(results_path).read_bytes().split(b"\n")
+    except OSError as exc:  # missing, a directory, or no permission
+        raise ConfigError(f"{name} cannot be read: {exc.strerror}") from None
+    records = {}
+    for n, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(f"{name}, line {n}: not a JSON record ({exc})") from None
+        if not (isinstance(rec, dict) and all(isinstance(rec.get(k), str)
+                                              for k in ("id", "suite", "status"))):
+            raise ConfigError(f"{name}, line {n}: a record needs the string fields "
+                              "id, suite and status")
+        records[rec["id"]] = rec
+    return records
+
+
 def explain(results_path, check_id):
     """Human-readable account of one recorded check."""
-    path = Path(results_path)
-    if not path.exists():
-        raise ConfigError(f"results file {results_path!r} not found")
-    records = {}
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                records[rec["id"]] = rec
+    records = _read_records(results_path)
     if check_id not in records:
         near = difflib.get_close_matches(check_id, records.keys(), n=3)
         hint = f"; nearest: {', '.join(near)}" if near else ""
@@ -830,9 +801,7 @@ def explain(results_path, check_id):
     buf.write(_explain_text(rec["suite"]) + "\n\n")
     skip = {"id", "suite", "status", "diag", "violating_monomials"}
     buf.write("inputs and outcomes:\n")
-    for k in sorted(rec):
-        if k in skip:
-            continue
+    for k in sorted(rec.keys() - skip):
         buf.write(f"  {k} = {rec[k]}\n")
     if rec.get("diag"):
         buf.write("conditioning diagnostics:\n")

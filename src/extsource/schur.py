@@ -3,21 +3,8 @@ Laurent windows."""
 
 import functools
 import itertools
-import math
-from fractions import Fraction
 
 from .series import TruncatedSeries, LaurentSlice, laurent_mul_sum, mul_sum
-
-
-def _parts_desc(n, max_part, max_len):
-    if n == 0:
-        yield ()
-        return
-    if max_len == 0:
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _parts_desc(n - first, first, max_len - 1):
-            yield (first,) + rest
 
 
 def h_series(j, cap, nblocks=1, block=0):
@@ -34,24 +21,18 @@ def h_series(j, cap, nblocks=1, block=0):
 def elementary_schur(j, cap, nblocks=1, block=0):
     """h_j(t): coefficient of w^j in exp(sum_k t_k w^k); zero for j < 0.
 
-    Memoised: callers share the returned series, which is immutable."""
+    The w-derivative gives j h_j = sum_{k=1..j} k t_k h_{j-k} (Macdonald,
+    Symmetric Functions, I.2), one fused sum over the memoised lower h.
+    Callers share the returned series, which is immutable."""
     if j > cap:
         raise ValueError(f"h_{j} needs cap >= {j}, got {cap}")
     if j < 0:
         return TruncatedSeries.zero(cap, nblocks)
-    terms = {}
-    for mu in _parts_desc(j, j, j):
-        mult = {}
-        for p in mu:
-            mult[p] = mult.get(p, 0) + 1
-        exps = [0] * (max(mult) if mult else 0)
-        denom = 1
-        for p, m in mult.items():
-            exps[p - 1] = m
-            denom *= math.factorial(m)
-        mono = tuple(tuple(exps) if b == block else () for b in range(nblocks))
-        terms[mono] = Fraction(1, denom)
-    return TruncatedSeries(cap, terms, nblocks)
+    if j == 0:
+        return TruncatedSeries.one(cap, nblocks)
+    return mul_sum([(k, TruncatedSeries.variable(k, cap, block, nblocks),
+                     elementary_schur(j - k, cap, nblocks, block))
+                    for k in range(1, j + 1)]) / j
 
 
 def det_series(rows, lo=None):

@@ -1,8 +1,8 @@
 """Partitions, exact elimination, Schur functions and determinant identities
 that only the tests use.
 
-Partitions and their enumeration, determinants by Gaussian elimination, Schur
-polynomials at scalar points by the Jacobi-Trudi and alternant routes, the
+Partitions and their enumeration, the h_j series as a sum over partitions,
+determinants by Gaussian elimination, Schur polynomials at scalar points by the Jacobi-Trudi and alternant routes, the
 Schur series s_kappa(t) as a Jacobi-Trudi determinant of h_j series, the
 truncated Schur expansion of the HCIZ-type kernel det[e^{a_j lam_k}], and the
 Desnanot-Jacobi minor identity.  `NearConfluent` and `CONFLUENT_GAP` come
@@ -12,7 +12,7 @@ from `extsource.weights`, which the program uses.
 import math
 from fractions import Fraction
 
-from extsource.schur import _parts_desc, det_series, elementary_schur
+from extsource.schur import det_series, elementary_schur
 from extsource.series import TruncatedSeries
 from extsource.weights import CONFLUENT_GAP, NearConfluent
 
@@ -53,6 +53,36 @@ class Partition:
 
     def __repr__(self):
         return f"Partition{self.parts}"
+
+
+def _parts_desc(n, max_part, max_len):
+    if n == 0:
+        yield ()
+        return
+    if max_len == 0:
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _parts_desc(n - first, first, max_len - 1):
+            yield (first,) + rest
+
+
+def h_by_partitions(j, cap, nblocks=1, block=0):
+    """h_j(t) = sum over partitions mu of j of prod_p t_p^{m_p} / m_p!,
+    m_p the multiplicity of the part p: the coefficient of w^j in
+    prod_p exp(t_p w^p)."""
+    terms = {}
+    for mu in _parts_desc(j, j, j):
+        mult = {}
+        for p in mu:
+            mult[p] = mult.get(p, 0) + 1
+        exps = [0] * (max(mult) if mult else 0)
+        denom = 1
+        for p, m in mult.items():
+            exps[p - 1] = m
+            denom *= math.factorial(m)
+        mono = tuple(tuple(exps) if b == block else () for b in range(nblocks))
+        terms[mono] = Fraction(1, denom)
+    return TruncatedSeries(cap, terms, nblocks)
 
 
 def partitions_iter(max_len, max_weight):

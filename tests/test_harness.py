@@ -1,6 +1,5 @@
 import copy
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -345,71 +344,28 @@ def test_records_carry_rerun_inputs(tmp_path):
             assert {"weight", "d", "m", "sources", "E", "s", "tol"} <= rec.keys()
 
 
-def test_threaded_run_keeps_bytes(tmp_path):
-    # every cache, the determinant memo included, starts cold; the threaded
-    # runs build bases and fill the memo concurrently
-    from extsource import matrix_model as mm
-    for workers in (1, 2, 4):
-        mm.clear_caches()
-        assert not mm._LOGDET_CACHE
-        run(load_config("quick"), tmp_path / f"w{workers}", workers=workers)
-    want = (tmp_path / "w1" / "results.ndjson").read_bytes()
-    for workers in (2, 4):
-        assert (tmp_path / f"w{workers}" / "results.ndjson").read_bytes() == want
-
-
-def test_threaded_run_counts_same_evaluations(tmp_path):
-    # each cache key is computed once, by one thread, so the integrand
-    # evaluation count does not depend on the worker count
+def test_cold_runs_count_same_evaluations(tmp_path):
+    # each cache key is computed once per cold run, so two cold runs count
+    # the same integrand evaluations
     from extsource import matrix_model as mm
     counts = []
-    for i, workers in enumerate((1, 2, 2)):
+    for i in range(2):
         mm.clear_caches()
         before = mm.EVALS.n
-        run(load_config("quick"), tmp_path / str(i), workers=workers)
+        run(load_config("quick"), tmp_path / str(i))
         counts.append(mm.EVALS.n - before)
-    assert counts[0] > 0 and counts == [counts[0]] * 3
+    assert counts[0] > 0 and counts[1] == counts[0]
 
 
-@pytest.mark.parametrize("config", ["quick", str(REPO / "perfbench/workloads/float-sweep.yaml")])
-def test_float_plans_keep_bytes_and_counts_across_workers(tmp_path, config):
-    # one plan per (suite, weight), built by whichever worker runs first;
-    # from cold caches the records, the evaluation count and every summary
-    # line but the wall time are the same at 1 and 4 workers
-    import sys
-    from extsource import matrix_model as mm
-    outs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # workers interleave inside the shared tables
-    try:
-        for workers in (1, 4):
-            mm.clear_caches()
-            out = tmp_path / f"w{workers}"
-            run(load_config(config), out, workers=workers)
-            outs.append(out)
-    finally:
-        sys.setswitchinterval(interval)
-    for name in ("results.ndjson", "results.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    summaries = [(out / "summary.txt").read_text().splitlines() for out in outs]
-    times = [re.sub(r"wall time: [0-9.]+ s", "", lines[-1]) for lines in summaries]
-    assert summaries[0][:-1] == summaries[1][:-1] and times[0] == times[1]
-    assert "integrand evaluations: 0" not in times[0]
+def test_an_escaped_error_propagates_out_of_run(tmp_path, monkeypatch):
+    import extsource.harness as harness
 
+    def fault(cfg, corrupt, d):  # a fault of the program, not an error a record stores
+        raise TypeError(f"fault at d = {d}")
 
-def test_workers_keep_job_order_and_raise_an_escaped_error():
-    from extsource.harness import _run_jobs
-    for workers in (1, 3):
-        assert _run_jobs(lambda j: j * j, list(range(10)), workers) == [j * j for j in range(10)]
-
-    def execute(j):
-        if j == 4:  # a fault of the program, not an error a record stores
-            raise TypeError("fault in job 4")
-        return j
-
-    for workers in (1, 3):
-        with pytest.raises(TypeError, match="fault in job 4"):
-            _run_jobs(execute, list(range(10)), workers)
+    monkeypatch.setattr(harness, "_ladder_residual", fault)
+    with pytest.raises(TypeError, match="fault at d = 0"):
+        run(mini_cfg(), tmp_path)
 
 
 PREFIX_FAILURE = """
@@ -553,17 +509,6 @@ def test_float_only_run_does_not_import_the_exact_modules(tmp_path):
                     "extsource.mc") == (0, [False, False, False, True])
 
 
-def test_cold_threaded_run_keeps_bytes(tmp_path):
-    # numpy is first imported by whichever worker thread reaches a float
-    # suite first
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}"
-        assert cold_run(tmp_path, ["--config", "quick", "--out-dir", str(out),
-                                   "--workers", str(workers)], "numpy") == (0, [True])
-    for name in ("results.ndjson", "results.csv"):
-        assert (tmp_path / "w4" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
-
-
 def test_mc_suite_starts_no_thread(tmp_path, monkeypatch):
     import threading
     started = []
@@ -578,7 +523,7 @@ def test_mc_suite_starts_no_thread(tmp_path, monkeypatch):
     raw["suites"] = {"mc": {"weights": ["gaussian"], "d": [2], "m": [1, 2],
                             "sources": [0.5, 1.1], "intervals": [[[1, "inf"]]],
                             "s": [1.0], "n": 2000, "zmax": 6.0}}
-    code, _ = run(RunConfig(raw), tmp_path, workers=1)
+    code, _ = run(RunConfig(raw), tmp_path)
     assert code == 0
     assert started == []
 
@@ -608,61 +553,38 @@ def _count_sampler_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_mc_records_of_a_group_share_one_sampler_call(tmp_path, monkeypatch, workers):
+def test_mc_records_of_a_group_share_one_sampler_call(tmp_path, monkeypatch):
     calls = _count_sampler_calls(monkeypatch)
-    code, _ = run(RunConfig(copy.deepcopy(MC_GROUPS)), tmp_path, workers=workers)
+    code, _ = run(RunConfig(copy.deepcopy(MC_GROUPS)), tmp_path)
     assert code == 0
     # (E, s, d) groups: two s values times two d, of 3 records each
     assert sorted(calls) == [(d, 3, s) for d in (2, 3) for s in (0.5, 1.0)]
     calls.clear()
     run(load_config(str(REPO / "perfbench" / "workloads" / "mc-sampler.yaml")),
-        tmp_path / "mc-sampler", workers=1)
+        tmp_path / "mc-sampler")
     assert calls == [(2, 6, 1.0), (4, 7, 1.0)]
 
 
-def test_shared_group_result_is_computed_once_under_contention():
-    import sys
-    import threading
-    from extsource.harness import _once
+def test_a_failed_group_call_is_left_to_the_next_record(tmp_path, monkeypatch):
+    # the group's result is cached only once computed, so the error of the
+    # first record's call is that record's alone
+    from extsource import mc
     calls = []
+    real = mc.cross_check
 
-    def compute():
+    def flaky(*args):
         calls.append(1)
         if len(calls) == 1:
-            raise ValueError("first attempt fails")
-        return object()
+            raise ValueError("first call fails")
+        return real(*args)
 
-    get = _once(compute)
-    results, errors = [], []
-
-    def worker():
-        try:
-            results.append(get())
-        except ValueError as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    # the failed attempt is left to the next caller; after that, one value
-    assert len(calls) == 2 and len(errors) == 1
-    assert len(results) == 7 and len({id(r) for r in results}) == 1
-
-
-def test_mc_groups_are_byte_identical_across_workers(tmp_path):
-    for workers in (1, 2):
-        run(RunConfig(copy.deepcopy(MC_GROUPS)), tmp_path / f"w{workers}", workers=workers)
-    for name in ("results.ndjson", "results.csv"):
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    monkeypatch.setattr(mc, "cross_check", flaky)
+    raw = copy.deepcopy(MC_GROUPS)
+    raw["suites"]["mc"].update(d=[2], s=[1.0])
+    run(RunConfig(raw), tmp_path)
+    recs = [json.loads(x) for x in (tmp_path / "results.ndjson").read_text().splitlines()]
+    assert len(calls) == 2
+    assert [r["status"] for r in recs] == ["error", "pass", "pass"]
 
 
 def test_list_suites_complete():
@@ -675,6 +597,43 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert main(["list-suites"]) == 0
     assert main(["explain", "xx", "--results", str(tmp_path / "missing.ndjson")]) == 2
+
+
+def test_workers_flag_accepts_only_1(tmp_path, capsys):
+    # records run on the calling thread; the flag stays for command lines
+    # that spell out 1
+    assert main(["run", "--out-dir", str(tmp_path / "one"), "--workers", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--out-dir", str(tmp_path / "four"), "--workers", "4"])
+    assert exc.value.code == 2 and "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "four").exists()
+
+
+GOOD_RECORD = '{"id": "z-ratio-0000", "suite": "z-ratio", "status": "pass"}\n'
+
+# (the bytes of a results file, the line the error must name); a directory
+# in place of the file is the case with no line
+BAD_RESULTS = [
+    pytest.param(b"\xff\xfe{}\n", "line 1", id="not-utf8"),
+    pytest.param((GOOD_RECORD + '{"id": "z-ratio-0001",\n').encode(), "line 2",
+                 id="malformed-json"),
+    pytest.param((GOOD_RECORD + '{"id": "z-ratio-0001", "suite": "z-ratio"}\n').encode(),
+                 "line 2", id="no-status"),
+    pytest.param((GOOD_RECORD + "[1, 2]\n").encode(), "line 2", id="not-a-record"),
+    pytest.param(None, "cannot be read", id="directory"),
+]
+
+
+@pytest.mark.parametrize("content,where", BAD_RESULTS)
+def test_explain_bad_results_file_exits_2_naming_it(tmp_path, capsys, content, where):
+    path = tmp_path / "results.ndjson"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["explain", "z-ratio-0000", "--results", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and where in err
 
 
 # every suite on a grid small enough that a case wrongly accepted still
@@ -726,6 +685,11 @@ BAD_FIELDS = [
     ("mc", "n", "1.5e3", "suites.mc.n"),
     ("hirota", "max_d", "2.5", "suites.hirota.max_d"),
     (None, "workers", "true", "workers"),
+    # records run in order on the calling thread; only the default 1 loads
+    (None, "workers", "2", "workers"),
+    # a config that checks nothing, or checks one weight twice under two ids
+    (None, "suites", "{}", "suites"),
+    ("identity", "weights", "[gaussian, gaussian]", "suites.identity.weights"),
     ("identity", "rel_tl", "1.0e-12", "suites.identity.rel_tl"),
     ("vertex-ladder", "maxd", "2", "suites.vertex-ladder.maxd"),
     ("fay-det", "m", "[]", "suites.fay-det.m"),
@@ -744,6 +708,7 @@ BAD_FIELDS = [
     ("identity", "intervals", "[[[.nan, 1]]]", "suites.identity.intervals[0]"),
     ("mc", "intervals", "[[[1, 2], [3, .nan]]]", "suites.mc.intervals[0]"),
     (None, "out-dir", '"x"', "out-dir"),
+    (None, "out_dir", '""', "out_dir"),
     ("weights.gaussian", "sigma", "2.0", "weights.gaussian.sigma"),
     ("weights.gaussian", "coeffs", "[0, 0, 1]", "weights.gaussian.coeffs"),
     ("weights.gaussian", "e", "[[1, 2]]", "weights.gaussian.e"),

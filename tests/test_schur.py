@@ -9,7 +9,7 @@ from extsource.schur import det_series, elementary_schur, h_series
 from extsource.weights import NearConfluent
 from schur_oracles import (
     Partition, partitions_iter, schur_series, schur_poly, complete_homogeneous,
-    hciz_expansion_residual, dodgson_residual,
+    hciz_expansion_residual, dodgson_residual, h_by_partitions,
 )
 from series_oracles import miwa_eval, partition_count_dp, h_shift_down, h_shift_up
 
@@ -60,6 +60,16 @@ def test_elementary_schur_low_cases():
     t1 = TruncatedSeries.variable(1, cap)
     t2 = TruncatedSeries.variable(2, cap)
     assert elementary_schur(2, cap) == t2 + t1 * t1 / 2
+
+
+@pytest.mark.parametrize("nblocks,block", [(1, 0), (2, 0), (2, 1), (3, 1)])
+def test_elementary_schur_matches_partition_sum(nblocks, block):
+    # the recurrence j h_j = sum_k k t_k h_{j-k} against the sum over
+    # partitions of j, structurally equal at every j <= cap
+    for cap in range(11):
+        for j in range(cap + 1):
+            assert (elementary_schur(j, cap, nblocks, block)
+                    == h_by_partitions(j, cap, nblocks, block)), (j, cap)
 
 
 def test_elementary_schur_cap_guard():

@@ -361,7 +361,7 @@ def test_ladder_cutoffs_match_one_point_search(monkeypatch, tmp_path):
     try:
         for k, config in enumerate(["quick"] + [str(p) for p in workloads]):
             matrix_model.clear_caches()
-            run(load_config(config), str(tmp_path / str(k)), workers=1)
+            run(load_config(config), str(tmp_path / str(k)))
     finally:
         matrix_model.clear_caches()
     assert len({(W, tilt, deg) for W, tilt, deg, _ in asked}) > 50
