@@ -62,7 +62,10 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.out_dir or cfg.out_dir or _default_out_dir()
+        out_dir = next(v for v in (args.out_dir, cfg.out_dir, _default_out_dir()) if v is not None)
+        if not out_dir:
+            raise ConfigError("out_dir: an empty --out-dir or $EXTSOURCE_OUT_DIR names no "
+                              "directory")
         code, summary = run(cfg, out_dir, seed=args.seed, mutate=args.mutate)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

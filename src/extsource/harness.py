@@ -594,10 +594,10 @@ SUITES = {
         explain=(
             "Rank-reduction identity: the normalized expectation of\n"
             "prod_j (1 - s chi_E(lambda_j)) under the d-dimensional source model\n"
-            "equals det[G_{d-j}(a_k) Ebar_{d-j+1}(a_k)] / det[G_{d-j}(a_k)],\n"
-            "j,k = 1..m, where G_q(a) integrates the q-th orthonormal polynomial\n"
-            "against e^{a x} W(x) dx and every Ebar on the right is a rank-one\n"
-            "normalized expectation at the reduced dimension."),
+            "equals det M(W_def) / det M(W), where\n"
+            "M(W)[j,k] = a_k^{m-j} Z_{d+1-j}(a_k; W) / Z_{d+1-j}(W), j,k = 1..m,\n"
+            "is the rank-one ladder of the z-ratio check, W_def = W (1 - s chi_E)\n"
+            "the deformed weight."),
         fields={**_GAP_FIELDS, "exploratory_s": (_nonempty_list(_number), []),
                 "rel_tol": (_positive, 1e-8)},
         jobs=_identity_jobs),
@@ -784,6 +784,9 @@ def _read_records(results_path):
                                               for k in ("id", "suite", "status"))):
             raise ConfigError(f"{name}, line {n}: a record needs the string fields "
                               "id, suite and status")
+        for k in ("diag", "violating_monomials"):
+            if not isinstance(rec.get(k, {}), dict):
+                raise ConfigError(f"{name}, line {n}: {k} must be a JSON object")
         records[rec["id"]] = rec
     return records
 

@@ -13,18 +13,22 @@ determinant well conditioned in floating point:
   weight itself instead of raw monomials (any monic family leaves the
   determinant unchanged).
 
+Both identity checks set an m-source ratio against rank-one ladders
+M[j, k] = a_k^{m-j} Z_{d+1-j}(a_k) / Z_{d+1-j}, j, k = 1..m (_ladder): the
+z-ratio check against det M / Delta(a), the rank-reduction identity against
+det M(deformed weight) / det M(base weight).
+
 Every check runs in two phases through a Plan: it first registers the keys
-it will read (model determinants, Gamma vectors, rank-one Ebar values, and
-the report of an identity or z-ratio check), then reads them from run-wide
-tables.  Between the phases Plan.fill computes the keys the tables lack for
-every check in the plan together: entry quadratures that start on the same
-nodes share their integrand work there (_entry_vectors), the model
-matrices are factored in one stack per size (_slogdet_with_cond), and so,
-once the Gamma vectors and Ebar values are in, are the m x m matrices of
-every report.  A library call is a plan of one; the harness fills one plan
-per suite and weight, and each record then reads its stored report.
-Sharing never mixes the two sides of an identity: each entry vector and
-each determinant is bitwise what it is when computed alone.
+it will read (model determinants and the report of an identity or z-ratio
+check), then reads them from run-wide tables.  Between the phases Plan.fill
+computes the keys the tables lack for every check in the plan together:
+entry quadratures that start on the same nodes share their integrand work
+there (_entry_vectors), the model matrices are factored in one stack per
+size (_slogdet_with_cond), and so, once those are in, are the m x m
+matrices of every report.  A library call is a plan of one; the harness
+fills one plan per suite and weight, and each record then reads its stored
+report.  Sharing never mixes the two sides of an identity: each entry
+vector and each determinant is bitwise what it is when computed alone.
 
 Plan.fill is the one writer of the run-wide tables.  It holds the module
 lock _FILL for its whole run, so each key is computed once, by one fill,
@@ -56,13 +60,11 @@ MAX_DIMENSION = 10
 # held by Plan.fill for its whole run: the one writer of the tables below
 _FILL = threading.Lock()
 # run-wide tables of a value or the _Failed its computation met; the first
-# four are memos of _compute_once, the last three are written by Plan.fill
+# three are memos of _compute_once, the last two are written by Plan.fill
 _BASIS_CACHE = {}
 _ROW_CACHE = {}
 _ENTRY_CACHE = {}
-_GAMMA_CACHE = {}
 _LOGDET_CACHE = {}
-_EBAR_CACHE = {}
 _REPORT_CACHE = {}
 # the errors a computation can meet on valid input, stored under its key
 _STORED = (QuadratureError, ValueError, ArithmeticError)
@@ -70,8 +72,7 @@ _STORED = (QuadratureError, ValueError, ArithmeticError)
 
 def clear_caches():
     with _FILL:
-        for table in (_BASIS_CACHE, _ROW_CACHE, _ENTRY_CACHE, _GAMMA_CACHE,
-                      _LOGDET_CACHE, _EBAR_CACHE, _REPORT_CACHE):
+        for table in (_BASIS_CACHE, _ROW_CACHE, _ENTRY_CACHE, _LOGDET_CACHE, _REPORT_CACHE):
             table.clear()
         _log_integrand_peak_and_cutoff.cache_clear()
 
@@ -169,7 +170,7 @@ class ExpectationQuery:
     """Inputs of the expectation of prod_j (1 - s chi_E(lambda_j)).
 
     The model's weight must be undeformed: the query deforms it by its own
-    E and s, while the rank-one Gamma coefficients read the base weight.
+    E and s, and the identity's rank-one ladders read both weights.
     """
 
     __slots__ = ("model", "E", "s")
@@ -510,20 +511,17 @@ class Plan:
     """The tables a group of checks reads, filled in two phases.
 
     First each check registers what it will read: model determinants
-    (weight, node sequence), rank-one-ladder values Ebar, Gamma vectors, and
-    its report.  Then fill() computes what the run-wide tables lack: the
-    entry vectors per point set (_entry_vectors), every missing model matrix
-    factored in one stack per size, the Gamma vectors, the Ebar values, and
-    last the reports, whose m x m matrices are again one stack per size.  An
-    error is stored under the key whose computation met it and raised to
-    whoever reads that key; a key's value never depends on what else is in
-    the plan.
+    (weight, node sequence) and its report.  Then fill() computes what the
+    run-wide tables lack: the entry vectors per point set (_entry_vectors),
+    every missing model matrix factored in one stack per size, and then the
+    reports, whose m x m matrices are again one stack per size.  An error
+    is stored under the key whose computation met it and raised to whoever
+    reads that key; a key's value never depends on what else is in the
+    plan.
     """
 
     def __init__(self):
         self.models = {}  # (weight key, nodes) -> weight
-        self.ebars = {}  # Ebar key -> the four model keys it divides
-        self.gammas = set()
         self.reports = {}  # report key -> gather(): (its matrices, finish(their dets))
 
     def model(self, model, weight):
@@ -535,20 +533,6 @@ class Plan:
     def expectation(self, q):
         """Register the numerator and denominator keys of E(q)."""
         return self.model(q.model, q.deformed_weight()), self.model(q.model, q.model.weight)
-
-    def ebar(self, q):
-        """Register Ebar(q) = E(q) / E(q with no sources); returns its key."""
-        key = (q.model.weight.key(), q.E.intervals, q.s, q.model.nodes())
-        if key not in _EBAR_CACHE and key not in self.ebars:
-            zero = ExpectationQuery(SourceModel(q.model.d, [], q.model.weight), q.E, q.s)
-            self.ebars[key] = self.expectation(q) + self.expectation(zero)
-        return key
-
-    def gamma(self, base, a, n):
-        """Register Gamma_j(a), j < n, of the undeformed weight base;
-        returns its key."""
-        self.gammas.add((base, float(a), n))
-        return base.key(), float(a), n
 
     def fill(self):
         """Compute and store, under _FILL, every registered key that its
@@ -583,19 +567,6 @@ class Plan:
                     built.append((key, A))
             for (key, A), (sign, logabs, cond) in zip(built, _factored([A for _, A in built])):
                 _LOGDET_CACHE[key] = (sign, logabs + math.log(math.factorial(len(A))), cond)
-            for base, a, n in self.gammas:
-                _stored(_gamma_vector, base, a, n)  # an error is stored under its key
-            for key, (num, den, num0, den0) in self.ebars.items():
-                if key in _EBAR_CACHE:
-                    continue
-                try:
-                    val, c_num, c_den = _expectation(num, den)
-                    ref, c_num0, c_den0 = _expectation(num0, den0)
-                    if ref == 0.0:
-                        raise ZeroDivisionError("zero-source expectation vanished (e.g. s=1, E=R)")
-                    _EBAR_CACHE[key] = (val / ref, c_num + c_den + c_num0 + c_den0)
-                except _STORED as exc:
-                    _EBAR_CACHE[key] = _Failed(exc)
             pending = [(key, _stored(gather)) for key, gather in self.reports.items()
                        if key not in _REPORT_CACHE]
             dets = iter(_factored([A for _, got in pending if not isinstance(got, _Failed)
@@ -642,38 +613,37 @@ def _expectation(num, den):
     return s_num * s_den * math.exp(log_num - log_den), c_num, c_den
 
 
-def _gamma_vector(base, a, n):
-    """Gamma_j(a), j < n, from the orthonormal basis of the undeformed
-    weight base; its key is the one Plan.gamma returns."""
-    import numpy as np
-    a = float(a)
-
-    def compute():
-        B = _basis_for(base, n)
-        if a >= base.max_tilt():
-            raise QuadratureError(f"tilt {a} diverges against {base.kind} weight")
-
-        def fv(x):
-            return B.eval_all(x, n - 1) * np.exp(a * x + np.asarray(base.log_density(x)))[:, None]
-
-        res = integrate_pieces(fv, domain_pieces(base, a, n + 2),
-                               rel_tol=ENTRY_REL_TOL, counter=EVALS)
-        return np.asarray(res.value)
-
-    return _compute_once(_GAMMA_CACHE, (base.key(), a, n), compute)
-
-
 def expectation(q):
     """E_d(a_1..a_m; E; s): deformed partition function over the original."""
     return _expectation(*_filled(lambda plan: plan.expectation(q)))[0]
 
 
-def plan_identity(plan, q):
-    """Register the report of the rank-reduction identity of q, Ebar(q)
-    against the rank-one ladder det[Gamma_{d-j}(a_k) Ebar_{d-j+1}(a_k)] /
-    det[Gamma_{d-j}(a_k)] with every Ebar a rank-one normalized
-    expectation; returns its key."""
+def _ladder(plan, weight, d, a):
+    """Register the rank-one ladder of sources a at dimension d against
+    weight, M[j, k] = a_k^{m-j} Z_{d+1-j}(a_k) / Z_{d+1-j}, j, k = 1..m;
+    returns read(cond): M, and cond plus each rung's conditioning in turn."""
     import numpy as np
+    m = len(a)
+    rungs = [[(plan.model(SourceModel(d + 1 - j, [(ak, 1)], weight), weight),
+               plan.model(SourceModel(d + 1 - j, [], weight), weight))
+              for j in range(1, m + 1)] for ak in a]
+
+    def read(cond):
+        M = np.empty((m, m))
+        for k in range(m):
+            for j in range(1, m + 1):
+                ratio, c_num, c_den = _expectation(*rungs[k][j - 1])
+                cond += c_num + c_den
+                M[j - 1, k] = a[k] ** (m - j) * ratio
+        return M, cond
+    return read
+
+
+def plan_identity(plan, q):
+    """Register the report of the rank-reduction identity of q, the
+    normalized expectation E(q) / E(q with no sources) against
+    det M(W_def) / det M(W), the rank-one ladders of the deformed and the
+    base weight; returns its key."""
     model = q.model
     if any(m != 1 for _, m in model.sources):
         raise ValueError("verify_main_identity requires multiplicity-one sources")
@@ -684,39 +654,32 @@ def plan_identity(plan, q):
     if key in _REPORT_CACHE or key in plan.reports:
         return key
     a = [v for v, _ in model.sources]
-    m = len(a)
-    lhs = plan.ebar(q)
-    gammas = [plan.gamma(W, ak, d) for ak in a]
-    rungs = [[plan.ebar(ExpectationQuery(SourceModel(d - j + 1, [(ak, 1)], W), q.E, q.s))
-              for j in range(1, m + 1)] for ak in a]
+    num = plan.expectation(q)
+    den = plan.expectation(ExpectationQuery(SourceModel(d, [], W), q.E, q.s))
+    ladders = [_ladder(plan, w, d, a) for w in (q.deformed_weight(), W)]
 
     def gather():
-        val, cond = _read(_EBAR_CACHE, lhs)
-        den, num = np.empty((2, m, m))
-        cond_sum = 0.0
-        for k in range(m):
-            gam = _read(_GAMMA_CACHE, gammas[k])
-            for j in range(1, m + 1):
-                g = gam[d - j]
-                eb, c = _read(_EBAR_CACHE, rungs[k][j - 1])
-                cond_sum += c
-                num[j - 1, k] = g * eb
-                den[j - 1, k] = g
+        val, c_num, c_den = _expectation(*num)
+        ref, c_num0, c_den0 = _expectation(*den)
+        if ref == 0.0:
+            raise ZeroDivisionError("zero-source expectation vanished (e.g. s=1, E=R)")
+        (M_def, cond_def), (M, cond) = [read(0.0) for read in ladders]
 
         def finish(dets):
-            (sd, logd, cond_d), (sn, logn, cond_n) = dets
+            (sn, logn, cond_n), (sd, logd, cond_d) = dets
             if sd == 0.0:
-                raise ZeroDivisionError("Gamma determinant vanished")
+                raise ZeroDivisionError("rank-one ladder determinant vanished")
             rhs = sn * sd * math.exp(logn - logd) if sn != 0.0 else 0.0
-            return _make_report(val, rhs, a, cond + (cond_sum + cond_d + cond_n))
-        return [den, num], finish
+            return _make_report(val / ref, rhs, a, c_num + c_den + c_num0 + c_den0
+                                + (cond_def + cond + cond_n + cond_d))
+        return [M_def, M], finish
     plan.reports[key] = gather
     return key
 
 
 def verify_main_identity(q):
     """Both sides of the rank-reduction identity through disjoint pipelines:
-    the m-source Andreief determinant versus the rank-one ladder."""
+    the m-source Andreief determinant versus the rank-one ladders."""
     rep = _read(_REPORT_CACHE, _filled(lambda plan: plan_identity(plan, q)))
     return replace(rep, diag=dict(rep.diag))  # a copy: editing it leaves the table
 
@@ -724,7 +687,6 @@ def verify_main_identity(q):
 def plan_z_ratio(plan, weight, d, a):
     """Register the report of the z-ratio check of sources a at dimension d;
     returns its key."""
-    import numpy as np
     a = [float(v) for v in a]
     m = len(a)
     if m > d:
@@ -735,27 +697,17 @@ def plan_z_ratio(plan, weight, d, a):
     if key in _REPORT_CACHE or key in plan.reports:
         return key
     lhs = plan.model(model, weight), plan.model(base, weight)
-    rungs = [[(plan.model(SourceModel(d + 1 - j, [(ak, 1)], weight), weight),
-               plan.model(SourceModel(d + 1 - j, [], weight), weight))
-              for j in range(1, m + 1)] for ak in a]
+    ladder = _ladder(plan, weight, d, a)
     delta = math.prod((a[i] - a[j] for i in range(m) for j in range(i + 1, m)), start=1.0)
 
     def gather():
-        sl, ll, cond_l = _read(_LOGDET_CACHE, lhs[0])
-        sb, lb, cond_b = _read(_LOGDET_CACHE, lhs[1])
-        cond = cond_l + cond_b
-        M = np.empty((m, m))
-        for k in range(m):
-            for j in range(1, m + 1):
-                sn, ln_, cn = _read(_LOGDET_CACHE, rungs[k][j - 1][0])
-                sdn, ld, cd = _read(_LOGDET_CACHE, rungs[k][j - 1][1])
-                cond += cn + cd
-                M[j - 1, k] = a[k] ** (m - j) * (sn * sdn * math.exp(ln_ - ld))
+        val, cond_l, cond_b = _expectation(*lhs)
+        M, cond = ladder(cond_l + cond_b)
 
         def finish(dets):
             ((sM, logM, cond_M),) = dets
             rhs = (sM * math.exp(logM) if sM != 0.0 else 0.0) / delta
-            return _make_report(sl * sb * math.exp(ll - lb), rhs, a, cond + cond_M)
+            return _make_report(val, rhs, a, cond + cond_M)
         return [M], finish
     plan.reports[key] = gather
     return key

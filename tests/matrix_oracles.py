@@ -6,8 +6,9 @@ partition_fn_raw is the literal Andreief form.  It integrates raw confluent
 rows {x^i} u {x^p e^{a_k x}} against monomial columns and divides by the
 confluent Vandermonde.  That is much worse conditioned than partition_fn,
 but shares neither its divided-difference rows nor its orthonormal columns,
-so it cross-checks them at small d.  rank1_partition_fn is the rank-one
-orthonormal-polynomial route through the Gamma coefficients.
+so it cross-checks them at small d.  gamma_vector holds the coefficients
+Gamma_j(a) of e^{a x} in the orthonormal basis, and rank1_partition_fn is
+the rank-one orthonormal-polynomial route through them.
 laguerre_z_ratio is the closed form of a Laguerre ratio Z_d(a)/Z_d.
 """
 
@@ -16,8 +17,8 @@ import math
 import numpy as np
 
 from extsource import matrix_model as mm
-from extsource.matrix_model import ENTRY_REL_TOL, _gamma_vector
-from extsource.weights import domain_pieces, integrate_pieces
+from extsource.matrix_model import ENTRY_REL_TOL, _basis_for
+from extsource.weights import QuadratureError, domain_pieces, integrate_pieces
 
 
 def partition_fn(model):
@@ -69,13 +70,28 @@ def partition_fn_raw(model):
     return math.factorial(d) * det / cv
 
 
+def gamma_vector(weight, a, n):
+    """Gamma_j(a) = integral p_j(x) e^{a x} W(x) dx, j < n, with p_j the
+    orthonormal polynomials of the undeformed weight W."""
+    a = float(a)
+    B = _basis_for(weight, n)
+    if a >= weight.max_tilt():
+        raise QuadratureError(f"tilt {a} diverges against {weight.kind} weight")
+
+    def fv(x):
+        return B.eval_all(x, n - 1) * np.exp(a * x + np.asarray(weight.log_density(x)))[:, None]
+
+    res = integrate_pieces(fv, domain_pieces(weight, a, n + 2), rel_tol=ENTRY_REL_TOL)
+    return np.asarray(res.value)
+
+
 def rank1_partition_fn(weight, l, a):
     """Z_l for a single source a via the orthonormal-polynomial route:
     l! a^{-(l-1)} Gamma_{l-1}(a).  Agrees with partition_fn up to an
     a-independent factor (different normalization of the last column)."""
     if a == 0:
         raise ValueError("a must be nonzero")
-    g = _gamma_vector(weight, a, l)[l - 1]
+    g = gamma_vector(weight, a, l)[l - 1]
     return math.factorial(l) * float(a) ** (-(l - 1)) * g
 
 

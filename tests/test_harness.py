@@ -220,21 +220,29 @@ def test_out_dir_from_config(tmp_path):
     assert cfg.out_dir == str(tmp_path / "from-config")
 
 
-@pytest.mark.parametrize("where", ["option", "config"])
+@pytest.mark.parametrize("where", ["option", "config", "empty-option", "empty-env"])
 def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys, monkeypatch, where):
+    # an empty path, as an option or in $EXTSOURCE_OUT_DIR, would write
+    # into the working directory; it is rejected as `out_dir: ""` is
     from extsource import harness
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory")
     raw = yaml.safe_load(MINI)
-    args = ["--out-dir", str(blocker)] if where == "option" else []
+    args = {"option": ["--out-dir", str(blocker)], "empty-option": ["--out-dir", ""]}
     if where == "config":
         raw["out_dir"] = str(blocker)
+    if where == "empty-env":
+        monkeypatch.setenv("EXTSOURCE_OUT_DIR", "")
     cfg = tmp_path / "c.yaml"
     cfg.write_text(yaml.safe_dump(raw))
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "build_jobs", lambda *a, **k: pytest.fail("records ran"))
-    assert main(["run", "--config", str(cfg), *args]) == 2
-    assert f"output directory {str(blocker)!r}" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), *args.get(where, [])]) == 2
+    err = capsys.readouterr().err
+    named = f"output directory {str(blocker)!r}"
+    assert ("out_dir" if where.startswith("empty") else named) in err
     assert blocker.read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.yaml", "taken"]
 
 
 @pytest.mark.parametrize("name", ["results.ndjson", "results.csv", "summary.txt"])
@@ -442,7 +450,7 @@ suites:
 
 
 def test_non_finite_integrand_errors_only_its_records(tmp_path):
-    # at a = 40 the entry and Gamma integrands overflow to inf; the records
+    # at a = 40 the entry integrands overflow to inf; the records
     # that read them are errors, and the run still writes every file
     import warnings
     cfg = RunConfig(yaml.safe_load(OVERFLOW))
@@ -620,6 +628,11 @@ BAD_RESULTS = [
     pytest.param((GOOD_RECORD + '{"id": "z-ratio-0001", "suite": "z-ratio"}\n').encode(),
                  "line 2", id="no-status"),
     pytest.param((GOOD_RECORD + "[1, 2]\n").encode(), "line 2", id="not-a-record"),
+    pytest.param((GOOD_RECORD[:-2] + ', "diag": [1]}\n').encode(), "line 1: diag",
+                 id="diag-not-an-object"),
+    pytest.param((GOOD_RECORD + GOOD_RECORD.replace("0000", "0001")[:-2]
+                  + ', "violating_monomials": "x"}\n').encode(),
+                 "line 2: violating_monomials", id="monomials-not-an-object"),
     pytest.param(None, "cannot be read", id="directory"),
 ]
 

@@ -312,6 +312,37 @@ def test_main_identity_d8_m3():
     assert rep.rel_err < 1e-8
 
 
+@pytest.mark.parametrize("sources", [(0.3, 0.9), (0.3, 0.9, 1.4)])
+def test_identity_sides_register_disjoint_models(monkeypatch, sources):
+    # the RHS reads only rank-one and zero-source models; the one thing it
+    # shares with the LHS is the pair of zero-source models at d, whose
+    # ratio enters both sides as the same factor
+    from extsource import matrix_model as mm
+    keys = {"lhs": set(), "rhs": set()}
+    side = ["lhs"]
+    model, ladder = mm.Plan.model, mm._ladder
+
+    def recorded_model(plan, m, weight):
+        key = model(plan, m, weight)
+        keys[side[0]].add(key)
+        return key
+
+    def recorded_ladder(*args):
+        side[0] = "rhs"
+        return ladder(*args)
+
+    monkeypatch.setattr(mm.Plan, "model", recorded_model)
+    monkeypatch.setattr(mm, "_ladder", recorded_ladder)
+    mm.clear_caches()
+    d = 5
+    q = ExpectationQuery(SourceModel(d, [(a, 1) for a in sources], GAUSS), RIGHT1, 0.5)
+    mm.plan_identity(mm.Plan(), q)
+    W, W_def = GAUSS.key(), q.deformed_weight().key()
+    assert {nodes for _, nodes in keys["lhs"]} == {(0.0,) * d, q.model.nodes()}
+    assert all(sum(v != 0.0 for v in nodes) <= 1 for _, nodes in keys["rhs"])
+    assert keys["lhs"] & keys["rhs"] == {(W, (0.0,) * d), (W_def, (0.0,) * d)}
+
+
 def test_z_ratio_trivial_m1():
     rep = z_ratio_det_check(GAUSS, 3, [0.8])
     assert rep.rel_err < 1e-12
@@ -356,8 +387,8 @@ def test_z_ratio_exppoly_weight():
 
 
 def test_query_rejects_a_deformed_model_weight():
-    # the query would replace the model's deformation while the rank-one
-    # Gamma coefficients read the base weight: a false fail at rel_err 8e-4
+    # the query deforms the base weight by its own E and s, so it would
+    # replace the model's deformation instead of adding to it
     from extsource.weights import deform_weight
     W = deform_weight(GAUSS, HALF, 0.5)
     with pytest.raises(ValueError, match="already deformed"):
@@ -577,9 +608,9 @@ def test_entries_shared_per_point_set_are_bitwise_alone():
 
 
 def _overlapping_plans(mm):
-    """Two plans that share models, a Gamma vector and Ebar keys: the
-    identities of the sources (0.3, 0.9) and (0.3, 1.4) at d = 4, the
-    second plan also with the z-ratio check of (0.3, 0.9)."""
+    """Two plans that share model keys: the identities of the sources
+    (0.3, 0.9) and (0.3, 1.4) at d = 4, the second plan also with the
+    z-ratio check of (0.3, 0.9)."""
     plans = [mm.Plan(), mm.Plan()]
     for plan, b in zip(plans, (0.9, 1.4)):
         model = SourceModel(4, [(0.3, 1), (b, 1)], GAUSS)
@@ -591,8 +622,7 @@ def _overlapping_plans(mm):
 def _table_bytes(mm):
     reports = {key: (r.lhs, r.rhs, r.abs_err, r.rel_err, *r.diag.values())
                for key, r in mm._REPORT_CACHE.items()}
-    tables = {"logdet": mm._LOGDET_CACHE, "ebar": mm._EBAR_CACHE,
-              "gamma": mm._GAMMA_CACHE, "entry": mm._ENTRY_CACHE, "report": reports}
+    tables = {"logdet": mm._LOGDET_CACHE, "entry": mm._ENTRY_CACHE, "report": reports}
     return {(name, key): np.asarray(value, dtype=float).tobytes()
             for name, table in tables.items() for key, value in table.items()}
 
@@ -600,7 +630,7 @@ def _table_bytes(mm):
 @pytest.mark.parametrize("threaded", [False, True])
 def test_overlapping_plans_fill_each_key_once(monkeypatch, threaded):
     # Plan.fill is the one writer: a key that one fill stores is not
-    # factored, integrated or divided again by another fill that registered
+    # factored, integrated or gathered again by another fill that registered
     # it too, whether the fills run one after the other or race in two
     # threads
     import sys
@@ -653,11 +683,16 @@ def test_overlapping_plans_fill_each_key_once(monkeypatch, threaded):
     # one matrix per model, and the ladder pair of each identity report and
     # the one matrix of each z-ratio report, each factored once
     assert sorted(key[0] for key in mm._REPORT_CACHE) == ["identity", "identity", "z-ratio"]
-    assert len(matrices) == len(set(matrices)) == len(mm._LOGDET_CACHE) + 2 * 2 + 1
+    # (the z-ratio matrix of (0.3, 0.9) is the first identity's undeformed
+    # ladder, the one matrix that two reports factor)
+    assert len(matrices) == len(set(matrices)) + 1 == len(mm._LOGDET_CACHE) + 2 * 2 + 1
     # each fill factors its report matrices in one stack: the first plan's
     # ladder pair, and the second plan's pair with its z-ratio matrix
     assert sorted(shape for shape in stacks if shape[1] == 2) == [(2, 2, 2), (3, 2, 2)]
     assert len(computed) == len(set(computed)) and set(computed) == set(mm._ENTRY_CACHE)
-    assert len(ratios) == 2 * len(mm._EBAR_CACHE)  # E and its zero-source E, once per Ebar
+    # each report gathered once: an identity reads E and its zero-source E,
+    # then one ratio per rung of its two 2 x 2 ladders; the z-ratio check
+    # reads its own ratio and one per rung of its ladder
+    assert len(ratios) == 2 * (2 + 2 * 4) + (1 + 4)
     assert _table_bytes(mm) == alone
     mm.clear_caches()

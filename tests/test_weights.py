@@ -12,7 +12,7 @@ from extsource.weights import (
     deform_weight, weight_from_spec, orthonormal_basis, HankelNotPD, QuadratureError,
     integrate_pieces, domain_pieces,
 )
-from extsource.matrix_model import _gamma_vector
+from matrix_oracles import gamma_vector
 
 GAUSS = GaussianWeight()
 LAG = LaguerreWeight()
@@ -200,7 +200,7 @@ def test_recurrence_pointwise(W):
 
 def test_gamma_closed_form_gaussian():
     for a in (0.3, 1.0, -0.7):
-        gam = _gamma_vector(GAUSS, a, 6)
+        gam = gamma_vector(GAUSS, a, 6)
         for j in range(5):
             expect = a ** j * math.exp(a * a / 2) / math.sqrt(math.factorial(j))
             assert abs(gam[j] - expect) < 1e-11 * max(1.0, abs(expect))
@@ -209,7 +209,7 @@ def test_gamma_closed_form_gaussian():
 def test_gamma_closed_form_laguerre():
     # with positive leading coefficients, Gamma_j(a) = a^j / (1-a)^{j+1}
     for a in (0.3, 0.9, -0.5):
-        gam = _gamma_vector(LAG, a, 6)
+        gam = gamma_vector(LAG, a, 6)
         for j in range(5):
             expect = a ** j / (1 - a) ** (j + 1)
             assert abs(gam[j] - expect) < 1e-10 * max(1.0, abs(expect))
@@ -217,7 +217,7 @@ def test_gamma_closed_form_laguerre():
 
 def test_gamma_at_zero_orthogonality():
     for W in (GAUSS, LAG):
-        gam = _gamma_vector(W, 0.0, 5)
+        gam = gamma_vector(W, 0.0, 5)
         assert abs(gam[0] - 1.0) < 1e-12  # sqrt(M_0) = 1
         for j in range(1, 4):
             assert abs(gam[j]) < 1e-12
@@ -225,7 +225,7 @@ def test_gamma_at_zero_orthogonality():
 
 def test_gamma_rejects_divergent_tilt():
     with pytest.raises(QuadratureError):
-        _gamma_vector(LAG, 1.4, 4)
+        gamma_vector(LAG, 1.4, 4)
 
 
 def test_engine_matches_mpmath_reference():
