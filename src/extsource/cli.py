@@ -12,6 +12,19 @@ def _default_out_dir():
     return os.environ.get("EXTSOURCE_OUT_DIR", "extsource-results")
 
 
+def _results_path(option):
+    """The --results path, else results.ndjson in the default output
+    directory; an empty path names no file and raises ConfigError."""
+    if option is None:
+        out_dir = _default_out_dir()
+        if not out_dir:
+            raise ConfigError("results: an empty $EXTSOURCE_OUT_DIR names no directory")
+        return str(Path(out_dir) / "results.ndjson")
+    if not option:
+        raise ConfigError("results: an empty --results names no file")
+    return option
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="extsource",
@@ -51,9 +64,8 @@ def main(argv=None):
         return 0
 
     if args.command == "explain":
-        results = args.results or str(Path(_default_out_dir()) / "results.ndjson")
         try:
-            print(explain(results, args.check_id), end="")
+            print(explain(_results_path(args.results), args.check_id), end="")
         except (ConfigError, KeyError) as exc:
             msg = exc.args[0] if exc.args else exc
             print(f"error: {msg}", file=sys.stderr)

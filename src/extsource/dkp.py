@@ -7,16 +7,18 @@ The degree-d series is the moment determinant
 det[sum_l h_{l-d+i}(t) M_{l+j-1} / l!]_{i,j=1..d} (Adler & van Moerbeke,
 Comm. Math. Phys. 203, 1999): by Cauchy-Binet, the d x d determinant of one
 moment-matrix product instead of a sum over partitions.  Shifting the times
-changes only the entries h_a, so the series at t + [s], t - [1/z] and
+changes only the entries h_a, so the series at t + [v u], t - [1/z] and
 t + [1/z] all come from one determinant (_moment_det), each passing its own
 shifted entry.  The three-term shift identity is the m = 2 case of the
 determinant generalization.
 
-Everything here is exact rational arithmetic.  Shift parameters enter as
-weight-one symbol blocks so that every computation is homogeneous in the
-joint grading; numeric shift values are substituted only at the very end.
+Everything here is exact rational arithmetic.  A shift [v] enters as
+[v u], u a weight-one symbol of its own block, so every computation is
+homogeneous in the joint grading; u is set to one only at the very end.
 Without that, truncation at a finite weight would contaminate low-order
-coefficients and the residuals would not vanish identically.
+coefficients and the residuals would not vanish identically.  The m shifts
+of the determinant identity share the one symbol: s_k = a_k u keeps
+weights, so truncating commutes with it.
 """
 
 import copy
@@ -76,22 +78,51 @@ def _coeff(cfg, d, top):
     return table
 
 
-@functools.lru_cache(maxsize=1024)
-def _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks):
-    """h_a(t + [s_1] + ... + [s_k]) with the s_i as weight-one symbols.
+# the tau series a run has built: zhat_series and the down-shifted windows
+# of _zhat_down_shifted_slice, keyed by every input they read.  The weight,
+# cap and moment override stand for the moments, so a with_moment copy never
+# reads a clean series.  The bound only keeps a long-lived process from
+# growing the memo without limit.
+_SERIES = {}
+_SERIES_MAX = 256
 
-    shift_blocks is a tuple.  Memoised: callers share the returned series,
-    which is immutable."""
+
+def _memoised(build):
+    """build(cfg, *args), built once per (weight, cap, override, args).
+    Callers share the returned series and windows, which are immutable."""
+    @functools.wraps(build)
+    def memo(cfg, *args):
+        key = (build.__name__, cfg.weight, cfg.cap, cfg._override, *args)
+        out = _SERIES.get(key)
+        if out is None:
+            if len(_SERIES) >= _SERIES_MAX:
+                _SERIES.clear()
+            out = _SERIES[key] = build(cfg, *args)
+        return out
+    return memo
+
+
+@functools.lru_cache(maxsize=1024)
+def _h_shifted_entry(a, cap, nblocks, shift):
+    """h_a(t + [v_1 u] + ... + [v_k u]) for the values v_i of the tuple
+    shift, t the times of block 0 and u the weight-one symbol of block 1.
+
+    The sum is h_a(t + sum [v_i u]) = sum_i h_{a-i}(t) h_i(v) u^i, with
+    h_i(v) the complete homogeneous polynomial of the values; u^i is zero
+    past the cap.  Memoised: callers share the returned series, which is
+    immutable."""
     if a < 0:
         return TruncatedSeries.zero(cap, nblocks)
-    if not shift_blocks:
-        return elementary_schur(a, cap, nblocks, tblock)
-    # h_a(t + [s] + rest) = sum_i h_{a-i}(t + rest) s^i; s^i is zero past the cap
-    first, rest = shift_blocks[0], shift_blocks[1:]
+    if not shift:
+        return elementary_schur(a, cap, nblocks)
+    # h_i(v_1..v_k) from h_i(v_1..v_{k-1}): h_i <- h_i + v_k h_{i-1}
+    hv = [Fraction(1)] + [Fraction(0)] * a
+    for v in shift:
+        for i in range(1, a + 1):
+            hv[i] += v * hv[i - 1]
     return mul_sum(
-        [(1, _h_shifted_entry(a - i, cap, nblocks, tblock, rest),
-          TruncatedSeries(cap, {tuple((i,) if b == first else () for b in range(nblocks)): 1},
-                          nblocks))
+        [(1, elementary_schur(a - i, cap, nblocks),
+          TruncatedSeries(cap, {((), (i,)) + ((),) * (nblocks - 2): hv[i]}, nblocks))
          for i in range(min(a, cap) + 1)])
 
 
@@ -127,26 +158,32 @@ def _moment_det(cfg, d, max_weight, entry, lo=None):
     return det_series((row(i) for i in range(d)), lo)
 
 
-def zhat_series(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
+def zhat_series(cfg, d, nblocks=1, shift=()):
     """The degree-d series of the tau vector, truncated at the cap.
 
-    With shift blocks, returns the series at t + [s_1] + ... + [s_k] where
-    the s_i are weight-one symbol variables of the given blocks.
+    With shift values v_1..v_k, returns the series at
+    t + [v_1 u] + ... + [v_k u], where t are the times of block 0 and u is
+    the weight-one symbol of block 1 (nblocks >= 2).  Built once per run.
     """
     if d < 0 or d > cfg.dmax:
         raise ValueError(f"d must be within 0..{cfg.dmax}")
-    cap, shift_blocks = cfg.cap, tuple(shift_blocks)
-    return _moment_det(
-        cfg, d, cap, lambda a: _h_shifted_entry(a, cap, nblocks, tblock, shift_blocks))
+    return _zhat_series(cfg, d, nblocks, tuple(Fraction(v) for v in shift))
 
 
-def _zhat_down_shifted_slice(cfg, d, nblocks=1, tblock=0):
+@_memoised
+def _zhat_series(cfg, d, nblocks, shift):
+    cap = cfg.cap
+    return _moment_det(cfg, d, cap, lambda a: _h_shifted_entry(a, cap, nblocks, shift))
+
+
+@_memoised
+def _zhat_down_shifted_slice(cfg, d, nblocks, tblock):
     """Series at t - [z^{-1}] as a Laurent window over powers -d..0.
 
     Each Jacobi-Trudi entry turns into h_a - z^{-1} h_{a-1}, and the d x d
     determinant reaches down to z^{-d}: the window nu_pair needs.  The
     z^{-1} term sheds one unit of weight, so entries up to index cap + 1
-    contribute below the cap.
+    contribute below the cap.  Built once per run.
     """
     cap = cfg.cap
     return _moment_det(
@@ -193,7 +230,7 @@ def vertex_apply(cfg, d):
     positive powers).
     """
     cap = cfg.cap
-    shifted = _zhat_down_shifted_slice(cfg, d)
+    shifted = _zhat_down_shifted_slice(cfg, d, 1, 0)
     pre = LaurentSlice(0, [elementary_schur(k, cap) for k in range(cap + 1)])
     return laurent_mul(pre, shifted)
 
@@ -236,7 +273,7 @@ def hirota_residual(cfg, d1, d2, corrupt_first=None):
     # powers -d1..0, the second factor is needed down to d2 - d1 - cap
     target = d2 - d1
     # block 0 = t, block 1 = ttilde
-    A = _zhat_down_shifted_slice(cfg1, d1, nblocks=2, tblock=1)
+    A = _zhat_down_shifted_slice(cfg1, d1, 2, 1)
     B = _zhat_up_shifted_slice(cfg, d2 + 1, target - cap, nblocks=2, tblock=0)
     # e^{sum (ttilde_j - t_j) z^j} = sum_k z^k sum_i h_i(ttilde) h_{k-i}(-t)
     pre = [mul_sum([(1, elementary_schur(i, cap, 2, 1),
@@ -268,8 +305,9 @@ def fay_det_residual(cfg, d, m, a, corrupt_lead=None):
 
     with Delta_m(a) = prod_{j<k} (a_j - a_k), for d >= max(1, m - 1)
     (Z_0 = 1); m = 2 is the three-term identity of fay_residual.  Exact over
-    rationals: shift values enter as graded symbols and are substituted
-    afterwards, so the residual vanishes at every truncation order.
+    rationals: each shift [a_k] enters as [a_k u] with one weight-one symbol
+    u, which is set to one afterwards, so the residual vanishes at every
+    truncation order.
 
     corrupt_lead = (index, value) perturbs one moment in the fully shifted
     factor only, for checker sensitivity.
@@ -281,27 +319,17 @@ def fay_det_residual(cfg, d, m, a, corrupt_lead=None):
         raise ValueError("need m shift values")
     if len(set(a)) != m:
         raise ValueError("shift values must be distinct")
-    cap = cfg.cap
-    nb = m + 1
-    syms = [TruncatedSeries.variable(1, cap, block=k + 1, nblocks=nb) for k in range(m)]
+    u = TruncatedSeries.variable(1, cfg.cap, block=1, nblocks=2)
+    # entry (j, k) is (a_k u)^{m-j} Z_{d+1-j}(t + [a_k u]): row j's
+    # u^{m-j} Z_{d+1-j}(t + [u]) with u -> a_k u
     rows = []
     for j in range(1, m + 1):
-        # Z_{d+1-j}(t + [a_k]) is the shift-in-block-1 series with blocks 1
-        # and k + 1 exchanged
-        z1 = zhat_series(cfg, d + 1 - j, nb, 0, (1,))
-        rows.append([(z1.swap_blocks(1, k + 1) if k else z1) * syms[k] ** (m - j)
-                     for k in range(m)])
-    det = det_series(rows)
-    delta = TruncatedSeries.one(cap, nb)
-    for j in range(m):
-        for k in range(j + 1, m):
-            delta = delta * (syms[j] - syms[k])
+        z = zhat_series(cfg, d + 1 - j, 2, (1,)) * u ** (m - j)
+        rows.append([z.scale_point(1, x) for x in a])
+    # Delta_m(a_1 u, .., a_m u) = Delta_m(a) u^{m(m-1)/2}
+    delta = math.prod(a[j] - a[k] for j in range(m) for k in range(j + 1, m))
     cfg_lead = cfg if corrupt_lead is None else cfg.with_moment(*corrupt_lead)
-    lead = zhat_series(cfg_lead, d, nb, 0, tuple(range(1, m + 1)))
-    prod_plain = TruncatedSeries.one(cap, nb)
+    rhs = zhat_series(cfg_lead, d, 2, a) * u ** (m * (m - 1) // 2)
     for j in range(2, m + 1):
-        prod_plain = prod_plain * zhat_series(cfg, d + 1 - j, nb)
-    res = det - delta * lead * prod_plain
-    for k in range(m - 1, -1, -1):
-        res = res.substitute_point(k + 1, a[k])
-    return res
+        rhs = rhs * zhat_series(cfg, d + 1 - j, 2)
+    return mul_sum([(1, det_series(rows), 1), (-1, rhs, delta)]).substitute_point(1, 1)

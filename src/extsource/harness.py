@@ -218,8 +218,9 @@ class RunConfig:
         if problem:
             raise ConfigError(p + problem)
         if next(suite.jobs(self, out, self.weights[out["weights"][0]], False), None) is None:
-            raise ConfigError(f"suites.{name}: the grid is empty (every m exceeds "
-                              "each d or the number of sources); nothing would be checked")
+            raise ConfigError(f"suites.{name}: the grid is empty (every m exceeds each d, "
+                              "each d + 1 in fay-det, or the number of sources); nothing "
+                              "would be checked")
         low = suite.min_cap and suite.min_cap(out)
         if low and out["cap"] < low:
             raise ConfigError(f"{p}cap must be >= {low} for this grid, got {out['cap']}: "
@@ -388,7 +389,7 @@ def _fay_det_jobs(cfg, body, W, mutate):
     cap, dmax = body["cap"], max(body["d"])
     for d in body["d"]:
         for m in body["m"]:
-            if m <= d:
+            if d >= m - 1:
                 pts = body["points"][:m]
                 yield ({"d": d, "m": m, "cap": cap, "points": [str(x) for x in pts]},
                        _exact_thunk(W, cap, dmax, FAY_MUTATE_MOMENT, mutate,
@@ -631,7 +632,7 @@ SUITES = {
                 "points": (_RATIONALS, _REQUIRED)},
         jobs=_fay_det_jobs, weight_issue=_needs_exact_moments,
         min_cap=lambda body: _fay_min_cap((d, m) for d in body["d"] for m in body["m"]
-                                          if m <= d),
+                                          if d >= m - 1),
         check=lambda body: None if len(body["points"]) >= max(body["m"]) else
         f"points must cover the largest m ({max(body['m'])})"),
     "hirota": Suite(

@@ -281,24 +281,6 @@ class TruncatedSeries:
             {w: {m: -c if sum(map(sum, _decode(m, cap, nblocks))) % 2 else c
                  for m, c in nums.items()} for w, nums in self._graded})
 
-    def swap_blocks(self, b1, b2):
-        """The series with blocks b1 and b2 exchanged.  A relabelling keeps
-        every monomial's weight, so each bucket keeps its place."""
-        for b in (b1, b2):
-            if not 0 <= b < self.nblocks:
-                raise ValueError(f"block {b} out of range")
-        width = _slots(self.cap)[1]
-        step = abs(b2 - b1) * width
-        mask = ((1 << width) - 1) << (min(b1, b2) * width)
-
-        def swap(m):
-            low, high = m & mask, (m >> step) & mask
-            return m ^ low ^ high ^ (low << step) ^ (high << step)
-
-        return TruncatedSeries._trusted(
-            self.cap, self.nblocks, self._den,
-            {w: {swap(m): c for m, c in nums.items()} for w, nums in self._graded})
-
     def substitute_point(self, block, value):
         """Evaluate a point-symbol block at a scalar, dropping that block.
 
@@ -306,20 +288,33 @@ class TruncatedSeries:
         """
         if self.nblocks < 2:
             raise ValueError("cannot drop the last block")
+        return self._at_point(block, value, drop=True)
+
+    def scale_point(self, block, value):
+        """Substitute s -> value * s for the point symbol s of a block.  The
+        map keeps every monomial's weight, so it commutes with truncation."""
+        return self._at_point(block, value, drop=False)
+
+    def _at_point(self, block, value, drop):
+        """Each term times value^e, e its exponent of the block's point
+        symbol; with drop the symbol is set to one and its block removed."""
         if not 0 <= block < self.nblocks:
             raise ValueError(f"block {block} out of range")
         value = _exact(value)
         slots, width = _slots(self.cap)
         lo, hi = block * width, (block + 1) * width
         first_bits = slots[0][1].bit_length() if slots else 0
-        # c t_1^e / den at t_1 = p/q is c p^e q^(emax - e) / (den q^emax)
+        # c s^e / den at s = p/q is c p^e q^(emax - e) / (den q^emax)
         found = []
         for w, nums in self._graded:
             for m, c in nums.items():
                 bits = (m >> lo) & ((1 << width) - 1)
                 if bits >> first_bits:
                     raise ValueError("block is not a point symbol")
-                found.append((w - bits, (m & ((1 << lo) - 1)) | ((m >> hi) << lo), c, bits))
+                if drop:
+                    found.append((w - bits, (m & ((1 << lo) - 1)) | ((m >> hi) << lo), c, bits))
+                else:
+                    found.append((w, m, c, bits))
         emax = max((e for *_, e in found), default=0)
         p, q = value.numerator, value.denominator
         byweight = {}
@@ -327,7 +322,7 @@ class TruncatedSeries:
             acc = byweight.setdefault(w, {})
             acc[m] = acc.get(m, 0) + c * p ** e * q ** (emax - e)
         return TruncatedSeries._trusted(
-            self.cap, self.nblocks - 1, self._den * q ** emax, byweight)
+            self.cap, self.nblocks - drop, self._den * q ** emax, byweight)
 
 
 def mul_sum(terms):

@@ -6,14 +6,16 @@ their result through the validating public constructor.  The graded kernel
 in `extsource.series` must agree with them structurally.  The remaining
 helpers are independent routes to quantities the package computes another
 way; among them the tau series as the Jacobi-Trudi sum over partitions that
-`extsource.dkp` contracts into one moment determinant.
+`extsource.dkp` contracts into one moment determinant, and the shift
+identities with one symbol block per shift, where `extsource.dkp` scales
+one shared symbol.
 """
 
 import functools
 import math
 from fractions import Fraction
 
-from extsource.dkp import zhat_series
+from extsource.dkp import _moment_det
 from extsource.schur import det_series, elementary_schur, h_series
 from extsource.series import TruncatedSeries, LaurentSlice, _exact, laurent_mul_sum, mul_sum
 from schur_oracles import _det_numeric, partitions_iter
@@ -120,6 +122,14 @@ def miwa_eval(f, points, block=0):
     return total
 
 
+def zhat_at_blocks(cfg, d, nblocks, shift_blocks=()):
+    """Z_d(t + [s_1] + ... + [s_k]) with the s_i weight-one symbols of their
+    own blocks, as the moment determinant over h_at_shifts entries."""
+    cap = cfg.cap
+    return _moment_det(cfg, d, cap, functools.cache(
+        lambda a: h_at_shifts(a, cap, nblocks, 0, shift_blocks)))
+
+
 def fay_three_term(cfg, d, a, b, first_cfg=None):
     """The three-term shift identity written out product by product:
 
@@ -133,14 +143,41 @@ def fay_three_term(cfg, d, a, b, first_cfg=None):
     nb = 3  # t, a, b
     sa = TruncatedSeries.variable(1, cfg.cap, block=1, nblocks=nb)
     sb = TruncatedSeries.variable(1, cfg.cap, block=2, nblocks=nb)
-    Fa = zhat_series(first_cfg, d, nb, 0, (1,))
-    Fb = zhat_series(cfg, d, nb, 0, (2,))
-    Fab = zhat_series(cfg, d, nb, 0, (1, 2))
-    Ga = zhat_series(cfg, d - 1, nb, 0, (1,))
-    Gb = zhat_series(cfg, d - 1, nb, 0, (2,))
-    G0 = zhat_series(cfg, d - 1, nb)
+    Fa = zhat_at_blocks(first_cfg, d, nb, (1,))
+    Fb = zhat_at_blocks(cfg, d, nb, (2,))
+    Fab = zhat_at_blocks(cfg, d, nb, (1, 2))
+    Ga = zhat_at_blocks(cfg, d - 1, nb, (1,))
+    Gb = zhat_at_blocks(cfg, d - 1, nb, (2,))
+    G0 = zhat_at_blocks(cfg, d - 1, nb)
     res = sa * Fa * Gb - sb * Fb * Ga - (sa - sb) * Fab * G0
     return res.substitute_point(2, Fraction(b)).substitute_point(1, Fraction(a))
+
+
+def fay_det_by_blocks(cfg, d, m, a, corrupt_lead=None):
+    """dkp.fay_det_residual with one symbol block s_k per shift:
+
+        det[s_k^{m-j} Z_{d+1-j}(t+[s_k])]
+          - Delta_m(s) Z_d(t+[s_1]+...+[s_m]) prod_{j=2..m} Z_{d+1-j}(t)
+
+    over m + 1 blocks, each s_k set to a_k at the end.  corrupt_lead =
+    (index, value) changes one moment in the fully shifted factor only.
+    """
+    cap, nb = cfg.cap, m + 1
+    syms = [TruncatedSeries.variable(1, cap, block=k + 1, nblocks=nb) for k in range(m)]
+    rows = [[zhat_at_blocks(cfg, d + 1 - j, nb, (k + 1,)) * syms[k] ** (m - j)
+             for k in range(m)] for j in range(1, m + 1)]
+    delta = TruncatedSeries.one(cap, nb)
+    for j in range(m):
+        for k in range(j + 1, m):
+            delta = delta * (syms[j] - syms[k])
+    cfg_lead = cfg if corrupt_lead is None else cfg.with_moment(*corrupt_lead)
+    rhs = delta * zhat_at_blocks(cfg_lead, d, nb, tuple(range(1, m + 1)))
+    for j in range(2, m + 1):
+        rhs = rhs * zhat_at_blocks(cfg, d + 1 - j, nb)
+    res = det_series(rows) - rhs
+    for k in range(m - 1, -1, -1):
+        res = res.substitute_point(k + 1, Fraction(a[k]))
+    return res
 
 
 def partition_coeff(cfg, kappa, d):
@@ -172,22 +209,27 @@ def partition_sum(cfg, d, max_weight, entry, total, lo=None):
     return total
 
 
-def h_at_shifts(a, cap, nblocks, tblock, shift_blocks):
-    """h_a(t + [s_1] + ... + [s_k]) = sum_{i_0 + ... + i_k = a} h_{i_0}(t)
-    s_1^{i_1} ... s_k^{i_k}, the s_i weight-one symbols of their blocks."""
+def h_at_shifts(a, cap, nblocks, tblock, shifts):
+    """h_a(t + [c_1 s_1] + ... + [c_k s_k]) = sum over i_0 + ... + i_k = a
+    of h_{i_0}(t) (c_1 s_1)^{i_1} ... (c_k s_k)^{i_k}, the s_i weight-one
+    symbols of their blocks.  A shift is a block, for c = 1, or a pair
+    (block, c); two shifts may share one block."""
     H = [h_series(b, cap, nblocks, tblock) for b in range(a + 1)]
-    for block in shift_blocks:
-        s = TruncatedSeries.variable(1, cap, block=block, nblocks=nblocks)
+    for shift in shifts:
+        block, c = shift if isinstance(shift, tuple) else (shift, 1)
+        s = TruncatedSeries.variable(1, cap, block=block, nblocks=nblocks) * c
         H = [sum((H[b - i] * s ** i for i in range(b + 1)),
                  TruncatedSeries.zero(cap, nblocks)) for b in range(a + 1)]
     return H[a] if a >= 0 else TruncatedSeries.zero(cap, nblocks)
 
 
-def zhat_by_partitions(cfg, d, nblocks=1, tblock=0, shift_blocks=()):
-    """zhat_series(cfg, d, nblocks, tblock, shift_blocks) as a partition sum."""
+def zhat_by_partitions(cfg, d, nblocks=1, tblock=0, shifts=()):
+    """The tau series at the h_at_shifts times as a partition sum;
+    zhat_series(cfg, d, nblocks, (c_1, .., c_k)) is shifts ((1, c_1), ..,
+    (1, c_k)) here."""
     cap = cfg.cap
     return partition_sum(cfg, d, cap,
-                         lambda a: h_at_shifts(a, cap, nblocks, tblock, shift_blocks),
+                         lambda a: h_at_shifts(a, cap, nblocks, tblock, shifts),
                          TruncatedSeries.zero(cap, nblocks))
 
 

@@ -9,11 +9,11 @@ from extsource.weights import GaussianWeight, LaguerreWeight, ExpPolyWeight
 from extsource.dkp import (
     TauConfig, _nu_coeff, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
     hirota_residual, fay_residual, fay_det_residual, _coeff, _h_shifted_entry,
-    _zhat_down_shifted_slice, _zhat_up_shifted_slice,
+    _zhat_series, _zhat_down_shifted_slice, _zhat_up_shifted_slice,
 )
 from series_oracles import (
-    down_slice_by_partitions, fay_three_term, miwa_eval, partition_sum,
-    up_slice_by_partitions, zhat_by_partitions,
+    down_slice_by_partitions, fay_det_by_blocks, fay_three_term, h_at_shifts, miwa_eval,
+    partition_sum, up_slice_by_partitions, zhat_by_partitions,
 )
 
 GAUSS = GaussianWeight()
@@ -213,14 +213,14 @@ def test_fay_det_m2_matches_pairwise_form():
 
 
 @pytest.mark.parametrize("W", [GAUSS, LAG], ids=["gaussian", "laguerre"])
-def test_swapped_shift_block_is_the_shifted_series(W):
-    # fay_det_residual builds Z(t + [s_1]) once per degree and moves the
-    # shift to block k by exchanging blocks 1 and k
+def test_scaled_shift_row_is_the_partition_sum(W):
+    # fay_det_residual builds Z(t + [u]) once per degree and gets each
+    # Z(t + [v u]) by scaling u to v u
     cfg = TauConfig(W, 5, 3)
     for d in range(4):
-        z1 = zhat_series(cfg, d, 4, 0, (1,))
-        for k in (2, 3):
-            assert z1.swap_blocks(1, k) == zhat_series(cfg, d, 4, 0, (k,))
+        z1 = zhat_series(cfg, d, 2, (1,))
+        for v in (Fraction(2), Fraction(-1, 3)):
+            assert z1.scale_point(1, v) == zhat_by_partitions(cfg, d, 2, 0, [(1, v)])
 
 
 def test_fay_det_depth_bounds():
@@ -302,8 +302,8 @@ def test_moment_determinant_matches_partition_sum(W, cap):
     for cfg in cfgs:
         for d in range(5):
             assert zhat_series(cfg, d) == zhat_by_partitions(cfg, d)
-            assert (zhat_series(cfg, d, 3, 0, (1, 2))
-                    == zhat_by_partitions(cfg, d, 3, 0, (1, 2)))
+            assert (zhat_series(cfg, d, 2, (1, Fraction(-1, 2)))
+                    == zhat_by_partitions(cfg, d, 2, 0, [1, (1, Fraction(-1, 2))]))
             got = _zhat_down_shifted_slice(cfg, d, 2, 1)
             want = down_slice_by_partitions(cfg, d, 2, 1)
             assert (got.lo, got.hi, got.coeffs) == (want.lo, want.hi, want.coeffs)
@@ -315,10 +315,58 @@ def test_moment_determinant_matches_partition_sum(W, cap):
 
 def test_h_shifted_entry_memo_is_shared_and_intact():
     # zhat_series shares memoised entries across its determinants, so an
-    # entry must still equal a fresh build after the series it fed
+    # entry must still equal a fresh build, and the oracle, after the series
+    # it fed
     cfg = gauss_cfg(cap=6, dmax=3)
-    z = zhat_series(cfg, 3, 3, 0, [1, 2])
-    assert z == zhat_series(cfg, 3, 3, 0, (1, 2))
-    entry = _h_shifted_entry(2, 6, 3, 0, (1, 2))
-    assert _h_shifted_entry(2, 6, 3, 0, (1, 2)) is entry
-    assert entry == _h_shifted_entry.__wrapped__(2, 6, 3, 0, (1, 2))
+    shift = (Fraction(1), Fraction(1, 2))
+    z = zhat_series(cfg, 3, 2, [1, Fraction(1, 2)])
+    assert z == zhat_by_partitions(cfg, 3, 2, 0, [(1, v) for v in shift])
+    entry = _h_shifted_entry(2, 6, 2, shift)
+    assert _h_shifted_entry(2, 6, 2, shift) is entry
+    assert entry == _h_shifted_entry.__wrapped__(2, 6, 2, shift)
+    assert entry == h_at_shifts(2, 6, 2, 0, [(1, v) for v in shift])
+
+
+def test_series_memo_matches_fresh_build_and_keeps_overrides_apart():
+    # the memo is run-wide: a new config of the same weight and cap reads
+    # the built series, which equals a fresh build; a with_moment copy keys
+    # its override, so it never reads a clean series, even when its value
+    # is the clean one, and a clean config never reads the copy's
+    for W, cap in ((GAUSS, 5), (LAG, 4)):
+        changed = TauConfig(W, cap, 3).with_moment(2, 5)
+        bad = zhat_series(changed, 2, 2, (1,))
+        bad_down = _zhat_down_shifted_slice(changed, 2, 1, 0)
+        cfg = TauConfig(W, cap, 3)
+        z = zhat_series(cfg, 2, 2, (1,))
+        down = _zhat_down_shifted_slice(cfg, 2, 1, 0)
+        assert z == _zhat_series.__wrapped__(cfg, 2, 2, (Fraction(1),)) != bad
+        assert down.coeffs == _zhat_down_shifted_slice.__wrapped__(cfg, 2, 1, 0).coeffs
+        assert down.coeffs != bad_down.coeffs
+        assert zhat_series(TauConfig(W, cap, 4), 2, 2, [1]) is z
+        assert _zhat_down_shifted_slice(TauConfig(W, cap, 4), 2, 1, 0) is down
+        assert bad == _zhat_series.__wrapped__(changed, 2, 2, (Fraction(1),))
+        same = cfg.with_moment(2, cfg.moment(2))
+        assert zhat_series(same, 2, 2, (1,)) is not z
+        assert zhat_series(same, 2, 2, (1,)) == z
+
+
+FAY_POINTS = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]
+
+
+@pytest.mark.parametrize("W", [GAUSS, LAG], ids=["gaussian", "laguerre"])
+@pytest.mark.parametrize("cap", [4, 5, 6])
+def test_fay_det_matches_block_oracle(W, cap):
+    # one scaled symbol against one symbol block per shift, for every
+    # d >= m - 1 up to 3, clean and with the lead's moment changed; the
+    # substitution s_k -> a_k u keeps weights, so the two agree exactly
+    cases = [(d, m) for m in (2, 3) for d in range(m - 1, 4)] + ([(3, 4)] if cap == 4 else [])
+    violated = 0
+    for d, m in cases:
+        cfg = TauConfig(W, cap, d)
+        for corrupt in (None, (2, 5), (4, Fraction(7, 2))):
+            want = fay_det_by_blocks(cfg, d, m, FAY_POINTS[:m], corrupt_lead=corrupt)
+            assert fay_det_residual(cfg, d, m, FAY_POINTS[:m], corrupt_lead=corrupt) == want
+            assert want.is_zero() or corrupt is not None
+            violated += not want.is_zero()
+    # a changed moment past the cap's reach leaves no residual; most do
+    assert violated > len(cases)

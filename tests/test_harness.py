@@ -649,6 +649,25 @@ def test_explain_bad_results_file_exits_2_naming_it(tmp_path, capsys, content, w
     assert str(path) in err and where in err
 
 
+@pytest.mark.parametrize("where", ["option", "env"])
+def test_explain_empty_results_path_exits_2_saying_so(tmp_path, capsys, monkeypatch, where):
+    # an empty path would read a file the user did not name
+    # (./extsource-results/results.ndjson or ./results.ndjson); it is
+    # rejected as `run` rejects an empty output directory
+    for d in (tmp_path, tmp_path / "extsource-results"):
+        d.mkdir(exist_ok=True)
+        (d / "results.ndjson").write_text(GOOD_RECORD)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EXTSOURCE_OUT_DIR", raising=False)
+    if where == "env":
+        monkeypatch.setenv("EXTSOURCE_OUT_DIR", "")
+    args = ["--results", ""] if where == "option" else []
+    assert main(["explain", "z-ratio-0000", *args]) == 2
+    err = capsys.readouterr().err
+    assert "empty" in err and ("--results" if where == "option" else "$EXTSOURCE_OUT_DIR") in err
+    assert "results.ndjson" not in err
+
+
 # every suite on a grid small enough that a case wrongly accepted still
 # finishes in seconds
 VALID = yaml.safe_load("""
@@ -811,10 +830,11 @@ def test_seed_override_out_of_range_exits_2(tmp_path, capsys, seed):
 
 @pytest.mark.parametrize("suite,fields", [
     ("identity", {"d": [3], "m": [3], "sources": [0.5, 1.1]}),
-    ("fay-det", {"d": [2], "m": [3], "points": ["1", "1/2", "1/3"]}),
+    ("fay-det", {"d": [1], "m": [3], "points": ["1", "1/2", "1/3"]}),
 ])
 def test_empty_grid_exits_2_naming_its_suite(tmp_path, capsys, suite, fields):
-    # every m above d or above the number of sources: no record to check
+    # every m above d (fay-det: above d + 1) or above the number of sources:
+    # no record to check
     raw = copy.deepcopy(VALID)
     raw["suites"][suite].update(fields)
     cfg = tmp_path / "empty.yaml"

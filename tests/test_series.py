@@ -134,19 +134,29 @@ def test_substitute_point_block():
         (f + t(2, cap, nblocks=2, block=1)).substitute_point(1, 1)
 
 
-def test_swap_blocks_relabels():
+def test_scale_point_block():
+    # s -> v s in a point-symbol block keeps each monomial's weight; setting
+    # s to one afterwards is setting it to v.  Several terms share a weight,
+    # so every bucket holds more than one monomial
     cap, nb = 5, 3
-    x, y, z = (t(1, cap, nblocks=nb, block=b) for b in range(nb))
-    f = x * y * Fraction(2, 3) + t(2, cap, nblocks=nb, block=0) * z ** 2 + y ** 3 - 7
-    g = f.swap_blocks(1, 2)
-    assert g == x * z * Fraction(2, 3) + t(2, cap, nblocks=nb, block=0) * y ** 2 + z ** 3 - 7
-    assert g.swap_blocks(2, 1) == f and f.swap_blocks(1, 1) == f
-    assert f.swap_blocks(0, 2) == z * y * Fraction(2, 3) + t(2, cap, nblocks=nb, block=2) * x ** 2 \
-        + y ** 3 - 7
-    # a relabelling keeps each monomial's weight
+    x, s, y = (t(1, cap, nblocks=nb, block=b) for b in range(nb))
+    x2 = t(2, cap, nblocks=nb, block=0)
+    f = x * s * Fraction(2, 3) + x2 * s ** 2 + s ** 3 - 7 + x * y + s * y ** 2 + x2
+    v = Fraction(-3, 2)
+    g = f.scale_point(1, v)
+    assert g == (x * s * (v * Fraction(2, 3)) + x2 * s ** 2 * v ** 2 + s ** 3 * v ** 3 - 7
+                 + x * y + s * y ** 2 * v + x2)
     assert [w for w, _ in g._graded] == [w for w, _ in f._graded]
+    x_, y_ = (t(1, cap, nblocks=2, block=b) for b in range(2))
+    x2_ = t(2, cap, nblocks=2, block=0)
+    want = x_ * (v * Fraction(2, 3)) + x2_ * v ** 2 + v ** 3 - 7 + x_ * y_ + y_ ** 2 * v + x2_
+    assert g.substitute_point(1, 1) == f.substitute_point(1, v) == want
+    assert f.scale_point(1, 1) == f
+    assert f.scale_point(1, 0) == x * y + x2 - 7
     with pytest.raises(ValueError, match="out of range"):
-        f.swap_blocks(0, 3)
+        f.scale_point(3, 1)
+    with pytest.raises(ValueError, match="not a point symbol"):
+        (f + t(2, cap, nblocks=nb, block=1)).scale_point(1, 2)
 
 
 def test_flip_signs():
@@ -381,7 +391,7 @@ def random_edge_series(rng, cap, nblocks, max_terms=6):
 
 
 def test_kernel_matches_reference_at_packing_edges():
-    # caps up to 12 and up to five blocks (fay-det at m = 3 uses four)
+    # caps up to 12 and up to five blocks (the block-per-shift fay-det oracle uses five)
     rng = random.Random(77)
     for _ in range(120):
         nblocks, cap = rng.randrange(1, 6), rng.randrange(1, 13)
