@@ -7,10 +7,13 @@ The degree-d series is the moment determinant
 det[sum_l h_{l-d+i}(t) M_{l+j-1} / l!]_{i,j=1..d} (Adler & van Moerbeke,
 Comm. Math. Phys. 203, 1999): by Cauchy-Binet, the d x d determinant of one
 moment-matrix product instead of a sum over partitions.  Shifting the times
-changes only the entries h_a, so the series at t + [v u], t - [1/z] and
-t + [1/z] all come from one determinant (_moment_det), each passing its own
-shifted entry.  The three-term shift identity is the m = 2 case of the
-determinant generalization.
+changes only the entries h_a, so the series at t + [v u] and t - [1/z] come
+from that determinant (_moment_det), each passing its own shifted entry.
+At t + [1/z] row i becomes sum_k z^{-k} R_{i-k}, R_r the unshifted row of
+offset r; subtracting z^{-1} times row i - 1 from row i leaves R_i for
+every i >= 1, so each power of z is one expansion along the first row
+against cofactors computed once (_zhat_up_shifted_slice).  The three-term shift identity
+is the m = 2 case of the determinant generalization.
 
 Everything here is exact rational arithmetic.  A shift [v] enters as
 [v u], u a weight-one symbol of its own block, so every computation is
@@ -26,9 +29,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .series import (
-    TruncatedSeries, LaurentSlice, WindowError, laurent_mul, laurent_mul_sum, mul_sum)
-from .schur import elementary_schur, h_series, det_series
+from .series import TruncatedSeries, LaurentSlice, laurent_mul, laurent_mul_sum, mul_sum
+from .schur import elementary_schur, h_series, det_series, maximal_minors
 
 
 class TauConfig:
@@ -126,6 +128,18 @@ def _h_shifted_entry(a, cap, nblocks, shift):
          for i in range(min(a, cap) + 1)])
 
 
+def _moment_row(table, entries, d, r, fused=mul_sum):
+    """Row r of the moment matrix: sum_l entries[l - d + 1 + r] M_{l+j} / l!
+    for j = 0..d-1, with entries[a] = h_a at the caller's times and table a
+    _coeff table reaching l = len(entries) + d - 2 - r.  fused is mul_sum,
+    or laurent_mul_sum for Laurent entries.  Zero coefficients are dropped,
+    except at a = 0, whose entry fixes a column's cap and window when every
+    coefficient vanishes."""
+    rows = table[d - 1 - r:]  # entries[a] meets l = a + d - 1 - r
+    return [fused([(1, e, rows[a][j]) for a, e in enumerate(entries) if rows[a][j] or not a])
+            for j in range(d)]
+
+
 def _moment_det(cfg, d, max_weight, entry, lo=None):
     """det[sum_l entry(l - d + i) M_{l+j-1} / l!]_{i,j=1..d}.
 
@@ -145,17 +159,8 @@ def _moment_det(cfg, d, max_weight, entry, lo=None):
     if d == 0:
         return entries[0]
     table = _coeff(cfg, d, max_weight + d - 1)
-
     fused = mul_sum if lo is None else laurent_mul_sum
-
-    def row(i):
-        # l = a + d - 1 - i; column j reads M_{l+j} / l!.  Zero coefficients
-        # are dropped, except at a = 0, whose entry fixes a column's cap and
-        # window when every coefficient vanishes
-        rows = table[d - 1 - i:]
-        return [fused([(1, e, rows[a][j]) for a, e in enumerate(entries) if rows[a][j] or not a])
-                for j in range(d)]
-    return det_series((row(i) for i in range(d)), lo)
+    return det_series((_moment_row(table, entries, d, i, fused) for i in range(d)), lo)
 
 
 def zhat_series(cfg, d, nblocks=1, shift=()):
@@ -181,7 +186,7 @@ def _zhat_down_shifted_slice(cfg, d, nblocks, tblock):
     """Series at t - [z^{-1}] as a Laurent window over powers -d..0.
 
     Each Jacobi-Trudi entry turns into h_a - z^{-1} h_{a-1}, and the d x d
-    determinant reaches down to z^{-d}: the window nu_pair needs.  The
+    determinant reaches down to z^{-d}: the window tau_ladder_step pairs.  The
     z^{-1} term sheds one unit of weight, so entries up to index cap + 1
     contribute below the cap.  Built once per run.
     """
@@ -194,20 +199,33 @@ def _zhat_down_shifted_slice(cfg, d, nblocks, tblock):
 
 
 def _zhat_up_shifted_slice(cfg, d, min_power, nblocks=1, tblock=0):
-    """Series at t + [z^{-1}]: entries become sum_i h_{a-i} z^{-i}.
+    """Series at t + [z^{-1}] over the powers min_power..0 (power 0 alone
+    at d = 0).
 
-    The window is unbounded below (every extra inverse power sheds one unit
-    of weight), so only powers >= min_power are materialized; entries up to
-    index cap + |min_power| contribute there.
+    Entries become sum_k h_{a-k} z^{-k}, so row i of the moment matrix is
+    sum_k z^{-k} R_{i-k}, with R_r the unshifted row of offset r
+    (_moment_row over h_0..h_cap).  Row i minus z^{-1} times row i - 1 is
+    R_i, for every i >= 1, and these unimodular row operations leave the
+    determinant unchanged: the coefficient of z^{-k} is
+    det[R_{-k}; R_1; ..; R_{d-1}] = sum_j (-1)^j R_{-k}[j] C_j, with C_j
+    the maximal minors of rows 1..d-1, computed once.  The window is
+    unbounded below (every extra inverse power sheds one unit of weight),
+    so only powers >= min_power are materialized; R_{-k} reads moments
+    up to M_{cap+2d-2+k}.
     """
     if min_power > 0:
         raise ValueError("min_power must be <= 0")
     cap = cfg.cap
-    return _moment_det(
-        cfg, d, cap - min_power,
-        lambda a: LaurentSlice(-a, [h_series(a - i, cap, nblocks, tblock)
-                                    for i in range(a, -1, -1)]),  # powers -a..0
-        lo=min_power)
+    h = [h_series(a, cap, nblocks, tblock) for a in range(cap + 1)]
+    if d == 0:
+        return LaurentSlice(0, h[:1])
+    table = _coeff(cfg, d, cap + d - 1 - min_power)
+    minors = maximal_minors((_moment_row(table, h, d, r) for r in range(1, d)), d)
+    cofactors = [(-1 if j % 2 else 1, minors[tuple(c for c in range(d) if c != j)])
+                 for j in range(d)]
+    return LaurentSlice(min_power, [
+        mul_sum([(s, x, c) for x, (s, c) in zip(_moment_row(table, h, d, -k), cofactors)])
+        for k in range(-min_power, -1, -1)])
 
 
 def _nu_coeff(cfg, d, k):
@@ -221,32 +239,32 @@ def _nu_coeff(cfg, d, k):
     return sign * cfg.moment(j + d) / math.factorial(j)
 
 
-def vertex_apply(cfg, d):
-    """X(t, z) applied to the degree-d series, as a Laurent window.
+def tau_ladder_step(cfg, d):
+    """One rung: the formal residue, the z^-1 coefficient, of the vertex
+    action X(t, z) Z_d(t) = e^{sum t_k z^k} Z_d(t - [1/z]) against the
+    index-d measure nu_d(z).
 
-    The result is exp(sum t_k z^k) times the down-shifted series; its full
-    support at the cap is [-d, cap] (the shift contributes at most one
-    inverse power per Jacobi-Trudi row, the prefactor at most weight-many
-    positive powers).
+    The prefactor is sum_i h_i z^i, so power q of the down-shifted series
+    pairs with sum_i nu_d(-1 - q - i) h_i: d + 1 series products over the
+    powers -d..0, with no Laurent product formed.
     """
     cap = cfg.cap
     shifted = _zhat_down_shifted_slice(cfg, d, 1, 0)
-    pre = LaurentSlice(0, [elementary_schur(k, cap) for k in range(cap + 1)])
-    return laurent_mul(pre, shifted)
+    h = [elementary_schur(i, cap) for i in range(cap + 1)]
+    return mul_sum([(1, shifted.get(q), mul_sum([(1, hi, c) for i, hi in enumerate(h)
+                                                  if (c := _nu_coeff(cfg, d, -1 - q - i))]))
+                    for q in shifted.powers()])
 
 
-def nu_pair(cfg, d, X):
-    """Formal residue of X against the index-d measure: the z^-1 coefficient
-    of X(z) nu_d(z), summed exactly.  X must carry all powers >= -d."""
-    if X.lo > -d:
-        raise WindowError(f"window [{X.lo}, {X.hi}] misses powers down to {-d}")
-    terms = [(1, X.get(p), c) for p in X.powers() if (c := _nu_coeff(cfg, d, -1 - p))]
-    return mul_sum(terms) if terms else TruncatedSeries.zero(cfg.cap)
-
-
-def tau_ladder_step(cfg, d):
-    """One rung: pair the vertex action on degree d with the measure."""
-    return nu_pair(cfg, d, vertex_apply(cfg, d))
+@functools.lru_cache(maxsize=16)
+def _hirota_prefactor(cap):
+    """e^{sum (ttilde_j - t_j) z^j} = sum_k z^k sum_i h_i(ttilde) h_{k-i}(-t)
+    over the powers 0..cap, block 0 = t and block 1 = ttilde; shared by
+    every pair of one cap."""
+    return LaurentSlice(0, [
+        mul_sum([(1, elementary_schur(i, cap, 2, 1),
+                  elementary_schur(k - i, cap, 2, 0).flip_signs()) for i in range(k + 1)])
+        for k in range(cap + 1)])
 
 
 def hirota_residual(cfg, d1, d2, corrupt_first=None):
@@ -275,11 +293,7 @@ def hirota_residual(cfg, d1, d2, corrupt_first=None):
     # block 0 = t, block 1 = ttilde
     A = _zhat_down_shifted_slice(cfg1, d1, 2, 1)
     B = _zhat_up_shifted_slice(cfg, d2 + 1, target - cap, nblocks=2, tblock=0)
-    # e^{sum (ttilde_j - t_j) z^j} = sum_k z^k sum_i h_i(ttilde) h_{k-i}(-t)
-    pre = [mul_sum([(1, elementary_schur(i, cap, 2, 1),
-                     elementary_schur(k - i, cap, 2, 0).flip_signs()) for i in range(k + 1)])
-           for k in range(cap + 1)]
-    C = LaurentSlice(0, pre)
+    C = _hirota_prefactor(cap)
     AB = laurent_mul(A, B, keep=(max(A.lo + B.lo, target - cap), min(A.hi + B.hi, target)))
     res = laurent_mul(AB, C, keep=(target, target)).get(target)
     return sorted(res.terms.items())

@@ -16,7 +16,6 @@ loads only the modules its suites call.
 """
 
 import csv
-import difflib
 import functools
 import io
 import itertools
@@ -24,11 +23,10 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -143,8 +141,7 @@ def _nonempty_list(item, distinct=False):
     return parse
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """Everything the harness knows about one suite.
 
     `fields` maps each body key besides `weights` to (parse, default or
@@ -162,7 +159,7 @@ class Suite:
     jobs: Callable
     weight_issue: Callable = None
     check: Callable = None
-    more_explain: dict = field(default_factory=dict)
+    more_explain: dict = {}  # read only, so one shared default is safe
     min_cap: Callable = None
 
 
@@ -448,6 +445,7 @@ def _float_thunk(W, tol, mutate, prepared, report, *args):
         prepared()
         rep = report(*args)
         if mutate:
+            from dataclasses import replace
             rep = replace(rep, lhs=rep.lhs * (1 + 1e-4))
         return {
             "status": mm.classify(rep, rel_tol=tol),
@@ -796,6 +794,7 @@ def explain(results_path, check_id):
     """Human-readable account of one recorded check."""
     records = _read_records(results_path)
     if check_id not in records:
+        import difflib
         near = difflib.get_close_matches(check_id, records.keys(), n=3)
         hint = f"; nearest: {', '.join(near)}" if near else ""
         raise KeyError(f"unknown check id {check_id!r}{hint}")

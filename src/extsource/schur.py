@@ -1,5 +1,5 @@
-"""The elementary Schur polynomials h_j and determinants of series and
-Laurent windows."""
+"""The elementary Schur polynomials h_j, and determinants and maximal minors
+of series and Laurent windows."""
 
 import functools
 import itertools
@@ -35,46 +35,58 @@ def elementary_schur(j, cap, nblocks=1, block=0):
                     for k in range(1, j + 1)]) / j
 
 
-def det_series(rows, lo=None):
-    """Determinant of a small square matrix by Laplace expansion, one row at
-    a time: the minors on the first k + 1 rows come from those on the first
-    k, so each minor is computed once, and only two levels of minors and one
-    row are held at a time (rows may be a generator).  The entries may be
-    TruncatedSeries or exact scalars, or LaurentSlices of them; each minor
-    is one cofactor sum, fused by series.mul_sum (series.laurent_mul_sum
-    power by power for LaurentSlices).  A matrix that is not square raises
-    ValueError.
+def maximal_minors(rows, n, lo=None):
+    """Every maximal minor of a k x n matrix, k <= n, keyed by its column
+    tuple in increasing order ({(): 1} for k = 0), by Laplace expansion one
+    row at a time: the minors on the first k + 1 rows come from those on the
+    first k, so each minor is computed once, and only two levels of minors
+    and one row are held at a time (rows may be a generator).  The entries
+    may be TruncatedSeries or exact scalars, or LaurentSlices of them; each
+    minor is one cofactor sum, fused by series.mul_sum (series.laurent_mul_sum
+    power by power for LaurentSlices).  A row of other than n entries, or
+    more than n rows, raises ValueError.
 
     With lo, every Laurent minor keeps only its powers >= lo.  When no
     entry carries a positive power, a product never raises a power, so the
-    powers >= lo of the determinant are exact; without the trim a minor of
+    powers >= lo of every minor are exact; without the trim a minor of
     size k carries powers down to k times the entries' lowest.
     """
     rows = iter(rows)
-    first = next(rows, None)
-    if not first:
-        raise ValueError("empty matrix")
-    n = len(first)
-    if isinstance(first[0], LaurentSlice):
-        def fused(terms):
-            return laurent_mul_sum(terms, lo)
-    else:
-        fused = mul_sum
-    minors = {(c,): x for c, x in enumerate(first)}
-    k = 0
-    for k, row in enumerate(rows, 1):
+    minors = {(): 1}
+    fused = mul_sum
+    for k, row in enumerate(rows):
         if len(row) != n:
-            raise ValueError(f"det_series needs a square matrix: row {k} has "
-                             f"{len(row)} entries, row 0 has {n}")
+            raise ValueError(f"matrix row {k} has {len(row)} entries, row 0 has {n}")
         if k == n:
-            raise ValueError(f"det_series needs a square matrix, got "
-                             f"{n + 1 + sum(1 for _ in rows)} rows of {n} entries")
+            raise ValueError(f"a maximal minor needs at most {n} rows, "
+                             f"got {n + 1 + sum(1 for _ in rows)} rows of {n} entries")
+        if k == 0:
+            if isinstance(row[0], LaurentSlice):
+                def fused(terms):
+                    return laurent_mul_sum(terms, lo)
+            minors = {(c,): x for c, x in enumerate(row)}
+            continue
         # the minor on the first k + 1 rows and columns cols, expanded along
         # its last row
         minors = {cols: fused([(-1 if (k + idx) % 2 else 1, row[c],
                                 minors[cols[:idx] + cols[idx + 1:]])
                                for idx, c in enumerate(cols)])
                   for cols in itertools.combinations(range(n), k + 1)}
-    if k != n - 1:
-        raise ValueError(f"det_series needs a square matrix, got {k + 1} rows of {n} entries")
-    return minors[tuple(range(n))]
+    return minors
+
+
+def det_series(rows, lo=None):
+    """Determinant of a small square matrix: its one maximal minor, with
+    the entries and lo of maximal_minors.  A matrix that is not square
+    raises ValueError."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if not first:
+        raise ValueError("empty matrix")
+    n = len(first)
+    minors = maximal_minors(itertools.chain([first], rows), n, lo)
+    det = minors.get(tuple(range(n)))
+    if det is None:
+        raise ValueError(f"det_series needs a square matrix, got "
+                         f"{len(next(iter(minors)))} rows of {n} entries")
+    return det

@@ -6,18 +6,21 @@ their result through the validating public constructor.  The graded kernel
 in `extsource.series` must agree with them structurally.  The remaining
 helpers are independent routes to quantities the package computes another
 way; among them the tau series as the Jacobi-Trudi sum over partitions that
-`extsource.dkp` contracts into one moment determinant, and the shift
-identities with one symbol block per shift, where `extsource.dkp` scales
-one shared symbol.
+`extsource.dkp` contracts into one moment determinant, the series at
+t + [1/z] as that determinant of Laurent entries, which `extsource.dkp`
+row-reduces to one expansion per power, the ladder rung through the full
+vertex action and its residue pairing, and the shift identities with one
+symbol block per shift, where `extsource.dkp` scales one shared symbol.
 """
 
 import functools
 import math
 from fractions import Fraction
 
-from extsource.dkp import _moment_det
+from extsource.dkp import _moment_det, _nu_coeff, _zhat_down_shifted_slice
 from extsource.schur import det_series, elementary_schur, h_series
-from extsource.series import TruncatedSeries, LaurentSlice, _exact, laurent_mul_sum, mul_sum
+from extsource.series import (
+    TruncatedSeries, LaurentSlice, WindowError, _exact, laurent_mul, laurent_mul_sum, mul_sum)
 from schur_oracles import _det_numeric, partitions_iter
 
 
@@ -257,3 +260,39 @@ def up_slice_by_partitions(cfg, d, min_power, nblocks=1, tblock=0):
                                  for i in range(a, -1, -1)])
     return partition_sum(cfg, d, cap - min_power, entry, LaurentSlice(0, [zero]),
                          lo=min_power)
+
+
+def up_slice_by_laurent_det(cfg, d, min_power, nblocks=1, tblock=0):
+    """The series at t + [1/z] over powers min_power..0 as the moment
+    determinant of the Laurent entries h_a(t + [1/z]) = sum_i h_{a-i} z^{-i},
+    every product cut at min_power; entries up to index cap + |min_power|
+    contribute there."""
+    cap = cfg.cap
+    return _moment_det(
+        cfg, d, cap - min_power,
+        lambda a: LaurentSlice(-a, [h_series(a - i, cap, nblocks, tblock)
+                                    for i in range(a, -1, -1)]),  # powers -a..0
+        lo=min_power)
+
+
+def vertex_apply(cfg, d):
+    """X(t, z) applied to the degree-d series, as a Laurent window.
+
+    The result is exp(sum t_k z^k) times the down-shifted series; its full
+    support at the cap is [-d, cap] (the shift contributes at most one
+    inverse power per Jacobi-Trudi row, the prefactor at most weight-many
+    positive powers).
+    """
+    cap = cfg.cap
+    shifted = _zhat_down_shifted_slice(cfg, d, 1, 0)
+    pre = LaurentSlice(0, [elementary_schur(k, cap) for k in range(cap + 1)])
+    return laurent_mul(pre, shifted)
+
+
+def nu_pair(cfg, d, X):
+    """Formal residue of X against the index-d measure: the z^-1 coefficient
+    of X(z) nu_d(z), summed exactly.  X must carry all powers >= -d."""
+    if X.lo > -d:
+        raise WindowError(f"window [{X.lo}, {X.hi}] misses powers down to {-d}")
+    terms = [(1, X.get(p), c) for p in X.powers() if (c := _nu_coeff(cfg, d, -1 - p))]
+    return mul_sum(terms) if terms else TruncatedSeries.zero(cfg.cap)

@@ -7,13 +7,14 @@ from extsource.series import TruncatedSeries, LaurentSlice, WindowError
 from extsource.schur import elementary_schur, h_series
 from extsource.weights import GaussianWeight, LaguerreWeight, ExpPolyWeight
 from extsource.dkp import (
-    TauConfig, _nu_coeff, zhat_series, vertex_apply, nu_pair, tau_ladder_step,
-    hirota_residual, fay_residual, fay_det_residual, _coeff, _h_shifted_entry,
-    _zhat_series, _zhat_down_shifted_slice, _zhat_up_shifted_slice,
+    TauConfig, _nu_coeff, zhat_series, tau_ladder_step, hirota_residual, fay_residual,
+    fay_det_residual, _coeff, _h_shifted_entry, _zhat_series, _zhat_down_shifted_slice,
+    _zhat_up_shifted_slice,
 )
 from series_oracles import (
     down_slice_by_partitions, fay_det_by_blocks, fay_three_term, h_at_shifts, miwa_eval,
-    partition_sum, up_slice_by_partitions, zhat_by_partitions,
+    nu_pair, partition_sum, up_slice_by_laurent_det, up_slice_by_partitions, vertex_apply,
+    zhat_by_partitions,
 )
 
 GAUSS = GaussianWeight()
@@ -138,6 +139,37 @@ def test_tau_ladder_iterated_from_unity():
         X = vertex_apply(cfg, d)
         z = nu_pair(cfg, d, X)
         assert z == zhat_series(cfg, d + 1)
+
+
+@pytest.mark.parametrize("W", [GAUSS, LAG], ids=["gaussian", "laguerre"])
+def test_ladder_rung_matches_vertex_action_oracle(W):
+    # the rung pairs each power of the down-shifted series with a scalar
+    # sum of h_i; the oracle forms the whole vertex action first and pairs
+    # it power by power, clean and with one moment changed
+    for cap in range(4, 9):
+        base = TauConfig(W, cap, 4)
+        for cfg in (base, base.with_moment(3, Fraction(7, 2))):
+            for d in range(4):
+                assert tau_ladder_step(cfg, d) == nu_pair(cfg, d, vertex_apply(cfg, d))
+
+
+@pytest.mark.parametrize("W", [GAUSS, LAG], ids=["gaussian", "laguerre"])
+def test_up_slice_matches_laurent_determinant(W):
+    # the first-row expansion against the d x d determinant of Laurent
+    # entries: same window, every coefficient structurally equal, for one
+    # and two time blocks and a copy with one moment changed; d = 4 only at
+    # the low caps, where the oracle's Laplace expansion stays cheap
+    for cap in range(4, 9):
+        base = TauConfig(W, cap, 4)
+        cfgs = [base] + ([base.with_moment(4, Fraction(5, 2))] if cap == 4 else [])
+        for cfg in cfgs:
+            for d in range(5 if cap <= 5 else 4):
+                for min_power in (0, -cap, -cap - 3):
+                    for nblocks, tblock in ((1, 0), (2, 0), (2, 1)):
+                        got = _zhat_up_shifted_slice(cfg, d, min_power, nblocks, tblock)
+                        want = up_slice_by_laurent_det(cfg, d, min_power, nblocks, tblock)
+                        assert (got.lo, got.hi) == (want.lo, want.hi)
+                        assert got.coeffs == want.coeffs
 
 
 @pytest.mark.parametrize("pair", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])

@@ -502,8 +502,10 @@ def test_exact_only_run_does_not_import_numpy(tmp_path):
     assert len(raw["suites"]) == 4
     config = tmp_path / "exact.yaml"
     config.write_text(yaml.safe_dump(raw))
+    # nor dataclasses, which only the float suites' reports use
     assert cold_run(tmp_path, ["--config", str(config), "--out-dir", str(tmp_path / "out")],
-                    "numpy", "extsource.matrix_model", "extsource.mc") == (0, [False] * 3)
+                    "numpy", "extsource.matrix_model", "extsource.mc",
+                    "dataclasses") == (0, [False] * 4)
 
 
 def test_float_only_run_does_not_import_the_exact_modules(tmp_path):
